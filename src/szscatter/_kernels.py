@@ -1,11 +1,12 @@
 """Hot numerical kernels: adaptive embedded stepping and ordered products.
 
-The kernels are plain functions over flat arrays.  By default they are
-compiled with numba (njit, cached, GIL released).  Setting the environment
-variable ``SZ_SCATTER_NO_NUMBA=1`` before import selects the pure
-Python/numpy fallback path instead; the ordered-product kernel then runs a
-vectorized numpy variant, while the adaptive steppers run the same source
-uncompiled.  ``python -m szscatter.benchmark`` compares the two paths.
+The kernels are plain functions over flat arrays.  By default the
+adaptive steppers are compiled with numba (njit, cached, GIL released);
+setting the environment variable ``SZ_SCATTER_NO_NUMBA=1`` before import
+runs the same source uncompiled.  The ordered product is one numpy kernel
+on both paths: fourth-order Magnus step exponentials built as arrays and
+multiplied as a pairwise tree.  ``python -m szscatter.benchmark`` times
+the active path, and compares it with the other when numba is importable.
 
 Field tables enter as one complex coefficient block of shape
 (n_fields, n_intervals, 4) with uniform knots; see _tables.SegmentTable.
@@ -21,6 +22,7 @@ The direct second-order solver uses a single-row table holding k^2.
 """
 
 import cmath
+import math
 import os
 
 import numpy as np
@@ -66,6 +68,10 @@ _B1, _B3, _B4, _B5, _B6 = (35.0 / 384.0, 500.0 / 1113.0, 125.0 / 192.0,
 _E1, _E3, _E4, _E5, _E6, _E7 = (71.0 / 57600.0, -71.0 / 16695.0,
                                 71.0 / 1920.0, -17253.0 / 339200.0,
                                 22.0 / 525.0, -1.0 / 40.0)
+
+# RMS of two error ratios is sqrt(1/2) hypot(r1, r2); hypot cannot
+# overflow where the sum of squares would.
+_SQRT_HALF = math.sqrt(0.5)
 
 STATUS_OK = 0
 STATUS_STEP_UNDERFLOW = 1
@@ -163,7 +169,7 @@ def rk45_coeffs(C, tx0, th, x_start, stops, a0, b0, tol, hmax, hmin, inv0,
             sc_b = tol + tol * max(abs(b), abs(b_new))
             ra = abs(err_a) / sc_a
             rb = abs(err_b) / sc_b
-            err = np.sqrt(0.5 * (ra * ra + rb * rb))
+            err = _SQRT_HALF * math.hypot(ra, rb)
             if err <= 1.0:
                 x = x + hs
                 a = a_new
@@ -257,7 +263,7 @@ def rk45_wave(C, tx0, th, x_start, stops, p0, q0, tol, hmax, hmin,
             sc_q = tol + tol * max(abs(q), abs(q_new))
             rp = abs(err_p) / sc_p
             rq = abs(err_q) / sc_q
-            err = np.sqrt(0.5 * (rp * rp + rq * rq))
+            err = _SQRT_HALF * math.hypot(rp, rq)
             if err <= 1.0:
                 x = x + hs
                 p = p_new
@@ -299,99 +305,91 @@ def _rhs_wave(C, tx0, th, n_tab, x, p, q):
     return q, -k2 * p
 
 
-@_jit
-def _ordered_product_scalar(C, tx0, th, xa, xb, nsteps):
-    """Ordered product of per-step exponentials of the generator frozen
-    at step midpoints (second-order product integration).  Later
-    positions multiply on the left."""
-    n_tab = C.shape[1]
-    h = (xb - xa) / nsteps
-    e11 = 1.0 + 0.0j
-    e12 = 0.0 + 0.0j
-    e21 = 0.0 + 0.0j
-    e22 = 1.0 + 0.0j
-    for i in range(nsteps):
-        xm = xa + (i + 0.5) * h
-        g11, g12, g21 = _generator(C, tx0, th, n_tab, xm)
-        # Closed-form exponential of the traceless step matrix h*G:
-        # exp = cosh(z) I + (sinh(z)/z) h G with z^2 = h^2 (g11^2 + g12 g21).
-        z2 = (g11 * g11 + g12 * g21) * (h * h)
-        z = cmath.sqrt(z2)
-        if abs(z) < 1.0e-5:
-            s = 1.0 + z2 / 6.0 * (1.0 + z2 / 20.0)
-            ch = 1.0 + z2 / 2.0 * (1.0 + z2 / 12.0)
-        else:
-            ch = cmath.cosh(z)
-            s = cmath.sinh(z) / z
-        m11 = ch + s * h * g11
-        m12 = s * h * g12
-        m21 = s * h * g21
-        m22 = ch - s * h * g11
-        f11 = m11 * e11 + m12 * e21
-        f12 = m11 * e12 + m12 * e22
-        f21 = m21 * e11 + m22 * e21
-        f22 = m21 * e12 + m22 * e22
-        e11 = f11
-        e12 = f12
-        e21 = f21
-        e22 = f22
-    return e11, e12, e21, e22
+# Gauss-Legendre nodes of one step, as fractions of h, and the weight of
+# the commutator term of the fourth-order Magnus step.
+_GAUSS_LO = 0.5 - math.sqrt(3.0) / 6.0
+_GAUSS_HI = 0.5 + math.sqrt(3.0) / 6.0
+_MAGNUS_COMM = math.sqrt(3.0) / 12.0
+
+# Steps multiplied per tree reduction; bounds the temporary arrays.
+PRODUCT_BLOCK = 1 << 16
 
 
-def _ordered_product_numpy(C, tx0, th, xa, xb, nsteps):
-    """Vectorized fallback: batch-evaluate all step exponentials with
-    numpy, then accumulate the ordered 2x2 product in Python."""
+def _generator_field(C, tx0, th, x):
+    """_generator over an array of positions: (g11, g12, g21) arrays."""
     n_tab = C.shape[1]
-    h = (xb - xa) / nsteps
-    xm = xa + (np.arange(nsteps) + 0.5) * h
-    idx = np.clip(((xm - tx0) / th).astype(np.int64), 0, n_tab - 1)
-    dx = xm - (tx0 + idx * th)
+    idx = np.clip(((x - tx0) / th).astype(np.int64), 0, n_tab - 1)
+    dx = x - (tx0 + idx * th)
 
     def field(row):
         c = C[row, idx]
         return ((c[:, 0] * dx + c[:, 1]) * dx + c[:, 2]) * dx + c[:, 3]
 
-    ppr = field(0)
+    inv2 = 0.5 / field(0)
     dia = field(1)
     rh1 = field(2)
     rh2 = field(3)
-    phi = field(4)
-    inv2 = 0.5 / ppr
-    em = np.exp(-2j * phi)
-    g11 = 1j * dia * inv2
-    g12 = (rh1 + 1j * rh2) * em * inv2
-    g21 = (rh1 - 1j * rh2) / em * inv2
-    z2 = (g11 * g11 + g12 * g21) * (h * h)
+    em = np.exp(-2j * field(4))
+    return (1j * dia * inv2, (rh1 + 1j * rh2) * em * inv2,
+            (rh1 - 1j * rh2) / em * inv2)
+
+
+def _magnus_steps(C, tx0, th, x0, h, n):
+    """Entries of the n step exponentials exp(Omega) of [x0 + i h,
+    x0 + (i + 1) h] for the fourth-order Magnus step
+
+        Omega = (h/2)(A1 + A2) + (sqrt(3)/12) h^2 [A2, A1],
+
+    A1 and A2 being the generator at the lower and upper Gauss point.
+    Omega is traceless, so exp(Omega) = cosh(z) I + (sinh(z)/z) Omega
+    with z^2 = Omega11^2 + Omega12 Omega21."""
+    xs = x0 + np.arange(n) * h
+    p1, q1, r1 = _generator_field(C, tx0, th, xs + _GAUSS_LO * h)
+    p2, q2, r2 = _generator_field(C, tx0, th, xs + _GAUSS_HI * h)
+    half = 0.5 * h
+    comm = _MAGNUS_COMM * h * h
+    o11 = half * (p1 + p2) + comm * (q2 * r1 - q1 * r2)
+    o12 = half * (q1 + q2) + comm * 2.0 * (p2 * q1 - q2 * p1)
+    o21 = half * (r1 + r2) + comm * 2.0 * (r2 * p1 - p2 * r1)
+    z2 = o11 * o11 + o12 * o21
     z = np.sqrt(z2)
     small = np.abs(z) < 1.0e-5
-    ch = np.where(small, 1.0 + z2 / 2.0 * (1.0 + z2 / 12.0), np.cosh(z))
-    s = np.where(small, 1.0 + z2 / 6.0 * (1.0 + z2 / 20.0),
-                 np.sinh(np.where(small, 1.0, z)) / np.where(small, 1.0, z))
-    m11 = ch + s * h * g11
-    m12 = s * h * g12
-    m21 = s * h * g21
-    m22 = ch - s * h * g11
-    e11 = 1.0 + 0.0j
-    e12 = 0.0 + 0.0j
-    e21 = 0.0 + 0.0j
-    e22 = 1.0 + 0.0j
-    for i in range(nsteps):
-        a11 = m11[i]
-        a12 = m12[i]
-        a21 = m21[i]
-        a22 = m22[i]
-        f11 = a11 * e11 + a12 * e21
-        f12 = a11 * e12 + a12 * e22
-        f21 = a21 * e11 + a22 * e21
-        f22 = a21 * e12 + a22 * e22
-        e11, e12, e21, e22 = f11, f12, f21, f22
+    zs = np.where(small, 1.0, z)
+    ch = np.where(small, 1.0 + z2 / 2.0 * (1.0 + z2 / 12.0), np.cosh(zs))
+    s = np.where(small, 1.0 + z2 / 6.0 * (1.0 + z2 / 20.0), np.sinh(zs) / zs)
+    return ch + s * o11, s * o12, s * o21, ch - s * o11
+
+
+def _tree_product(m11, m12, m21, m22):
+    """Ordered product of a sequence of 2x2 matrices, later ones on the
+    left, by multiplying neighbours pairwise until one matrix is left."""
+    while m11.size > 1:
+        if m11.size % 2:
+            m11, m22 = (np.append(m, 1.0) for m in (m11, m22))
+            m12, m21 = (np.append(m, 0.0) for m in (m12, m21))
+        a11, b11 = m11[0::2], m11[1::2]
+        a12, b12 = m12[0::2], m12[1::2]
+        a21, b21 = m21[0::2], m21[1::2]
+        a22, b22 = m22[0::2], m22[1::2]
+        m11, m12, m21, m22 = (b11 * a11 + b12 * a21, b11 * a12 + b12 * a22,
+                              b21 * a11 + b22 * a21, b21 * a12 + b22 * a22)
+    return complex(m11[0]), complex(m12[0]), complex(m21[0]), complex(m22[0])
+
+
+def ordered_product(C, tx0, th, xa, xb, nsteps):
+    """Path-ordered exponential over [xa, xb] in nsteps fourth-order
+    Magnus steps, later positions multiplying on the left.  Blocks of at
+    most PRODUCT_BLOCK steps are reduced as trees and then multiplied in
+    order.  Returns the entries (e11, e12, e21, e22)."""
+    h = (xb - xa) / nsteps
+    e11, e12, e21, e22 = 1.0 + 0.0j, 0.0j, 0.0j, 1.0 + 0.0j
+    for first in range(0, nsteps, PRODUCT_BLOCK):
+        n = min(PRODUCT_BLOCK, nsteps - first)
+        b11, b12, b21, b22 = _tree_product(
+            *_magnus_steps(C, tx0, th, xa + first * h, h, n))
+        e11, e12, e21, e22 = (b11 * e11 + b12 * e21, b11 * e12 + b12 * e22,
+                              b21 * e11 + b22 * e21, b21 * e12 + b22 * e22)
     return e11, e12, e21, e22
-
-
-if NUMBA_ACTIVE:
-    ordered_product = _ordered_product_scalar
-else:
-    ordered_product = _ordered_product_numpy
 
 
 def warm_up() -> None:

@@ -1,13 +1,14 @@
-"""Benchmark the numba kernel path against the pure-numpy fallback.
+"""Time the kernel backends on representative workloads.
 
 Usage:
     python -m szscatter.benchmark [--quick]
 
-The comparison launches one subprocess per backend (the backend is fixed
-per process by the SZ_SCATTER_NO_NUMBA environment flag read at import),
-warms each up, and reports best-of-three wall times for representative
-workloads: adaptive coefficient evolution, the ordered-product transfer
-matrix, and the direct reference integration.
+Reports best-of-three wall times, after a warm-up, for adaptive
+coefficient evolution, the ordered-product transfer matrix and the direct
+reference integration.  When numba is importable the comparison launches
+one subprocess per backend (the backend is fixed per process by the
+SZ_SCATTER_NO_NUMBA environment flag read at import); otherwise only the
+active numpy path runs, in this process, under a column named for it.
 """
 
 import argparse
@@ -83,24 +84,35 @@ def main(argv=None) -> int:
         print(json.dumps(_time_inner(args.quick)))
         return 0
 
-    reports = {}
-    for backend, flag in (("numba", "0"), ("numpy", "1")):
-        env = dict(os.environ)
-        env["SZ_SCATTER_NO_NUMBA"] = flag
-        cmd = [sys.executable, "-m", "szscatter.benchmark", "--inner"]
-        if args.quick:
-            cmd.append("--quick")
-        out = subprocess.run(cmd, env=env, capture_output=True, text=True,
-                             check=True)
-        reports[backend] = json.loads(out.stdout.strip().splitlines()[-1])
+    from . import _kernels
 
-    width = max(len(name) for name in reports["numba"]["timings"])
-    print(f"{'workload':<{width}}  {'numba':>10}  {'numpy':>10}  speedup")
-    for name, t_numba in reports["numba"]["timings"].items():
-        t_numpy = reports["numpy"]["timings"][name]
-        ratio = t_numpy / t_numba if t_numba > 0 else float("inf")
-        print(f"{name:<{width}}  {t_numba:>9.4f}s  {t_numpy:>9.4f}s  "
-              f"{ratio:6.1f}x")
+    if _kernels._HAVE_NUMBA:
+        reports = {}
+        for backend, flag in (("numba", "0"), ("numpy", "1")):
+            env = dict(os.environ)
+            env["SZ_SCATTER_NO_NUMBA"] = flag
+            cmd = [sys.executable, "-m", "szscatter.benchmark", "--inner"]
+            if args.quick:
+                cmd.append("--quick")
+            out = subprocess.run(cmd, env=env, capture_output=True,
+                                 text=True, check=True)
+            reports[backend] = json.loads(out.stdout.strip().splitlines()[-1])
+    else:  # one backend only: time it here, labelled by what is active
+        report = _time_inner(args.quick)
+        reports = {report["backend"]: report}
+
+    columns = [r["timings"] for r in reports.values()]
+    width = max(len(name) for name in columns[0])
+    speedup = "  speedup" if len(columns) == 2 else ""
+    print(f"{'workload':<{width}}"
+          + "".join(f"  {b:>10}" for b in reports) + speedup)
+    for name in columns[0]:
+        times = [c[name] for c in columns]
+        line = f"{name:<{width}}" + "".join(f"  {t:>9.4f}s" for t in times)
+        if speedup:
+            ratio = times[1] / times[0] if times[0] > 0 else float("inf")
+            line += f"  {ratio:6.1f}x"
+        print(line)
     return 0
 
 

@@ -11,7 +11,7 @@ import os
 import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -389,7 +389,11 @@ def run(config: RunConfig) -> int:
     """Execute the configured sweep; returns the process exit status."""
     if config.csv_path is None:
         raise ValidationError("outputs.csv_path", "missing")
-    threads = int(os.environ.get("SZ_SCATTER_THREADS", "1") or "1")
+    raw = os.environ.get("SZ_SCATTER_THREADS", "1") or "1"
+    threads = int(raw) if raw.strip().isdecimal() else 0
+    if threads < 1:
+        raise ValidationError("SZ_SCATTER_THREADS",
+                              f"must be a positive integer, got {raw!r}")
     order = sorted(range(len(config.energies)),
                    key=lambda i: config.energies[i])
     energies = [config.energies[i] for i in order]
@@ -434,19 +438,8 @@ def main(argv=None) -> int:
     try:
         config = parse_config(text)
         if args.mode or args.out:
-            config = RunConfig(
-                mode=args.mode or config.mode,
-                potential=config.potential,
-                energies=config.energies,
-                gauge_names=config.gauge_names,
-                ode_tol=config.ode_tol,
-                quad_tol=config.quad_tol,
-                tail_tol=config.tail_tol,
-                csv_path=args.out or config.csv_path,
-                plot_data_path=config.plot_data_path,
-                hbar=config.hbar,
-                mass=config.mass,
-            )
+            config = replace(config, mode=args.mode or config.mode,
+                             csv_path=args.out or config.csv_path)
     except (ParseError, ValidationError) as exc:
         print(f"sz-scatter: configuration error: {exc}", file=sys.stderr)
         return 2

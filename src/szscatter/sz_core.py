@@ -2,9 +2,9 @@
 
 Two independent evolution routes are provided and serve as mutual
 oracles: adaptive embedded Runge-Kutta stepping of the coefficient pair
-(evolve), and ordered products of per-step matrix exponentials frozen at
-step midpoints (transfer_matrix), the discrete realization of the
-path-ordered exponential.
+(evolve), and ordered products of fourth-order Magnus step exponentials
+(transfer_matrix), the discrete realization of the path-ordered
+exponential.
 
 Discontinuities in the potential or gauge split the domain into smooth
 segments.  Steps never straddle a split; where the gauge representation
@@ -28,9 +28,6 @@ from .gauges import DEGENERACY_RTOL, GaugeTriple, RhoPair, rho_pair
 from .potentials import (DomainGrid, EnergySpec, PotentialProfile,
                          truncate_domain, wavenumber_field)
 
-# Target length of one refinement chunk in the ordered-product route.
-CHUNK_LENGTH = 0.75
-MAX_CHUNKS_PER_SEGMENT = 64
 MAX_PRODUCT_STEPS = 1 << 23
 
 _IDENTITY2 = np.eye(2, dtype=np.complex128)
@@ -435,10 +432,12 @@ def transfer_matrix(g: GaugeTriple, r: RhoPair, x_from: float, x_to: float,
                     grid: DomainGrid = None) -> TransferMatrix:
     """Discrete path-ordered exponential E(x_to, x_from).
 
-    Ordered product of per-step exponentials of the generator frozen at
-    step midpoints (second-order product integration).  Each chunk is
-    refined by step doubling until the entrywise Cauchy difference drops
-    below its share of tol; later positions multiply on the left.
+    Ordered product of fourth-order Magnus step exponentials (two Gauss
+    points per step plus the commutator term).  Each segment piece the
+    path crosses is refined as a whole by step doubling until the
+    entrywise Cauchy difference drops below its share of tol; later
+    positions multiply on the left.  No Runge-Kutta step is taken, so the
+    result is an independent check on evolve.
     """
     if x_from == x_to:
         return TransferMatrix(_IDENTITY2.copy(), x_from, x_to)
@@ -472,21 +471,14 @@ def transfer_matrix(g: GaugeTriple, r: RhoPair, x_from: float, x_to: float,
             j -= 1
 
     total_len = abs(x_to - x_from)
-    chunks = []  # (segment index, a, b) in travel order
-    for j, a, b in pieces:
-        m = min(MAX_CHUNKS_PER_SEGMENT,
-                max(1, int(round(abs(b - a) / CHUNK_LENGTH))))
-        cuts = np.linspace(a, b, m + 1)
-        for lo_c, hi_c in zip(cuts[:-1], cuts[1:]):
-            chunks.append((j, float(lo_c), float(hi_c)))
-    tol_chunk = tol / max(1, len(chunks))
+    tol_piece = tol / len(pieces)
 
-    # Process chunks in order, inserting junction projections between
-    # pieces that live in different segments.
+    # Multiply the pieces in order, inserting junction projections where
+    # the path crosses from one segment into the next.
     result = _IDENTITY2.copy()
     prev_seg = None
-    for j, a, b in chunks:
-        if prev_seg is not None and j != prev_seg:
+    for j, a, b in pieces:
+        if prev_seg is not None:
             if forward:
                 proj = bundle.junctions[prev_seg]
                 if proj is not _IDENTITY2:
@@ -496,7 +488,7 @@ def transfer_matrix(g: GaugeTriple, r: RhoPair, x_from: float, x_to: float,
                 if proj is not _IDENTITY2:
                     result = np.linalg.solve(proj, result)
         n0 = max(8, int(math.ceil(n_min * abs(b - a) / total_len)))
-        block = _refined_product(bundle.tables[j], a, b, n0, tol_chunk)
+        block = _refined_product(bundle.tables[j], a, b, n0, tol_piece)
         result = block @ result
         prev_seg = j
     return TransferMatrix(result, x_from, x_to)

@@ -290,6 +290,15 @@ def test_main_exit_codes(tmp_path):
     assert (tmp_path / "other.csv").exists()
 
 
+@pytest.mark.parametrize("threads", ["abc", "0", "-2", "1.5"])
+def test_bad_thread_count_is_config_error(monkeypatch, tmp_path, threads):
+    monkeypatch.setenv("SZ_SCATTER_THREADS", threads)
+    good = tmp_path / "good.cfg"
+    good.write_text(MINIMAL.format(csv=tmp_path / "good.csv"))
+    assert main(["--config", str(good)]) == 2
+    assert not (tmp_path / "good.csv").exists()
+
+
 def test_run_exit_four_on_violation(monkeypatch, tmp_path):
     import szscatter.cli as cli_mod
 

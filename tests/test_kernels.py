@@ -60,10 +60,8 @@ def test_fallback_subprocess_matches_numba():
     assert got["e00im"] == pytest.approx(E.entries[0, 0].imag, abs=1e-9)
 
 
-def test_vectorized_product_matches_scalar_kernel():
-    # Same table, same step count: the numpy fallback and the scalar
-    # (possibly jitted) kernel must produce the same ordered product.
-    rng = np.random.default_rng(3)
+def _random_table(seed):
+    rng = np.random.default_rng(seed)
     n_int = 16
     C = np.zeros((5, n_int, 4), dtype=np.complex128)
     C[0, :, 3] = 1.0 + 0.2 * rng.random(n_int)          # phi' > 0
@@ -71,10 +69,49 @@ def test_vectorized_product_matches_scalar_kernel():
     C[2, :, 3] = rng.normal(size=n_int)                 # rho1
     C[3, :, 3] = rng.normal(size=n_int)                 # rho2
     C[4, :, 2] = 1.0                                    # phase ~ x
-    a = _kernels._ordered_product_numpy(C, 0.0, 0.125, 0.0, 2.0, 333)
-    b = _kernels._ordered_product_scalar(C, 0.0, 0.125, 0.0, 2.0, 333)
-    for u, v in zip(a, b):
+    return C
+
+
+def test_tree_product_matches_sequential_product():
+    # Same table, same step exponentials: the pairwise tree reduction must
+    # agree with plain sequential left-multiplication.  333 steps is odd,
+    # so the identity padding runs.
+    C = _random_table(3)
+    n = 333
+    h = 2.0 / n
+    steps = _kernels._magnus_steps(C, 0.0, 0.125, 0.0, h, n)
+    e = np.eye(2, dtype=np.complex128)
+    for m11, m12, m21, m22 in zip(*steps):
+        e = np.array([[m11, m12], [m21, m22]]) @ e
+    got = _kernels.ordered_product(C, 0.0, 0.125, 0.0, 2.0, n)
+    for u, v in zip(got, e.ravel()):
         assert complex(u) == pytest.approx(complex(v), abs=1e-13)
+
+
+def test_product_blocks_match_single_tree(monkeypatch):
+    C = _random_table(4)
+    whole = _kernels.ordered_product(C, 0.0, 0.125, 0.0, 2.0, 333)
+    monkeypatch.setattr(_kernels, "PRODUCT_BLOCK", 64)
+    blocked = _kernels.ordered_product(C, 0.0, 0.125, 0.0, 2.0, 333)
+    for u, v in zip(whole, blocked):
+        assert complex(u) == pytest.approx(complex(v), abs=1e-13)
+
+
+def test_magnus_product_is_fourth_order():
+    # One table interval holding a smooth cubic per field, so the
+    # generator is analytic over [0, 2]: step doubling must shrink the
+    # Cauchy differences |E_2n - E_n| by about 2^4.
+    C = np.zeros((5, 1, 4), dtype=np.complex128)
+    C[0, 0] = [0.0, 0.05, 0.1, 1.0]
+    C[1, 0] = [0.1, -0.2, 0.3, 0.5]
+    C[2, 0] = [0.0, 0.3, -0.4, 0.2]
+    C[3, 0] = [-0.1, 0.0, 0.5, 0.7]
+    C[4, 0] = [0.0, 0.0, 1.0, 0.0]
+    prods = [np.array(_kernels.ordered_product(C, 0.0, 4.0, 0.0, 2.0, n))
+             for n in (8, 16, 32, 64, 128)]
+    diffs = [np.max(np.abs(b - a)) for a, b in zip(prods, prods[1:])]
+    for coarse, fine in zip(diffs, diffs[1:]):
+        assert coarse / fine > 12.0
 
 
 def test_step_exponential_is_unimodular():
@@ -103,3 +140,15 @@ def test_benchmark_inner_quick():
         "direct reference integration",
     }
     assert all(t > 0 for t in report["timings"].values())
+
+
+def test_benchmark_without_numba_times_active_backend_only(monkeypatch,
+                                                          capsys):
+    from szscatter import benchmark
+
+    monkeypatch.setattr(_kernels, "_HAVE_NUMBA", False)
+    assert benchmark.main(["--quick"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    active = "numba" if _kernels.numba_active() else "numpy"
+    assert lines[0].split() == ["workload", active]
+    assert len(lines) == 4
