@@ -1,12 +1,20 @@
 """Hot numerical kernels: adaptive embedded stepping and ordered products.
 
-The kernels are plain functions over flat arrays.  By default the
-adaptive steppers are compiled with numba (njit, cached, GIL released);
-setting the environment variable ``SZ_SCATTER_NO_NUMBA=1`` before import
-runs the same source uncompiled.  The ordered product is one numpy kernel
-on both paths: fourth-order Magnus step exponentials built as arrays and
-multiplied as a pairwise tree.  ``python -m szscatter.benchmark`` times
-the active path, and compares it with the other when numba is importable.
+The kernels are plain functions over flat arrays.  There is one
+Dormand-Prince 5(4) loop, _dp45, which takes the right-hand side as its
+first argument; rk45_coeffs (the coefficient pair) and rk45_wave (the
+direct solver's psi/psi' pair) only choose that right-hand side.  Both
+callers split their walk at segment edges with the one planner,
+_tables.segment_plan; the direct solver keeps its own formulation on a
+k^2 table, so it stays an independent check on the gauge machinery.
+
+By default the adaptive steppers are compiled with numba (njit, cached,
+GIL released); setting the environment variable ``SZ_SCATTER_NO_NUMBA=1``
+before import runs the same source uncompiled.  The ordered product is
+one numpy kernel on both paths: fourth-order Magnus step exponentials
+built as arrays and multiplied as a pairwise tree.
+``python -m szscatter.benchmark`` times the active path, and compares it
+with the other when numba is importable.
 
 Field tables enter as one complex coefficient block of shape
 (n_fields, n_intervals, 4) with uniform knots; see _tables.SegmentTable.
@@ -107,9 +115,9 @@ def _generator(C, tx0, th, n_tab, x):
 
 
 @_jit
-def rk45_coeffs(C, tx0, th, x_start, stops, a0, b0, tol, hmax, hmin, inv0,
-                out_a, out_b):
-    """Adaptive 5(4) propagation of the coefficient pair (a, b).
+def _dp45(rhs, C, tx0, th, x_start, stops, a0, b0, tol, hmax, hmin, inv0,
+          out_a, out_b):
+    """Adaptive Dormand-Prince 5(4) integration of (a, b)' = rhs(x, a, b).
 
     Integrates from x_start through every stop in order (the final stop is
     the endpoint), storing the state at each stop.  Returns
@@ -133,34 +141,29 @@ def rk45_coeffs(C, tx0, th, x_start, stops, a0, b0, tol, hmax, hmin, inv0,
             hs = h
             if abs(hs) > abs(xt - x):
                 hs = xt - x
-            k1a, k1b = _rhs_coeffs(C, tx0, th, n_tab, x, a, b)
-            xa2 = x + _C2 * hs
+            k1a, k1b = rhs(C, tx0, th, n_tab, x, a, b)
             ya = a + hs * (_A21 * k1a)
             yb = b + hs * (_A21 * k1b)
-            k2a, k2b = _rhs_coeffs(C, tx0, th, n_tab, xa2, ya, yb)
-            xa3 = x + _C3 * hs
+            k2a, k2b = rhs(C, tx0, th, n_tab, x + _C2 * hs, ya, yb)
             ya = a + hs * (_A31 * k1a + _A32 * k2a)
             yb = b + hs * (_A31 * k1b + _A32 * k2b)
-            k3a, k3b = _rhs_coeffs(C, tx0, th, n_tab, xa3, ya, yb)
-            xa4 = x + _C4 * hs
+            k3a, k3b = rhs(C, tx0, th, n_tab, x + _C3 * hs, ya, yb)
             ya = a + hs * (_A41 * k1a + _A42 * k2a + _A43 * k3a)
             yb = b + hs * (_A41 * k1b + _A42 * k2b + _A43 * k3b)
-            k4a, k4b = _rhs_coeffs(C, tx0, th, n_tab, xa4, ya, yb)
-            xa5 = x + _C5 * hs
+            k4a, k4b = rhs(C, tx0, th, n_tab, x + _C4 * hs, ya, yb)
             ya = a + hs * (_A51 * k1a + _A52 * k2a + _A53 * k3a + _A54 * k4a)
             yb = b + hs * (_A51 * k1b + _A52 * k2b + _A53 * k3b + _A54 * k4b)
-            k5a, k5b = _rhs_coeffs(C, tx0, th, n_tab, xa5, ya, yb)
-            xa6 = x + hs
+            k5a, k5b = rhs(C, tx0, th, n_tab, x + _C5 * hs, ya, yb)
             ya = a + hs * (_A61 * k1a + _A62 * k2a + _A63 * k3a + _A64 * k4a
                            + _A65 * k5a)
             yb = b + hs * (_A61 * k1b + _A62 * k2b + _A63 * k3b + _A64 * k4b
                            + _A65 * k5b)
-            k6a, k6b = _rhs_coeffs(C, tx0, th, n_tab, xa6, ya, yb)
+            k6a, k6b = rhs(C, tx0, th, n_tab, x + hs, ya, yb)
             a_new = a + hs * (_B1 * k1a + _B3 * k3a + _B4 * k4a + _B5 * k5a
                               + _B6 * k6a)
             b_new = b + hs * (_B1 * k1b + _B3 * k3b + _B4 * k4b + _B5 * k5b
                               + _B6 * k6b)
-            k7a, k7b = _rhs_coeffs(C, tx0, th, n_tab, xa6, a_new, b_new)
+            k7a, k7b = rhs(C, tx0, th, n_tab, x + hs, a_new, b_new)
             err_a = hs * (_E1 * k1a + _E3 * k3a + _E4 * k4a + _E5 * k5a
                           + _E6 * k6a + _E7 * k7a)
             err_b = hs * (_E1 * k1b + _E3 * k3b + _E4 * k4b + _E5 * k5b
@@ -211,86 +214,12 @@ def _rhs_coeffs(C, tx0, th, n_tab, x, a, b):
 
 
 @_jit
-def rk45_wave(C, tx0, th, x_start, stops, p0, q0, tol, hmax, hmin,
-              out_p, out_q):
-    """Adaptive 5(4) integration of psi'' + k^2 psi = 0 as the pair
-    (psi, psi').  Independent of the gauge machinery by construction:
-    the only field it reads is k^2 (table row 0)."""
-    n_tab = C.shape[1]
-    x = x_start
-    p = p0
-    q = q0
-    dirn = 1.0 if stops[stops.shape[0] - 1] >= x_start else -1.0
-    span = abs(stops[stops.shape[0] - 1] - x_start)
-    h = dirn * min(hmax, 0.02 * span + 64.0 * hmin)
-    n_acc = 0
-    n_rej = 0
-    status = STATUS_OK
-    for k in range(stops.shape[0]):
-        xt = stops[k]
-        while dirn * (xt - x) > 0.0:
-            hs = h
-            if abs(hs) > abs(xt - x):
-                hs = xt - x
-            k1p, k1q = _rhs_wave(C, tx0, th, n_tab, x, p, q)
-            yp = p + hs * (_A21 * k1p)
-            yq = q + hs * (_A21 * k1q)
-            k2p, k2q = _rhs_wave(C, tx0, th, n_tab, x + _C2 * hs, yp, yq)
-            yp = p + hs * (_A31 * k1p + _A32 * k2p)
-            yq = q + hs * (_A31 * k1q + _A32 * k2q)
-            k3p, k3q = _rhs_wave(C, tx0, th, n_tab, x + _C3 * hs, yp, yq)
-            yp = p + hs * (_A41 * k1p + _A42 * k2p + _A43 * k3p)
-            yq = q + hs * (_A41 * k1q + _A42 * k2q + _A43 * k3q)
-            k4p, k4q = _rhs_wave(C, tx0, th, n_tab, x + _C4 * hs, yp, yq)
-            yp = p + hs * (_A51 * k1p + _A52 * k2p + _A53 * k3p + _A54 * k4p)
-            yq = q + hs * (_A51 * k1q + _A52 * k2q + _A53 * k3q + _A54 * k4q)
-            k5p, k5q = _rhs_wave(C, tx0, th, n_tab, x + _C5 * hs, yp, yq)
-            yp = p + hs * (_A61 * k1p + _A62 * k2p + _A63 * k3p + _A64 * k4p
-                           + _A65 * k5p)
-            yq = q + hs * (_A61 * k1q + _A62 * k2q + _A63 * k3q + _A64 * k4q
-                           + _A65 * k5q)
-            k6p, k6q = _rhs_wave(C, tx0, th, n_tab, x + hs, yp, yq)
-            p_new = p + hs * (_B1 * k1p + _B3 * k3p + _B4 * k4p + _B5 * k5p
-                              + _B6 * k6p)
-            q_new = q + hs * (_B1 * k1q + _B3 * k3q + _B4 * k4q + _B5 * k5q
-                              + _B6 * k6q)
-            k7p, k7q = _rhs_wave(C, tx0, th, n_tab, x + hs, p_new, q_new)
-            err_p = hs * (_E1 * k1p + _E3 * k3p + _E4 * k4p + _E5 * k5p
-                          + _E6 * k6p + _E7 * k7p)
-            err_q = hs * (_E1 * k1q + _E3 * k3q + _E4 * k4q + _E5 * k5q
-                          + _E6 * k6q + _E7 * k7q)
-            sc_p = tol + tol * max(abs(p), abs(p_new))
-            sc_q = tol + tol * max(abs(q), abs(q_new))
-            rp = abs(err_p) / sc_p
-            rq = abs(err_q) / sc_q
-            err = _SQRT_HALF * math.hypot(rp, rq)
-            if err <= 1.0:
-                x = x + hs
-                p = p_new
-                q = q_new
-                n_acc += 1
-            else:
-                n_rej += 1
-            if err < 1.0e-30:
-                fac = 5.0
-            else:
-                fac = 0.9 * err ** (-0.2)
-                if fac > 5.0:
-                    fac = 5.0
-                elif fac < 0.2:
-                    fac = 0.2
-            h_mag = abs(hs) * fac
-            if h_mag > hmax:
-                h_mag = hmax
-            if h_mag < hmin:
-                if err > 1.0:
-                    status = STATUS_STEP_UNDERFLOW
-                    return p, q, n_acc, n_rej, status
-                h_mag = hmin
-            h = dirn * h_mag
-        out_p[k] = p
-        out_q[k] = q
-    return p, q, n_acc, n_rej, status
+def rk45_coeffs(C, tx0, th, x_start, stops, a0, b0, tol, hmax, hmin, inv0,
+                out_a, out_b):
+    """_dp45 on the coefficient pair (a, b), generator from the five-row
+    table.  Returns (a, b, drift, n_accepted, n_rejected, status)."""
+    return _dp45(_rhs_coeffs, C, tx0, th, x_start, stops, a0, b0, tol, hmax,
+                 hmin, inv0, out_a, out_b)
 
 
 @_jit
@@ -303,6 +232,18 @@ def _rhs_wave(C, tx0, th, n_tab, x, p, q):
     dx = x - (tx0 + i * th)
     k2 = _cubic(C, 0, i, dx)
     return q, -k2 * p
+
+
+@_jit
+def rk45_wave(C, tx0, th, x_start, stops, p0, q0, tol, hmax, hmin,
+              out_p, out_q):
+    """_dp45 on psi'' + k^2 psi = 0 as the pair (psi, psi').  Independent
+    of the gauge machinery by construction: the only field it reads is k^2
+    (table row 0).  Returns (psi, psi', n_accepted, n_rejected, status)."""
+    p, q, _, n_acc, n_rej, status = _dp45(
+        _rhs_wave, C, tx0, th, x_start, stops, p0, q0, tol, hmax, hmin, 0.0,
+        out_p, out_q)
+    return p, q, n_acc, n_rej, status
 
 
 # Gauss-Legendre nodes of one step, as fractions of h, and the weight of

@@ -8,6 +8,8 @@ function and interpolation error stays at the 1e-12 level for the default
 knot spacing.
 """
 
+from bisect import bisect_left, bisect_right
+
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 from scipy.interpolate import CubicHermiteSpline, CubicSpline
@@ -84,6 +86,40 @@ def build_segment_table(fields, x0: float, x1: float,
         for col, (j, _) in enumerate(live):
             coeffs[j] = spline.c[:, :, col].T
     return SegmentTable(x0, x1, n, coeffs)
+
+
+def segment_plan(edges, start: float, stops):
+    """Split a walk from start through ordered stops at the segment edges.
+
+    Yields (j, x_enter, seg_stops, n_taken) in travel order, forward or
+    backward: segment j is entered at x_enter and left at seg_stops[-1].
+    The first n_taken entries of seg_stops are the caller's stops; when
+    the walk goes on, the exit edge follows them.  A stop that lies on an
+    edge belongs to the segment being left; the last stop ends the walk.
+    """
+    forward = stops[-1] >= start
+    if forward:
+        j = bisect_right(edges, start) - 1
+    else:
+        j = bisect_left(edges, start) - 1
+    j = min(max(j, 0), len(edges) - 2)
+    step = 1 if forward else -1
+    x = start
+    i = 0
+    while True:
+        exit_edge = edges[j + 1] if forward else edges[j]
+        end = i
+        while end < len(stops) and (stops[end] <= exit_edge if forward
+                                    else stops[end] >= exit_edge):
+            end += 1
+        taken = list(stops[i:end])
+        if end == len(stops):
+            yield j, x, taken, len(taken)
+            return
+        yield j, x, taken + [exit_edge], len(taken)
+        i = end
+        x = exit_edge
+        j += step
 
 
 def eval_table(table: SegmentTable, row: int, x) -> np.ndarray:

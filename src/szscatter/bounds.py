@@ -113,26 +113,28 @@ def theta_integral(t: ThetaField, grid: DomainGrid, tol: float) -> float:
     return float(total)
 
 
+def _report(theta: float, gauge_id: str) -> BoundReport:
+    """The four bounds that follow from a theta integral."""
+    ch = math.cosh(theta)
+    sech = 1.0 / ch
+    th = math.tanh(theta)
+    return BoundReport(
+        theta_integral=theta,
+        alpha_bound=ch,
+        beta_bound=math.sinh(theta),
+        t_lower=sech * sech,
+        r_upper=th * th,
+        gauge_id=gauge_id,
+    )
+
+
 def bound_report(p: PotentialProfile, e: EnergySpec, g: GaugeTriple,
                  tol: float, grid: DomainGrid = None) -> BoundReport:
     """All four bounds from one theta integral."""
     w = wavenumber_field(p, e)
     if grid is None:
         grid = g.grid if g.grid is not None else truncate_domain(p, e)
-    t = theta_field(g, w)
-    total = theta_integral(t, grid, tol)
-    ch = math.cosh(total)
-    sh = math.sinh(total)
-    sech = 1.0 / ch
-    th = math.tanh(total)
-    return BoundReport(
-        theta_integral=total,
-        alpha_bound=ch,
-        beta_bound=sh,
-        t_lower=sech * sech,
-        r_upper=th * th,
-        gauge_id=g.label,
-    )
+    return _report(theta_integral(theta_field(g, w), grid, tol), g.label)
 
 
 def verify_bounds(report: BoundReport, exact) -> VerificationRecord:
@@ -252,15 +254,4 @@ def optimize_gauge(p: PotentialProfile, e: EnergySpec, family: GaugeFamily,
     if best_gauge is None:
         raise EmptyFamily(f"optimizer landed on an inadmissible member "
                           f"s={best_s:g}")
-    ch = math.cosh(best_theta)
-    sh = math.sinh(best_theta)
-    th = math.tanh(best_theta)
-    report = BoundReport(
-        theta_integral=best_theta,
-        alpha_bound=ch,
-        beta_bound=sh,
-        t_lower=1.0 / (ch * ch),
-        r_upper=th * th,
-        gauge_id=best_gauge.label,
-    )
-    return best_gauge, report
+    return best_gauge, _report(best_theta, best_gauge.label)

@@ -7,10 +7,8 @@ error, 3 numerical failure, 4 bound violation.
 """
 
 import argparse
-import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -389,24 +387,10 @@ def run(config: RunConfig) -> int:
     """Execute the configured sweep; returns the process exit status."""
     if config.csv_path is None:
         raise ValidationError("outputs.csv_path", "missing")
-    raw = os.environ.get("SZ_SCATTER_THREADS", "1") or "1"
-    threads = int(raw) if raw.strip().isdecimal() else 0
-    if threads < 1:
-        raise ValidationError("SZ_SCATTER_THREADS",
-                              f"must be a positive integer, got {raw!r}")
-    order = sorted(range(len(config.energies)),
-                   key=lambda i: config.energies[i])
-    energies = [config.energies[i] for i in order]
-    if threads > 1 and len(energies) > 1:
-        with ThreadPoolExecutor(max_workers=min(threads,
-                                                len(energies))) as pool:
-            results = list(pool.map(
-                lambda en: _rows_for_energy(config, en), energies))
-    else:
-        results = [_rows_for_energy(config, en) for en in energies]
     rows = []
     violations = 0
-    for chunk, bad in results:
+    for energy in sorted(config.energies):
+        chunk, bad = _rows_for_energy(config, energy)
         rows.extend(chunk)
         violations += bad
     with open(config.csv_path, "w", encoding="utf-8") as fh:

@@ -8,7 +8,7 @@ gauges are accepted through gauge_from_tables.
 """
 
 import numpy as np
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from scipy.interpolate import PchipInterpolator
 
 from ._tables import TABLE_STEP, segmented_antiderivative
@@ -239,19 +239,12 @@ def gauge_special_delta(base: GaugeTriple, w: WaveNumberField,
 
     spacing = min(grid.max_step, TABLE_STEP)
     delta = segmented_antiderivative(scalarize(raw_dprime), edges, spacing)
-    return GaugeTriple(
-        phi=base.phi,
-        phi_prime=base.phi_prime,
-        phi_double_prime=base.phi_double_prime,
+    return replace(
+        base,
         delta=scalarize(lambda xv: np.asarray(delta(xv))),
         delta_prime=scalarize(raw_dprime),
-        chi=base.chi,
-        chi_prime=base.chi_prime,
-        is_real=base.is_real,
         label=f"special_delta[{base.label}]",
         breakpoints=tuple(sorted(set(base.breakpoints) | set(w.breakpoints))),
-        phi_prime_scale=base.phi_prime_scale,
-        phi_prime_jumps=base.phi_prime_jumps,
         delta_is_zero=False,
         diag_vanishes=True,
         grid=grid,
@@ -261,45 +254,27 @@ def gauge_special_delta(base: GaugeTriple, w: WaveNumberField,
 def gauge_antiphase(base: GaugeTriple) -> GaugeTriple:
     """Phase-killing choice Delta = -phi: every exponent phi + Delta in
     the generator vanishes identically."""
-    return GaugeTriple(
-        phi=base.phi,
-        phi_prime=base.phi_prime,
-        phi_double_prime=base.phi_double_prime,
-        delta=scalarize(lambda xv: -np.asarray(base.phi(xv)),
-                        float if base.is_real else complex),
+    cast = float if base.is_real else complex
+    return replace(
+        base,
+        delta=scalarize(lambda xv: -np.asarray(base.phi(xv)), cast),
         delta_prime=scalarize(lambda xv: -np.asarray(base.phi_prime(xv)),
-                              float if base.is_real else complex),
-        chi=base.chi,
-        chi_prime=base.chi_prime,
-        is_real=base.is_real,
+                              cast),
         label=f"antiphase[{base.label}]",
-        breakpoints=base.breakpoints,
-        phi_prime_scale=base.phi_prime_scale,
-        phi_prime_jumps=base.phi_prime_jumps,
         delta_is_zero=False,
-        grid=base.grid,
+        diag_vanishes=False,
     )
 
 
 def with_constant_chi(base: GaugeTriple, chi: float) -> GaugeTriple:
     """Replace the base gauge's chi with a constant."""
-    chi_c = complex(chi)
-    return GaugeTriple(
-        phi=base.phi,
-        phi_prime=base.phi_prime,
-        phi_double_prime=base.phi_double_prime,
-        delta=base.delta,
-        delta_prime=base.delta_prime,
+    return replace(
+        base,
         chi=constant_field(chi),
         chi_prime=constant_field(0.0),
-        is_real=base.is_real and chi_c.imag == 0.0,
+        is_real=base.is_real and complex(chi).imag == 0.0,
         label=base.label + f"+chi({chi:.6g})",
-        breakpoints=base.breakpoints,
-        phi_prime_scale=base.phi_prime_scale,
-        phi_prime_jumps=base.phi_prime_jumps,
-        delta_is_zero=base.delta_is_zero,
         diag_vanishes=False,
-        grid=base.grid,
     )
 
 
@@ -308,23 +283,8 @@ def with_tabulated_chi(base: GaugeTriple, positions, values) -> GaugeTriple:
     derivative comes from the same monotone-cubic machinery as tabulated
     potentials."""
     chi, chi_p, _ = _pchip_field(positions, values)
-    return GaugeTriple(
-        phi=base.phi,
-        phi_prime=base.phi_prime,
-        phi_double_prime=base.phi_double_prime,
-        delta=base.delta,
-        delta_prime=base.delta_prime,
-        chi=chi,
-        chi_prime=chi_p,
-        is_real=base.is_real,
-        label=base.label + "+chi(table)",
-        breakpoints=base.breakpoints,
-        phi_prime_scale=base.phi_prime_scale,
-        phi_prime_jumps=base.phi_prime_jumps,
-        delta_is_zero=base.delta_is_zero,
-        diag_vanishes=False,
-        grid=base.grid,
-    )
+    return replace(base, chi=chi, chi_prime=chi_p,
+                   label=base.label + "+chi(table)", diag_vanishes=False)
 
 
 def _pchip_field(positions, values):

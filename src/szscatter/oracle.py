@@ -1,9 +1,12 @@
 """Independent reference solvers used to validate the main engine.
 
-direct_integrate drives psi'' + k^2 psi = 0 as a first-order pair with
-the same embedded stepper family but none of the gauge machinery; the
-analytic oracles are closed forms.  Agreement between these and the
-coefficient-pair engine is the backbone of the acceptance suite.
+direct_integrate drives psi'' + k^2 psi = 0 as a first-order pair on a
+k^2 table, with none of the gauge machinery: no gauge, rho pair or
+evolution bundle enters.  It shares with the coefficient-pair engine only
+the generic Dormand-Prince 5(4) loop, the segment planner and the
+plane-wave matching at the right edge.  The analytic oracles are closed
+forms, so they check both routes independently.  Agreement between these
+and the coefficient-pair engine is the backbone of the acceptance suite.
 """
 
 import cmath
@@ -13,10 +16,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._kernels import STATUS_STEP_UNDERFLOW, rk45_wave
-from ._tables import TABLE_STEP, build_segment_table
+from ._tables import TABLE_STEP, build_segment_table, segment_plan
 from .errors import AsymptoticallyClosedChannel, StepUnderflow
 from .potentials import DomainGrid, EnergySpec, PotentialProfile, wavenumber_field
-from .sz_core import WavefunctionSample
+from .sz_core import WavefunctionSample, _plane_wave_pair
 
 
 @dataclass(frozen=True)
@@ -25,16 +28,6 @@ class OracleResult:
     reflection: float
     psi_samples: tuple
     method: str
-
-
-def _match_plane_waves(x: float, psi: complex, psi_prime: complex,
-                       k: float) -> tuple:
-    """Decompose (psi, psi') onto e^{+-ikx}/sqrt(k) at one point."""
-    root = math.sqrt(k)
-    em = cmath.exp(-1j * k * x)
-    fwd = 0.5 * root * em * (psi + psi_prime / (1j * k))
-    bwd = 0.5 * root / em * (psi - psi_prime / (1j * k))
-    return fwd, bwd
 
 
 def direct_integrate(p: PotentialProfile, e: EnergySpec, grid: DomainGrid,
@@ -71,19 +64,9 @@ def direct_integrate(p: PotentialProfile, e: EnergySpec, grid: DomainGrid,
     dpsi = 1j * k_l * psi
     hmin = 1e-14 * grid.span
     samples = []
-    x = grid.x_min
-    i = 0
-    n_pts = sample_xs.size
-    for j, table in enumerate(tables):
-        seg_hi = edges[j + 1]
-        take_end = i
-        while take_end < n_pts and sample_xs[take_end] <= seg_hi:
-            take_end += 1
-        taken = list(sample_xs[i:take_end])
-        finishing = take_end == n_pts
-        seg_stops = taken + ([] if finishing else [seg_hi])
-        if not seg_stops:
-            seg_stops = [seg_hi]
+    for j, x, seg_stops, n_taken in segment_plan(edges, grid.x_min,
+                                                 sample_xs):
+        table = tables[j]
         stop_arr = np.asarray(seg_stops, dtype=float)
         out_p = np.empty(stop_arr.size, dtype=np.complex128)
         out_q = np.empty(stop_arr.size, dtype=np.complex128)
@@ -93,15 +76,13 @@ def direct_integrate(p: PotentialProfile, e: EnergySpec, grid: DomainGrid,
         if status == STATUS_STEP_UNDERFLOW:
             raise StepUnderflow("direct integration step fell below "
                                 "1e-14 of the domain width")
-        for idx, xs in enumerate(taken):
+        for idx in range(n_taken):
             samples.append(WavefunctionSample(
-                float(xs), complex(out_p[idx]), complex(out_q[idx])))
-        i = take_end
-        x = seg_hi
-        if finishing:
-            break
+                float(stop_arr[idx]), complex(out_p[idx]),
+                complex(out_q[idx])))
 
-    fwd, bwd = _match_plane_waves(grid.x_max, psi, dpsi, w.k_right)
+    fwd, bwd = _plane_wave_pair(WavefunctionSample(grid.x_max, psi, dpsi),
+                                w.k_right)
     mod_f = abs(fwd) ** 2
     transmission = 1.0 / mod_f
     reflection = abs(bwd) ** 2 / mod_f

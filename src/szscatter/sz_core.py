@@ -16,13 +16,13 @@ psi and psi' continuous.
 import cmath
 import math
 import weakref
-from bisect import bisect_left, bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from ._kernels import STATUS_STEP_UNDERFLOW, ordered_product, rk45_coeffs
-from ._tables import EDGE_NUDGE, TABLE_STEP, SegmentTable, build_segment_table
+from ._tables import (EDGE_NUDGE, TABLE_STEP, SegmentTable,
+                      build_segment_table, segment_plan)
 from .errors import GaugeDegenerate, NonConvergence, StepUnderflow
 from .gauges import DEGENERACY_RTOL, GaugeTriple, RhoPair, rho_pair
 from .potentials import (DomainGrid, EnergySpec, PotentialProfile,
@@ -180,14 +180,12 @@ _BUNDLE_CACHE = weakref.WeakKeyDictionary()
 
 
 class _Bundle:
-    __slots__ = ("edges", "tables", "junctions", "x_min", "x_max", "hmax")
+    __slots__ = ("edges", "tables", "junctions", "hmax")
 
     def __init__(self, edges, tables, junctions, hmax):
         self.edges = edges
         self.tables = tables
         self.junctions = junctions  # junctions[i] sits at edges[i + 1]
-        self.x_min = edges[0]
-        self.x_max = edges[-1]
         self.hmax = hmax
 
 
@@ -288,45 +286,35 @@ def _resolve_window(s0x: float, x_to: float, grid) -> tuple:
     return lo, hi, span / 64.0
 
 
-def _walk_segments(bundle: _Bundle, g: GaugeTriple, start: float,
-                   stops: np.ndarray, a0: complex, b0: complex,
-                   tol: float) -> tuple:
+def _cross(bundle: _Bundle, j_from: int, j_to: int,
+           y: np.ndarray) -> np.ndarray:
+    """Carry a coefficient column, or a matrix of them, from segment j_from
+    into the neighbouring segment j_to through their junction projection."""
+    proj = bundle.junctions[min(j_from, j_to)]
+    if proj is _IDENTITY2:
+        return y
+    return proj @ y if j_to > j_from else np.linalg.solve(proj, y)
+
+
+def _walk_segments(bundle: _Bundle, start: float, stops: np.ndarray,
+                   a0: complex, b0: complex, tol: float) -> tuple:
     """Drive the kernel across segments, recording the state at each stop.
 
     stops must be ordered along the travel direction and end at the final
     target.  Returns (states, EvolveStats).
     """
-    forward = stops[-1] >= start
     hmin = 1e-14 * max(abs(stops[-1] - start), 1e-30)
     inv0 = (a0.real * a0.real + a0.imag * a0.imag
             - b0.real * b0.real - b0.imag * b0.imag)
-    edges = bundle.edges
-    nseg = len(bundle.tables)
-    if forward:
-        j = min(max(bisect_right(edges, start) - 1, 0), nseg - 1)
-    else:
-        j = min(max(bisect_left(edges, start) - 1, 0), nseg - 1)
     a, b = complex(a0), complex(b0)
-    x = start
     drift = 0.0
     acc = rej = 0
     out_states = []
-    i = 0
-    n_stop = len(stops)
-    while i < n_stop:
-        if forward:
-            seg_exit = edges[j + 1]
-            take_end = i
-            while take_end < n_stop and stops[take_end] <= seg_exit:
-                take_end += 1
-        else:
-            seg_exit = edges[j]
-            take_end = i
-            while take_end < n_stop and stops[take_end] >= seg_exit:
-                take_end += 1
-        taken = list(stops[i:take_end])
-        finishing = take_end == n_stop
-        seg_stops = taken + ([] if finishing else [seg_exit])
+    prev = None
+    for j, x, seg_stops, n_taken in segment_plan(bundle.edges, start, stops):
+        if prev is not None:
+            y = _cross(bundle, prev, j, np.array([a, b]))
+            a, b = complex(y[0]), complex(y[1])
         stop_arr = np.asarray(seg_stops, dtype=float)
         out_a = np.empty(stop_arr.size, dtype=np.complex128)
         out_b = np.empty(stop_arr.size, dtype=np.complex128)
@@ -340,25 +328,11 @@ def _walk_segments(bundle: _Bundle, g: GaugeTriple, start: float,
         drift = max(drift, d)
         acc += na
         rej += nr
-        for idx, xs in enumerate(taken):
-            out_states.append(CoefficientState(
-                float(xs), complex(out_a[idx]), complex(out_b[idx])))
-        i = take_end
-        if finishing:
-            break
-        x = seg_exit
-        if forward:
-            proj = bundle.junctions[j]
-            if proj is not _IDENTITY2:
-                vec = proj @ np.array([a, b])
-                a, b = complex(vec[0]), complex(vec[1])
-            j += 1
-        else:
-            proj = bundle.junctions[j - 1]
-            if proj is not _IDENTITY2:
-                vec = np.linalg.solve(proj, np.array([a, b]))
-                a, b = complex(vec[0]), complex(vec[1])
-            j -= 1
+        for idx in range(n_taken):
+            out_states.append(CoefficientState(float(stop_arr[idx]),
+                                               complex(out_a[idx]),
+                                               complex(out_b[idx])))
+        prev = j
     return out_states, EvolveStats(acc, rej, drift)
 
 
@@ -386,7 +360,7 @@ def evolve_path(g: GaugeTriple, r: RhoPair, s0: CoefficientState,
     bundle = _bundle_for(g, r, lo, hi, max_step)
     if x_to == s0.x and pts.size == 1:
         return [CoefficientState(s0.x, s0.a, s0.b)], EvolveStats(0, 0, 0.0)
-    return _walk_segments(bundle, g, s0.x, pts, s0.a, s0.b, tol)
+    return _walk_segments(bundle, s0.x, pts, s0.a, s0.b, tol)
 
 
 def evolve_diagnostics(g: GaugeTriple, r: RhoPair, s0: CoefficientState,
@@ -443,54 +417,19 @@ def transfer_matrix(g: GaugeTriple, r: RhoPair, x_from: float, x_to: float,
         return TransferMatrix(_IDENTITY2.copy(), x_from, x_to)
     lo, hi, max_step = _resolve_window(x_from, x_to, grid)
     bundle = _bundle_for(g, r, lo, hi, max_step)
-    forward = x_to > x_from
-    edges = bundle.edges
-    nseg = len(bundle.tables)
-
-    # Plan the segment pieces the path crosses, in travel order.
-    pieces = []
-    if forward:
-        j = min(max(bisect_right(edges, x_from) - 1, 0), nseg - 1)
-        x = x_from
-        while True:
-            end = min(edges[j + 1], x_to)
-            pieces.append((j, x, end))
-            if end == x_to:
-                break
-            x = end
-            j += 1
-    else:
-        j = min(max(bisect_left(edges, x_from) - 1, 0), nseg - 1)
-        x = x_from
-        while True:
-            end = max(edges[j], x_to)
-            pieces.append((j, x, end))
-            if end == x_to:
-                break
-            x = end
-            j -= 1
-
+    pieces = list(segment_plan(bundle.edges, x_from, [x_to]))
     total_len = abs(x_to - x_from)
     tol_piece = tol / len(pieces)
-
-    # Multiply the pieces in order, inserting junction projections where
-    # the path crosses from one segment into the next.
     result = _IDENTITY2.copy()
-    prev_seg = None
-    for j, a, b in pieces:
-        if prev_seg is not None:
-            if forward:
-                proj = bundle.junctions[prev_seg]
-                if proj is not _IDENTITY2:
-                    result = proj @ result
-            else:
-                proj = bundle.junctions[j]
-                if proj is not _IDENTITY2:
-                    result = np.linalg.solve(proj, result)
+    prev = None
+    for j, a, seg_stops, _ in pieces:
+        b = seg_stops[-1]
+        if prev is not None:
+            result = _cross(bundle, prev, j, result)
         n0 = max(8, int(math.ceil(n_min * abs(b - a) / total_len)))
         block = _refined_product(bundle.tables[j], a, b, n0, tol_piece)
         result = block @ result
-        prev_seg = j
+        prev = j
     return TransferMatrix(result, x_from, x_to)
 
 
@@ -514,14 +453,10 @@ def scattering_amplitudes(p: PotentialProfile, e: EnergySpec,
     r = rho_pair(g, w)
     matched = _edges_plane_wave_compatible(g, w, grid)
     if matched:
-        a0, b0 = 1.0 + 0.0j, 0.0 + 0.0j
+        s0 = CoefficientState(grid.x_min, 1.0 + 0.0j, 0.0 + 0.0j)
     else:
         u = cmath.exp(1j * w.k_left * grid.x_min) / math.sqrt(w.k_left)
-        up = 1j * w.k_left * u
-        rep = _rep_matrix(g, grid.x_min, 0)
-        vec = np.linalg.solve(rep, np.array([u, up]))
-        a0, b0 = complex(vec[0]), complex(vec[1])
-    s0 = CoefficientState(grid.x_min, a0, b0)
+        s0 = project_wavefunction(g, grid.x_min, u, 1j * w.k_left * u)
     final, _ = evolve_diagnostics(g, r, s0, grid.x_max, tol, grid=grid)
     if matched:
         alpha, beta = final.a, final.b

@@ -176,6 +176,18 @@ def test_antiphase_cancels_phase_exactly():
         assert g.phi(x) + g.delta(x) == 0.0
 
 
+def test_derived_gauges_set_structural_flags():
+    # Variants of a special-delta base must not inherit its zero diagonal.
+    p, e, grid, w = _barrier_setup(2.0)
+    special = gauge_special_delta(gauge_constant(SQRT2), w, grid)
+    assert special.diag_vanishes and not special.delta_is_zero
+    anti = gauge_antiphase(special)
+    assert not anti.diag_vanishes and not anti.delta_is_zero
+    chi = with_constant_chi(special, 0.3)
+    assert not chi.diag_vanishes and not chi.delta_is_zero
+    assert chi.label == special.label + "+chi(0.3)"
+
+
 def test_antiphase_free_generator():
     # V = 0, phi' = sqrt(E): diagonal +-i sqrt(E), off-diagonal 0.
     p = square_barrier(0.0, 1.0)

@@ -11,14 +11,14 @@ from szscatter.gauges import (GaugeTriple, constant_field, gauge_antiphase,
                               gauge_constant, gauge_wkb, rho_pair,
                               with_constant_chi)
 from szscatter.oracle import analytic_square_barrier, direct_integrate
-from szscatter.potentials import (EnergySpec, poschl_teller, square_barrier,
-                                  tabulated, truncate_domain,
+from szscatter.potentials import (DomainGrid, EnergySpec, poschl_teller,
+                                  square_barrier, tabulated, truncate_domain,
                                   wavenumber_field)
-from szscatter.sz_core import (CoefficientState, evolve, evolve_diagnostics,
-                               evolve_path, probability_current,
-                               project_wavefunction, reconstruct_psi,
-                               rhs_matrix, scattering_amplitudes,
-                               transfer_matrix)
+from szscatter.sz_core import (CoefficientState, _junction, evolve,
+                               evolve_diagnostics, evolve_path,
+                               probability_current, project_wavefunction,
+                               reconstruct_psi, rhs_matrix,
+                               scattering_amplitudes, transfer_matrix)
 
 SQRT2 = math.sqrt(2.0)
 
@@ -307,6 +307,47 @@ def test_wkb_gauge_reversible_through_junctions():
     back = evolve(g, r, fwd, grid.x_min, 1e-12, grid=grid)
     assert abs(back.a - 1.0) < 1e-9
     assert abs(back.b) < 1e-9
+
+
+def test_stops_on_barrier_edges_both_routes():
+    # Sample points fall exactly on the jumps at x = -0.5 and 0.5.  A stop
+    # on an edge belongs to the segment being left, on every route.
+    p = square_barrier(1.0, 1.0)
+    e = EnergySpec(2.0)
+    w = wavenumber_field(p, e)
+    grid = DomainGrid(-1.5, 1.5, max_step=1.0 / 256.0)
+    xs = np.linspace(grid.x_min, grid.x_max, 13)
+    assert -0.5 in xs and 0.5 in xs
+
+    # Direct psi/psi' samples against psi rebuilt from the coefficient pair.
+    direct = direct_integrate(p, e, grid, 1e-12, n_samples=xs.size)
+    g = gauge_constant(w.k_left)
+    psi0 = cmath.exp(1j * w.k_left * grid.x_min) / math.sqrt(w.k_left)
+    s0 = project_wavefunction(g, grid.x_min, psi0, 1j * w.k_left * psi0)
+    states, _ = evolve_path(g, rho_pair(g, w), s0, xs, 1e-12, grid=grid)
+    assert [s.x for s in direct.psi_samples] == list(xs)
+    for sample, state in zip(direct.psi_samples, states):
+        rebuilt = reconstruct_psi(g, state)
+        assert abs(rebuilt.psi - sample.psi) < 1e-8
+        assert abs(rebuilt.psi_prime - sample.psi_prime) < 1e-8
+
+    # Backward through the wkb junctions with the same stops reversed.
+    # Off the edges the states agree; on an edge the forward walk records
+    # the state left of the jump and the backward walk the state right of
+    # it, which the junction projection relates.
+    g = gauge_wkb(w, grid)
+    r = rho_pair(g, w)
+    fwd, _ = evolve_path(g, r, CoefficientState(grid.x_min, 1.0 + 0j, 0j),
+                         xs[1:], 1e-12, grid=grid)
+    back, _ = evolve_path(g, r, fwd[-1], xs[::-1][1:], 1e-12, grid=grid)
+    for f, b in zip(fwd[-2::-1], back[:-1]):
+        assert f.x == b.x
+        left = np.array([f.a, f.b])
+        if f.x in (-0.5, 0.5):
+            left = _junction(g, f.x) @ left
+            assert np.max(np.abs(left - [f.a, f.b])) > 1e-3
+        assert np.max(np.abs(left - [b.a, b.b])) < 1e-9
+    assert abs(back[-1].a - 1.0) < 1e-9 and abs(back[-1].b) < 1e-9
 
 
 def test_evolve_step_underflow():

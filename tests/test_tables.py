@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from szscatter._tables import (build_segment_table, eval_table,
-                               segmented_antiderivative)
+                               segment_plan, segmented_antiderivative)
 
 
 def test_table_matches_smooth_fields():
@@ -53,3 +53,18 @@ def test_segmented_antiderivative_matches_closed_form():
     assert anti(0.5 - 1e-12) == pytest.approx(anti(0.5 + 1e-12), abs=1e-11)
     # scalar call path
     assert anti(1.0) == pytest.approx(np.sin(1.0) - np.sin(-2.0), abs=1e-12)
+
+
+def test_segment_plan_assigns_edge_stops_to_the_segment_left():
+    edges = [-2.0, -0.5, 0.5, 2.0]
+    forward = list(segment_plan(edges, -2.0, [-0.5, 0.0, 2.0]))
+    assert forward == [(0, -2.0, [-0.5, -0.5], 1),
+                       (1, -0.5, [0.0, 0.5], 1),
+                       (2, 0.5, [2.0], 1)]
+    backward = list(segment_plan(edges, 2.0, [0.5, -1.0]))
+    assert backward == [(2, 2.0, [0.5, 0.5], 1),
+                        (1, 0.5, [-0.5], 0),
+                        (0, -0.5, [-1.0], 1)]
+    # A walk that starts on an edge runs in the segment it moves into.
+    assert [j for j, *_ in segment_plan(edges, 0.5, [1.0])] == [2]
+    assert [j for j, *_ in segment_plan(edges, 0.5, [0.0])] == [1]
