@@ -12,13 +12,15 @@ By default the adaptive steppers are compiled with numba (njit, cached,
 GIL released); setting the environment variable ``SZ_SCATTER_NO_NUMBA=1``
 before import runs the same source uncompiled.  The ordered product is
 one numpy kernel on both paths: fourth-order Magnus step exponentials
-built as arrays and multiplied as a pairwise tree.
+built as arrays and multiplied as a pairwise tree.  It reads no table:
+the caller passes a generator that it evaluates at every step's two
+Gauss points.
 ``python -m szscatter.benchmark`` times the active path, and compares it
 with the other when numba is importable.
 
-Field tables enter as one complex coefficient block of shape
-(n_fields, n_intervals, 4) with uniform knots; see _tables.SegmentTable.
-Row layout for the coefficient-pair kernels:
+The Runge-Kutta kernels read their fields from one complex coefficient
+block of shape (n_fields, n_intervals, 4) with uniform knots; see
+_tables.SegmentTable.  Row layout for rk45_coeffs:
 
     0: phi'            (must stay away from zero)
     1: rho2 - 2 phi' Delta'   (diagonal coefficient)
@@ -256,37 +258,18 @@ _MAGNUS_COMM = math.sqrt(3.0) / 12.0
 PRODUCT_BLOCK = 1 << 16
 
 
-def _generator_field(C, tx0, th, x):
-    """_generator over an array of positions: (g11, g12, g21) arrays."""
-    n_tab = C.shape[1]
-    idx = np.clip(((x - tx0) / th).astype(np.int64), 0, n_tab - 1)
-    dx = x - (tx0 + idx * th)
-
-    def field(row):
-        c = C[row, idx]
-        return ((c[:, 0] * dx + c[:, 1]) * dx + c[:, 2]) * dx + c[:, 3]
-
-    inv2 = 0.5 / field(0)
-    dia = field(1)
-    rh1 = field(2)
-    rh2 = field(3)
-    em = np.exp(-2j * field(4))
-    return (1j * dia * inv2, (rh1 + 1j * rh2) * em * inv2,
-            (rh1 - 1j * rh2) / em * inv2)
-
-
-def _magnus_steps(C, tx0, th, x0, h, n):
+def _magnus_steps(gen, u, v, x0, h, n):
     """Entries of the n step exponentials exp(Omega) of [x0 + i h,
     x0 + (i + 1) h] for the fourth-order Magnus step
 
         Omega = (h/2)(A1 + A2) + (sqrt(3)/12) h^2 [A2, A1],
 
-    A1 and A2 being the generator at the lower and upper Gauss point.
-    Omega is traceless, so exp(Omega) = cosh(z) I + (sinh(z)/z) Omega
-    with z^2 = Omega11^2 + Omega12 Omega21."""
+    A1 and A2 being the generator gen(u, v, x) at the lower and upper
+    Gauss point.  Omega is traceless, so exp(Omega) = cosh(z) I +
+    (sinh(z)/z) Omega with z^2 = Omega11^2 + Omega12 Omega21."""
     xs = x0 + np.arange(n) * h
-    p1, q1, r1 = _generator_field(C, tx0, th, xs + _GAUSS_LO * h)
-    p2, q2, r2 = _generator_field(C, tx0, th, xs + _GAUSS_HI * h)
+    p1, q1, r1 = gen(u, v, xs + _GAUSS_LO * h)
+    p2, q2, r2 = gen(u, v, xs + _GAUSS_HI * h)
     half = 0.5 * h
     comm = _MAGNUS_COMM * h * h
     o11 = half * (p1 + p2) + comm * (q2 * r1 - q1 * r2)
@@ -317,25 +300,30 @@ def _tree_product(m11, m12, m21, m22):
     return complex(m11[0]), complex(m12[0]), complex(m21[0]), complex(m22[0])
 
 
-def ordered_product(C, tx0, th, xa, xb, nsteps):
+def ordered_product(gen, u, v, xa, xb, nsteps):
     """Path-ordered exponential over [xa, xb] in nsteps fourth-order
-    Magnus steps, later positions multiplying on the left.  Blocks of at
-    most PRODUCT_BLOCK steps are reduced as trees and then multiplied in
-    order.  Returns the entries (e11, e12, e21, e22)."""
+    Magnus steps, later positions multiplying on the left.
+
+    gen(u, v, x) returns the generator entries (g11, g12, g21) at an
+    array of positions x (g22 = -g11); u and v are handed to it
+    unchanged.  Blocks of at most PRODUCT_BLOCK steps are reduced as
+    trees and then multiplied in order.  Returns the entries (e11, e12,
+    e21, e22)."""
     h = (xb - xa) / nsteps
     e11, e12, e21, e22 = 1.0 + 0.0j, 0.0j, 0.0j, 1.0 + 0.0j
     for first in range(0, nsteps, PRODUCT_BLOCK):
         n = min(PRODUCT_BLOCK, nsteps - first)
         b11, b12, b21, b22 = _tree_product(
-            *_magnus_steps(C, tx0, th, xa + first * h, h, n))
+            *_magnus_steps(gen, u, v, xa + first * h, h, n))
         e11, e12, e21, e22 = (b11 * e11 + b12 * e21, b11 * e12 + b12 * e22,
                               b21 * e11 + b22 * e21, b21 * e12 + b22 * e22)
     return e11, e12, e21, e22
 
 
 def warm_up() -> None:
-    """Trigger JIT compilation of every kernel on a tiny problem so later
-    timings measure stepping, not compilation."""
+    """Trigger JIT compilation of every compiled kernel on a tiny problem
+    so later timings measure stepping, not compilation.  The ordered
+    product is plain numpy and has nothing to compile."""
     C = np.zeros((5, 2, 4), dtype=np.complex128)
     C[0, :, 3] = 1.0  # phi' = 1
     stops = np.array([1.0])
@@ -343,7 +331,6 @@ def warm_up() -> None:
     out_b = np.empty(1, dtype=np.complex128)
     rk45_coeffs(C, 0.0, 0.5, 0.0, stops, 1.0 + 0j, 0.0 + 0j, 1e-8, 1.0,
                 1e-15, 1.0, out_a, out_b)
-    ordered_product(C, 0.0, 0.5, 0.0, 1.0, 4)
     K = np.zeros((1, 2, 4), dtype=np.complex128)
     K[0, :, 3] = 1.0
     out_p = np.empty(1, dtype=np.complex128)

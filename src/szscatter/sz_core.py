@@ -1,10 +1,14 @@
 """Coefficient-pair evolution, transfer matrices, and amplitude extraction.
 
 Two independent evolution routes are provided and serve as mutual
-oracles: adaptive embedded Runge-Kutta stepping of the coefficient pair
-(evolve), and ordered products of fourth-order Magnus step exponentials
+oracles: ordered products of fourth-order Magnus step exponentials
 (transfer_matrix), the discrete realization of the path-ordered
-exponential.
+exponential, and adaptive embedded Runge-Kutta stepping of the
+coefficient pair (evolve).  The product evaluates the generator straight
+from the gauge and rho callables at its Gauss points and builds no
+table; scattering_amplitudes goes through it.  The Runge-Kutta route
+reads per-segment cubic-spline tables, kept in a cache per gauge, rho
+pair and window.
 
 Discontinuities in the potential or gauge split the domain into smooth
 segments.  Steps never straddle a split; where the gauge representation
@@ -21,8 +25,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._kernels import STATUS_STEP_UNDERFLOW, ordered_product, rk45_coeffs
-from ._tables import (EDGE_NUDGE, TABLE_STEP, SegmentTable,
-                      build_segment_table, segment_plan)
+from ._tables import (EDGE_NUDGE, TABLE_STEP, build_segment_table,
+                      segment_plan)
 from .errors import GaugeDegenerate, NonConvergence, StepUnderflow
 from .gauges import DEGENERACY_RTOL, GaugeTriple, RhoPair, rho_pair
 from .potentials import (DomainGrid, EnergySpec, PotentialProfile,
@@ -103,6 +107,24 @@ def _check_phi_prime(g: GaugeTriple, value: complex) -> complex:
     return value
 
 
+def _generator(g: GaugeTriple, r: RhoPair, x: np.ndarray) -> tuple:
+    """Evolution-generator entries (g11, g12, g21) at an array of
+    positions, evaluated from the gauge and rho callables; g22 = -g11
+    since the generator is traceless."""
+    ppr = np.asarray(g.phi_prime(x))
+    _check_phi_prime(g, np.min(np.abs(ppr)))
+    r1 = np.asarray(r.rho1(x))
+    r2 = np.asarray(r.rho2(x))
+    if g.diag_vanishes:
+        dia = 0.0
+    else:
+        dia = r2 - 2.0 * ppr * np.asarray(g.delta_prime(x))
+    em = np.exp(-2j * (np.asarray(g.phi(x)) + np.asarray(g.delta(x))))
+    inv2 = 0.5 / ppr
+    return (1j * dia * inv2, (r1 + 1j * r2) * em * inv2,
+            (r1 - 1j * r2) / em * inv2)
+
+
 def rhs_matrix(g: GaugeTriple, r: RhoPair, x: float) -> np.ndarray:
     """Evolution generator at one position.
 
@@ -110,21 +132,9 @@ def rhs_matrix(g: GaugeTriple, r: RhoPair, x: float) -> np.ndarray:
                       [(rho1 - i rho2) e^{+2i(phi+Delta)},            -i D ]]
     with D = rho2 - 2 phi' Delta'.
     """
-    ppr = _check_phi_prime(g, complex(g.phi_prime(x)))
-    r1 = complex(r.rho1(x))
-    r2 = complex(r.rho2(x))
-    if g.diag_vanishes:
-        dia = 0.0 + 0.0j
-    else:
-        dia = r2 - 2.0 * ppr * complex(g.delta_prime(x))
-    phase = complex(g.phi(x)) + complex(g.delta(x))
-    em = cmath.exp(-2j * phase)
-    inv2 = 0.5 / ppr
-    return np.array(
-        [[1j * dia * inv2, (r1 + 1j * r2) * em * inv2],
-         [(r1 - 1j * r2) / em * inv2, -1j * dia * inv2]],
-        dtype=np.complex128,
-    )
+    g11, g12, g21 = (complex(e[0]) for e in
+                     _generator(g, r, np.array([float(x)])))
+    return np.array([[g11, g12], [g21, -g11]], dtype=np.complex128)
 
 
 def reconstruct_psi(g: GaugeTriple, s: CoefficientState) -> WavefunctionSample:
@@ -174,7 +184,8 @@ def probability_current(g: GaugeTriple, s: CoefficientState) -> float:
 
 
 # --------------------------------------------------------------------------
-# Evolution bundles: per-segment kernel tables plus junction projections.
+# Smooth segments and junction projections; for the Runge-Kutta route,
+# evolution bundles that add per-segment kernel tables.
 
 _BUNDLE_CACHE = weakref.WeakKeyDictionary()
 
@@ -217,11 +228,27 @@ def _junction(g: GaugeTriple, x: float) -> np.ndarray:
     return proj
 
 
-def _build_bundle(g: GaugeTriple, r: RhoPair, lo: float, hi: float,
-                  max_step: float) -> _Bundle:
+def _segments(g: GaugeTriple, r: RhoPair, lo: float, hi: float) -> tuple:
+    """Split [lo, hi] at the breakpoints into smooth segments and check
+    |phi'| on each.  Returns (edges, junctions, breakpoints), with
+    junctions[i] the projection at edges[i + 1]."""
     all_breaks = set(g.breakpoints) | set(r.breakpoints)
     inner = sorted(b for b in all_breaks if lo < b < hi)
     edges = [lo, *inner, hi]
+    for a, b in zip(edges[:-1], edges[1:]):
+        eps = 1e-12 * max(1.0, abs(a), abs(b))
+        probe = np.linspace(a + eps, b - eps, 513)
+        ppr = np.abs(np.asarray(g.phi_prime(probe), dtype=np.complex128))
+        if float(np.min(ppr)) <= DEGENERACY_RTOL * max(g.phi_prime_scale,
+                                                       float(np.max(ppr))):
+            raise GaugeDegenerate("|phi'| below the degeneracy threshold "
+                                  f"on [{a:g}, {b:g}]")
+    return edges, [_junction(g, b) for b in inner], all_breaks
+
+
+def _build_bundle(g: GaugeTriple, r: RhoPair, lo: float, hi: float,
+                  max_step: float) -> _Bundle:
+    edges, junctions, all_breaks = _segments(g, r, lo, hi)
     spacing = min(max_step, TABLE_STEP)
 
     if g.diag_vanishes:
@@ -236,22 +263,11 @@ def _build_bundle(g: GaugeTriple, r: RhoPair, lo: float, hi: float,
         return np.asarray(g.phi(xv)) + np.asarray(g.delta(xv))
 
     fields = [g.phi_prime, diag_field, r.rho1, r.rho2, phase_field]
-    tables = []
-    for a, b in zip(edges[:-1], edges[1:]):
-        eps = 1e-12 * max(1.0, abs(a), abs(b))
-        probe = np.linspace(a + eps, b - eps, 513)
-        ppr = np.abs(np.asarray(g.phi_prime(probe), dtype=np.complex128))
-        if float(np.min(ppr)) <= DEGENERACY_RTOL * max(g.phi_prime_scale,
-                                                       float(np.max(ppr))):
-            raise GaugeDegenerate("|phi'| below the degeneracy threshold "
-                                  f"on [{a:g}, {b:g}]")
-        tables.append(build_segment_table(
-            fields, a, b,
-            nudge_left=a in all_breaks,
-            nudge_right=b in all_breaks,
-            max_spacing=spacing,
-        ))
-    junctions = [_junction(g, b) for b in inner]
+    tables = [build_segment_table(fields, a, b,
+                                  nudge_left=a in all_breaks,
+                                  nudge_right=b in all_breaks,
+                                  max_spacing=spacing)
+              for a, b in zip(edges[:-1], edges[1:])]
     return _Bundle(edges, tables, junctions, max_step)
 
 
@@ -286,11 +302,11 @@ def _resolve_window(s0x: float, x_to: float, grid) -> tuple:
     return lo, hi, span / 64.0
 
 
-def _cross(bundle: _Bundle, j_from: int, j_to: int,
+def _cross(junctions: list, j_from: int, j_to: int,
            y: np.ndarray) -> np.ndarray:
     """Carry a coefficient column, or a matrix of them, from segment j_from
     into the neighbouring segment j_to through their junction projection."""
-    proj = bundle.junctions[min(j_from, j_to)]
+    proj = junctions[min(j_from, j_to)]
     if proj is _IDENTITY2:
         return y
     return proj @ y if j_to > j_from else np.linalg.solve(proj, y)
@@ -313,7 +329,7 @@ def _walk_segments(bundle: _Bundle, start: float, stops: np.ndarray,
     prev = None
     for j, x, seg_stops, n_taken in segment_plan(bundle.edges, start, stops):
         if prev is not None:
-            y = _cross(bundle, prev, j, np.array([a, b]))
+            y = _cross(bundle.junctions, prev, j, np.array([a, b]))
             a, b = complex(y[0]), complex(y[1])
         stop_arr = np.asarray(seg_stops, dtype=float)
         out_a = np.empty(stop_arr.size, dtype=np.complex128)
@@ -380,20 +396,22 @@ def evolve(g: GaugeTriple, r: RhoPair, s0: CoefficientState, x_to: float,
 _EPS = float(np.finfo(np.float64).eps)
 
 
-def _refined_product(table: SegmentTable, a: float, b: float, n0: int,
-                     tol: float) -> np.ndarray:
+def _refined_product(g: GaugeTriple, r: RhoPair, a: float, b: float,
+                     n0: int, tol: float) -> np.ndarray:
     n = max(2, n0)
-    prev = ordered_product(table.coeffs, table.x0, table.h, a, b, n)
+    prev = ordered_product(_generator, g, r, a, b, n)
     while n <= MAX_PRODUCT_STEPS:
         n *= 2
-        cur = ordered_product(table.coeffs, table.x0, table.h, a, b, n)
+        cur = ordered_product(_generator, g, r, a, b, n)
         diff = max(abs(cur[0] - prev[0]), abs(cur[1] - prev[1]),
                    abs(cur[2] - prev[2]), abs(cur[3] - prev[3]))
         # An n-step product carries O(n eps) rounding; once the Cauchy
         # difference reaches that scale, refinement only adds noise.
         floor = 4.0 * _EPS * n * max(1.0, abs(cur[0]), abs(cur[1]),
                                      abs(cur[2]), abs(cur[3]))
-        if diff < tol or diff <= floor:
+        # Halving a fourth-order step cuts the error 16-fold, so cur is
+        # off by about diff / 15.
+        if diff < 15.0 * tol or diff <= floor:
             return np.array([[cur[0], cur[1]], [cur[2], cur[3]]],
                             dtype=np.complex128)
         prev = cur
@@ -407,17 +425,19 @@ def transfer_matrix(g: GaugeTriple, r: RhoPair, x_from: float, x_to: float,
     """Discrete path-ordered exponential E(x_to, x_from).
 
     Ordered product of fourth-order Magnus step exponentials (two Gauss
-    points per step plus the commutator term).  Each segment piece the
-    path crosses is refined as a whole by step doubling until the
-    entrywise Cauchy difference drops below its share of tol; later
-    positions multiply on the left.  No Runge-Kutta step is taken, so the
-    result is an independent check on evolve.
+    points per step plus the commutator term), with the generator
+    evaluated directly from the gauge and rho callables.  Each segment
+    piece the path crosses is refined as a whole by step doubling until
+    the entrywise error estimate |E_2n - E_n| / 15 drops below its share
+    of tol; later positions multiply on the left.  No Runge-Kutta step is
+    taken and no table is built, so the result is an independent check
+    on evolve.
     """
     if x_from == x_to:
         return TransferMatrix(_IDENTITY2.copy(), x_from, x_to)
-    lo, hi, max_step = _resolve_window(x_from, x_to, grid)
-    bundle = _bundle_for(g, r, lo, hi, max_step)
-    pieces = list(segment_plan(bundle.edges, x_from, [x_to]))
+    lo, hi, _ = _resolve_window(x_from, x_to, grid)
+    edges, junctions, _ = _segments(g, r, lo, hi)
+    pieces = list(segment_plan(edges, x_from, [x_to]))
     total_len = abs(x_to - x_from)
     tol_piece = tol / len(pieces)
     result = _IDENTITY2.copy()
@@ -425,9 +445,9 @@ def transfer_matrix(g: GaugeTriple, r: RhoPair, x_from: float, x_to: float,
     for j, a, seg_stops, _ in pieces:
         b = seg_stops[-1]
         if prev is not None:
-            result = _cross(bundle, prev, j, result)
+            result = _cross(junctions, prev, j, result)
         n0 = max(8, int(math.ceil(n_min * abs(b - a) / total_len)))
-        block = _refined_product(bundle.tables[j], a, b, n0, tol_piece)
+        block = _refined_product(g, r, a, b, n0, tol_piece)
         result = block @ result
         prev = j
     return TransferMatrix(result, x_from, x_to)
@@ -439,13 +459,14 @@ def scattering_amplitudes(p: PotentialProfile, e: EnergySpec,
     """Transmission and reflection for a wave incident from the left.
 
     The coefficient pair starts as (1, 0) at the left edge (a pure
-    transmitted wave) and is evolved to the right edge, where (alpha,
-    beta) are read off.  When the gauge is plane-wave compatible at both
-    edges (real, phi' matching the asymptotic wavenumbers, chi vanishing
-    there), T = 1/|alpha|^2 and R = |beta/alpha|^2 directly; otherwise
-    the amplitudes are extracted by matching (psi, psi') onto normalized
-    plane waves at the edges, which defines T and R through current
-    ratios.
+    transmitted wave) and is carried to the right edge by the
+    path-ordered exponential transfer_matrix, where (alpha, beta) are
+    read off; tol is that product's entrywise tolerance.  When the gauge
+    is plane-wave compatible at both edges (real, phi' matching the
+    asymptotic wavenumbers, chi vanishing there), T = 1/|alpha|^2 and
+    R = |beta/alpha|^2 directly; otherwise the amplitudes are extracted
+    by matching (psi, psi') onto normalized plane waves at the edges,
+    which defines T and R through current ratios.
     """
     w = wavenumber_field(p, e)
     if grid is None:
@@ -457,7 +478,8 @@ def scattering_amplitudes(p: PotentialProfile, e: EnergySpec,
     else:
         u = cmath.exp(1j * w.k_left * grid.x_min) / math.sqrt(w.k_left)
         s0 = project_wavefunction(g, grid.x_min, u, 1j * w.k_left * u)
-    final, _ = evolve_diagnostics(g, r, s0, grid.x_max, tol, grid=grid)
+    final = transfer_matrix(g, r, grid.x_min, grid.x_max, tol=tol,
+                            grid=grid).apply(s0)
     if matched:
         alpha, beta = final.a, final.b
     else:

@@ -2,17 +2,20 @@
 
 import cmath
 import math
+import warnings
 
 import numpy as np
 import pytest
 
+from szscatter import sz_core
 from szscatter.errors import GaugeDegenerate
 from szscatter.gauges import (GaugeTriple, constant_field, gauge_antiphase,
                               gauge_constant, gauge_wkb, rho_pair,
                               with_constant_chi)
 from szscatter.oracle import analytic_square_barrier, direct_integrate
-from szscatter.potentials import (DomainGrid, EnergySpec, poschl_teller,
-                                  square_barrier, tabulated, truncate_domain,
+from szscatter.potentials import (DomainGrid, EnergySpec, gaussian,
+                                  poschl_teller, scalarize, square_barrier,
+                                  tabulated, truncate_domain,
                                   wavenumber_field)
 from szscatter.sz_core import (CoefficientState, _junction, evolve,
                                evolve_diagnostics, evolve_path,
@@ -122,6 +125,80 @@ def test_transfer_matrix_det_stable_under_refinement():
     fine = transfer_matrix(g, r, grid.x_min, grid.x_max, n_min=512,
                            tol=1e-11, grid=grid)
     assert coarse.det == pytest.approx(fine.det, abs=1e-8)
+
+
+@pytest.mark.parametrize("case_name,gauge_name", [
+    ("pt2-E0.5", "constant"), ("gauss-E2", "constant"),
+    ("gauss-E2", "special_delta"), ("barrier-E2", "wkb")])
+def test_refined_product_within_tol_of_tight_product(suite, case_name,
+                                                     gauge_name):
+    # The refinement accepts a product on its own error estimate
+    # |E_2n - E_n| / 15, not on the Cauchy difference itself, so check it
+    # against a product refined to 1e-14.
+    case = next(c for c in suite if c.name == case_name)
+    g, r, grid = case.gauges[gauge_name], case.rho(gauge_name), case.grid
+    tight = transfer_matrix(g, r, grid.x_min, grid.x_max, tol=1e-14,
+                            grid=grid).entries
+    for tol in (1e-7, 1e-9, 1e-11):
+        got = transfer_matrix(g, r, grid.x_min, grid.x_max, tol=tol,
+                              grid=grid).entries
+        assert np.max(np.abs(got - tight)) < tol
+
+
+def _gauge_with_flat_spot(k, half_width):
+    """phi' = k max(|x| - half_width, 0): zero on [-half_width,
+    half_width], so the gauge is degenerate inside any window around 0."""
+    def raw_phi(xv):
+        return 0.5 * k * np.sign(xv) * np.maximum(np.abs(xv) - half_width,
+                                                  0.0) ** 2
+
+    def raw_slope(xv):
+        return k * np.maximum(np.abs(xv) - half_width, 0.0)
+
+    def raw_curv(xv):
+        return k * np.sign(xv) * (np.abs(xv) > half_width)
+
+    return GaugeTriple(
+        phi=scalarize(raw_phi), phi_prime=scalarize(raw_slope),
+        phi_double_prime=scalarize(raw_curv), delta=constant_field(0.0),
+        delta_prime=constant_field(0.0), chi=constant_field(0.0),
+        chi_prime=constant_field(0.0), phi_prime_scale=k)
+
+
+def test_product_routes_reject_degenerate_gauge():
+    p = gaussian(1.0, 1.0)
+    e = EnergySpec(2.0)
+    grid = truncate_domain(p, e)
+    w = wavenumber_field(p, e)
+    g = _gauge_with_flat_spot(w.k_left, 0.25)
+    r = rho_pair(g, w)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(GaugeDegenerate):
+            transfer_matrix(g, r, grid.x_min, grid.x_max, tol=1e-9,
+                            grid=grid)
+        with pytest.raises(GaugeDegenerate):
+            scattering_amplitudes(p, e, g, 1e-10, grid)
+
+
+class _TableBuilt(Exception):
+    pass
+
+
+def test_product_routes_build_no_table(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise _TableBuilt
+
+    monkeypatch.setattr(sz_core, "build_segment_table", refuse)
+    # A fresh gauge and rho pair, so no cached bundle can serve evolve.
+    p, e, grid, _, g, r = _barrier_setup(2.0)
+    amp = scattering_amplitudes(p, e, g, 1e-10, grid)
+    assert amp.transmission + amp.reflection == pytest.approx(1.0, abs=1e-9)
+    E = transfer_matrix(g, r, grid.x_min, grid.x_max, tol=1e-9, grid=grid)
+    assert E.det == pytest.approx(1.0, abs=1e-9)
+    with pytest.raises(_TableBuilt):
+        evolve(g, r, CoefficientState(grid.x_min, 1.0 + 0j, 0j), grid.x_max,
+               1e-10, grid=grid)
 
 
 def test_reconstruct_plane_waves():
