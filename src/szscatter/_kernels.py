@@ -3,10 +3,12 @@
 The kernels are plain functions over flat arrays.  There is one
 Dormand-Prince 5(4) loop, _dp45, which takes the right-hand side as its
 first argument; rk45_coeffs (the coefficient pair) and rk45_wave (the
-direct solver's psi/psi' pair) only choose that right-hand side.  Both
-callers split their walk at segment edges with the one planner,
-_tables.segment_plan; the direct solver keeps its own formulation on a
-k^2 table, so it stays an independent check on the gauge machinery.
+pair psi, psi' of psi'' + k^2 psi = 0) only choose that right-hand side.
+evolve drives rk45_coeffs across segments with _tables.segment_plan.  The
+direct solver, oracle.direct_integrate, uses neither a k^2 table nor these
+kernels: it integrates spectrally on Chebyshev panels.  rk45_wave is kept
+for warm_up, for the perfbench tracer, which looks it up by name, and for
+the test that cross-checks the spectral oracle against it.
 
 By default the adaptive steppers are compiled with numba (njit, cached,
 GIL released); setting the environment variable ``SZ_SCATTER_NO_NUMBA=1``
@@ -28,7 +30,7 @@ _tables.SegmentTable.  Row layout for rk45_coeffs:
     3: rho2
     4: phi + Delta     (accumulated phase)
 
-The direct second-order solver uses a single-row table holding k^2.
+rk45_wave reads a single-row table holding k^2.
 """
 
 import cmath

@@ -1,25 +1,70 @@
 """Independent reference solvers used to validate the main engine.
 
-direct_integrate drives psi'' + k^2 psi = 0 as a first-order pair on a
-k^2 table, with none of the gauge machinery: no gauge, rho pair or
-evolution bundle enters.  It shares with the coefficient-pair engine only
-the generic Dormand-Prince 5(4) loop, the segment planner and the
-plane-wave matching at the right edge.  The analytic oracles are closed
-forms, so they check both routes independently.  Agreement between these
-and the coefficient-pair engine is the backbone of the acceptance suite.
+direct_integrate solves psi'' + k^2 psi = 0 by Chebyshev spectral
+integration (Greengard, SIAM J. Numer. Anal. 28 (1991) 1071), with none
+of the gauge machinery: no gauge, rho pair, table or Runge-Kutta step
+enters.  The window is cut into panels at the potential's jumps, no wider
+than min(4 / k_max, char_length).  On a panel [a, b] with half-width h the
+unknown is sigma = psi'' at PANEL_NODES Chebyshev-Lobatto points, and
+
+    psi = psi_a + psi'_a (x - a) + h^2 S^2 sigma,   psi' = psi'_a + h S sigma,
+
+S being the Chebyshev integration matrix.  The equation becomes the
+second-kind system (I + diag(k^2) h^2 S^2) sigma = -k^2 (psi_a +
+psi'_a (x - a)), and one batched solve gives both fundamental solutions of
+every panel, hence its 2x2 map (psi, psi')_a -> (psi, psi')_b.  A panel is
+accepted when the error its trailing Chebyshev coefficients of sigma imply
+is below its share of tol; the others are bisected and re-solved together.
+The maps are multiplied in order and the result is matched onto plane
+waves at the right edge; that matching is all the oracle shares with the
+coefficient-pair engine.  The analytic oracles are closed forms, so they
+check both routes independently.  Agreement between these and the
+coefficient-pair engine is the backbone of the acceptance suite.
 """
 
 import cmath
 import math
+from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.polynomial.chebyshev import chebint, chebvander
 
-from ._kernels import STATUS_STEP_UNDERFLOW, rk45_wave
-from ._tables import TABLE_STEP, build_segment_table, segment_plan
-from .errors import AsymptoticallyClosedChannel, StepUnderflow
+from .errors import AsymptoticallyClosedChannel, NonConvergence
 from .potentials import DomainGrid, EnergySpec, PotentialProfile, wavenumber_field
 from .sz_core import WavefunctionSample, _plane_wave_pair
+
+# Chebyshev-Lobatto points per panel.
+PANEL_NODES = 24
+# Most panels one direct_integrate call may hold; past it the bisection
+# gives up with NonConvergence.
+MAX_PANELS = 1 << 14
+# Panels per batched solve, which bounds the (panels, n, n) systems.
+_SOLVE_BLOCK = 1024
+# Inward nudge that samples k^2 one-sided at a jump of the potential.
+_JUMP_NUDGE = 1.0e-13
+# Trailing Chebyshev coefficients of sigma that measure a panel's error.
+_N_TAIL = 3
+# Error estimates below this are rounding noise of one panel solve.
+_ROUNDING_FLOOR = 64.0 * float(np.finfo(np.float64).eps)
+
+
+def _chebyshev_operators(n: int) -> tuple:
+    """Lobatto points on [-1, 1] in ascending order, the integration
+    matrix S (values at the points -> values of the integral from -1 of
+    their interpolant), the rows of the values -> coefficients map that
+    give the last _N_TAIL coefficients, and the barycentric weights."""
+    t = -np.cos(np.pi * np.arange(n) / (n - 1))
+    to_coef = np.linalg.inv(chebvander(t, n - 1))
+    integ = chebint(np.eye(n), lbnd=-1.0, axis=0)
+    s = chebvander(t, n) @ integ @ to_coef
+    bary = (-1.0) ** np.arange(n)
+    bary[[0, -1]] *= 0.5
+    return t, s, to_coef[-_N_TAIL:], bary
+
+
+_NODES, _S, _TAIL, _BARY = _chebyshev_operators(PANEL_NODES)
+_S2 = _S @ _S
 
 
 @dataclass(frozen=True)
@@ -30,56 +75,154 @@ class OracleResult:
     method: str
 
 
+# Accepted panels in order: left ends, half-widths, the map entries
+# (m11, m12, m21, m22) of (psi, psi')_a -> (psi, psi')_b with shape (P, 4),
+# and sigma at the nodes for the start states (1, 0) and (0, 1), with
+# shape (P, n, 2).
+_Panels = namedtuple("_Panels", "a h maps sigma")
+
+
+def _solve_panels(k_squared, a, b, jumps) -> tuple:
+    """Both fundamental solutions on each panel [a_i, b_i].  Returns
+    (maps, sigma, err): map entries of shape (P, 4), sigma of shape
+    (P, n, 2) and each panel's error estimate."""
+    h = 0.5 * (b - a)
+    x = a[:, None] + h[:, None] * (_NODES + 1.0)
+    xe = x.copy()
+    for col, ends, inward in ((0, a, 1.0), (-1, b, -1.0)):
+        at = np.isin(ends, jumps)
+        xe[at, col] += inward * _JUMP_NUDGE * np.maximum(1.0, np.abs(ends[at]))
+    k2 = np.asarray(k_squared(xe.ravel())).reshape(xe.shape)
+    rhs = -k2[:, :, None] * np.stack((np.ones_like(x), x - a[:, None]), -1)
+    sigma = np.empty_like(rhs)
+    for lo in range(0, a.size, _SOLVE_BLOCK):
+        blk = slice(lo, lo + _SOLVE_BLOCK)
+        hh = (h[blk] * h[blk])[:, None, None]
+        system = np.eye(PANEL_NODES) + k2[blk, :, None] * hh * _S2
+        sigma[blk] = np.linalg.solve(system, rhs[blk])
+    d_end = h[:, None] * (_S[-1] @ sigma)
+    p_end = (h * h)[:, None] * (_S2[-1] @ sigma)
+    maps = np.stack((1.0 + p_end[:, 0], 2.0 * h + p_end[:, 1],
+                     d_end[:, 0], 1.0 + d_end[:, 1]), axis=-1)
+    # The dropped tail moves psi of the first solution by about h^2 times
+    # its size and psi' of the second by about h times it.
+    tail = np.max(np.abs(_TAIL @ sigma), axis=1)
+    err = np.maximum(h * h * tail[:, 0], h * tail[:, 1])
+    return maps, sigma, err
+
+
+def _too_many(n: int) -> None:
+    if n > MAX_PANELS:
+        raise NonConvergence(f"direct integration needs more than "
+                             f"{MAX_PANELS} panels")
+
+
+def _subdivide(lo: np.ndarray, hi: np.ndarray, width: float) -> tuple:
+    """Cut each [lo_i, hi_i] into equal panels no wider than width."""
+    n = np.ceil((hi - lo) / width).astype(int).clip(1)
+    _too_many(int(n.sum()))
+    seg = np.repeat(np.arange(lo.size), n)
+    j = np.arange(seg.size) - np.repeat(np.cumsum(n) - n, n)
+    step = ((hi - lo) / n)[seg]
+    left = lo[seg] + j * step
+    return left, np.where(j + 1 == n[seg], hi[seg], lo[seg] + (j + 1) * step)
+
+
+def _panels(k_squared, jumps, grid: DomainGrid, width: float,
+            tol: float) -> _Panels:
+    """Adaptive panel partition of the window with every panel solved.
+
+    The window is split at the jumps and into panels no wider than width
+    or 4 / k_max; panels whose error estimate exceeds their share of tol
+    (tol times their share of the window) are bisected until all pass."""
+    inner = [x for x in jumps if grid.x_min < x < grid.x_max]
+    edges = np.array([grid.x_min, *inner, grid.x_max])
+    a, b = _subdivide(edges[:-1], edges[1:], width)
+    probe = a[:, None] + 0.5 * (b - a)[:, None] * (_NODES[1:-1] + 1.0)
+    k_max = math.sqrt(float(np.max(np.abs(k_squared(probe.ravel())))))
+    if 4.0 < k_max * width:
+        a, b = _subdivide(a, b, 4.0 / k_max)
+
+    done = []
+    n_done = 0
+    while a.size:
+        _too_many(n_done + a.size)
+        maps, sigma, err = _solve_panels(k_squared, a, b, jumps)
+        ok = err <= np.maximum(tol * (b - a) / grid.span, _ROUNDING_FLOOR)
+        done.append((a[ok], b[ok], maps[ok], sigma[ok]))
+        n_done += int(np.count_nonzero(ok))
+        a, b = a[~ok], b[~ok]
+        mid = 0.5 * (a + b)
+        if np.any((mid <= a) | (mid >= b)):
+            raise NonConvergence("direct integration cannot resolve a "
+                                 f"panel to tol={tol:g}")
+        a, b = np.concatenate((a, mid)), np.concatenate((mid, b))
+
+    a, b, maps, sigma = (np.concatenate(parts) for parts in zip(*done))
+    order = np.argsort(a)
+    return _Panels(a[order], 0.5 * (b - a)[order], maps[order], sigma[order])
+
+
+def _interpolate(t: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """Barycentric interpolation of node values (one row per point) at
+    the points t in [-1, 1]."""
+    diff = t[:, None] - _NODES
+    hit = diff == 0.0
+    diff[hit] = 1.0
+    weights = _BARY / diff
+    out = (weights * values).sum(axis=1) / weights.sum(axis=1)
+    rows, cols = np.nonzero(hit)
+    out[rows] = values[rows, cols]
+    return out
+
+
+def _samples(panels: _Panels, starts: np.ndarray, xs: np.ndarray) -> tuple:
+    """psi and psi' at the positions xs, interpolated inside the panel
+    holding each (a position on a panel end belongs to the panel before),
+    from the states (psi, psi') at the panels' left ends."""
+    i = np.clip(np.searchsorted(panels.a, xs, side="left") - 1, 0,
+                panels.a.size - 1)
+    a, h = panels.a[i], panels.h[i]
+    psi_a, dpsi_a = starts[0, i], starts[1, i]
+    sig = np.einsum("pnc,cp->pn", panels.sigma[i], starts[:, i])
+    psi = (psi_a[:, None] + dpsi_a[:, None] * h[:, None] * (_NODES + 1.0)
+           + (h * h)[:, None] * (sig @ _S2.T))
+    dpsi = dpsi_a[:, None] + h[:, None] * (sig @ _S.T)
+    t = (xs - a) / h - 1.0
+    return _interpolate(t, psi), _interpolate(t, dpsi)
+
+
 def direct_integrate(p: PotentialProfile, e: EnergySpec, grid: DomainGrid,
                      tol: float, n_samples: int = 0) -> OracleResult:
     """Transmission and reflection by direct second-order integration.
 
-    A pure right-moving wave enters at the left edge; the solution is
-    integrated to the right edge and matched onto normalized plane waves
-    there.  With n_samples > 0 the wavefunction is recorded at that many
-    uniformly spaced positions.
+    A pure right-moving wave enters at the left edge; the panel maps carry
+    it to the right edge, where it is matched onto normalized plane waves.
+    tol bounds the summed panel error estimates.  With n_samples > 0 the
+    wavefunction is recorded at that many uniformly spaced positions.
+    Raises NonConvergence when the panels would exceed MAX_PANELS or a
+    panel cannot be resolved.
     """
     if tol <= 0:
         raise ValueError("tol must be > 0")
     w = wavenumber_field(p, e)
-    inner = sorted(b for b in set(p.discontinuities)
-                   if grid.x_min < b < grid.x_max)
-    edges = [grid.x_min, *inner, grid.x_max]
-    disc = set(p.discontinuities)
-    spacing = min(grid.max_step, TABLE_STEP)
-    tables = [
-        build_segment_table([w.k_squared], a, b,
-                            nudge_left=a in disc, nudge_right=b in disc,
-                            max_spacing=spacing)
-        for a, b in zip(edges[:-1], edges[1:])
-    ]
-
-    if n_samples > 0:
-        sample_xs = np.linspace(grid.x_min, grid.x_max, n_samples)
-    else:
-        sample_xs = np.array([grid.x_max])
-
+    jumps = np.array(sorted(set(p.discontinuities)), dtype=float)
+    panels = _panels(w.k_squared, jumps, grid, p.char_length, tol)
     k_l = w.k_left
+
     psi = cmath.exp(1j * k_l * grid.x_min) / math.sqrt(k_l)
     dpsi = 1j * k_l * psi
-    hmin = 1e-14 * grid.span
-    samples = []
-    for j, x, seg_stops, n_taken in segment_plan(edges, grid.x_min,
-                                                 sample_xs):
-        table = tables[j]
-        stop_arr = np.asarray(seg_stops, dtype=float)
-        out_p = np.empty(stop_arr.size, dtype=np.complex128)
-        out_q = np.empty(stop_arr.size, dtype=np.complex128)
-        psi, dpsi, _, _, status = rk45_wave(
-            table.coeffs, table.x0, table.h, x, stop_arr, psi, dpsi,
-            tol, grid.max_step, hmin, out_p, out_q)
-        if status == STATUS_STEP_UNDERFLOW:
-            raise StepUnderflow("direct integration step fell below "
-                                "1e-14 of the domain width")
-        for idx in range(n_taken):
-            samples.append(WavefunctionSample(
-                float(stop_arr[idx]), complex(out_p[idx]),
-                complex(out_q[idx])))
+    starts = np.empty((2, panels.a.size), dtype=np.complex128)
+    for i, (m11, m12, m21, m22) in enumerate(panels.maps.tolist()):
+        starts[0, i], starts[1, i] = psi, dpsi
+        psi, dpsi = m11 * psi + m12 * dpsi, m21 * psi + m22 * dpsi
+
+    samples = ()
+    if n_samples > 0:
+        xs = np.linspace(grid.x_min, grid.x_max, n_samples)
+        vals, ders = _samples(panels, starts, xs)
+        samples = tuple(WavefunctionSample(float(x), complex(v), complex(d))
+                        for x, v, d in zip(xs, vals, ders))
 
     fwd, bwd = _plane_wave_pair(WavefunctionSample(grid.x_max, psi, dpsi),
                                 w.k_right)
@@ -88,8 +231,8 @@ def direct_integrate(p: PotentialProfile, e: EnergySpec, grid: DomainGrid,
     reflection = abs(bwd) ** 2 / mod_f
     if 1.0 < transmission < 1.0 + 1e-9:
         transmission = 1.0
-    return OracleResult(float(transmission), float(reflection),
-                        tuple(samples), "direct_integration")
+    return OracleResult(float(transmission), float(reflection), samples,
+                        "direct_integration")
 
 
 def _relative_spread(u: float) -> float:

@@ -7,8 +7,7 @@ exponential, and adaptive embedded Runge-Kutta stepping of the
 coefficient pair (evolve).  The product evaluates the generator straight
 from the gauge and rho callables at its Gauss points and builds no
 table; scattering_amplitudes goes through it.  The Runge-Kutta route
-reads per-segment cubic-spline tables, kept in a cache per gauge, rho
-pair and window.
+reads per-segment cubic-spline tables, built afresh for every evolution.
 
 Discontinuities in the potential or gauge split the domain into smooth
 segments.  Steps never straddle a split; where the gauge representation
@@ -19,7 +18,6 @@ psi and psi' continuous.
 
 import cmath
 import math
-import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -187,8 +185,6 @@ def probability_current(g: GaugeTriple, s: CoefficientState) -> float:
 # Smooth segments and junction projections; for the Runge-Kutta route,
 # evolution bundles that add per-segment kernel tables.
 
-_BUNDLE_CACHE = weakref.WeakKeyDictionary()
-
 
 class _Bundle:
     __slots__ = ("edges", "tables", "junctions", "hmax")
@@ -273,20 +269,10 @@ def _build_bundle(g: GaugeTriple, r: RhoPair, lo: float, hi: float,
 
 def _bundle_for(g: GaugeTriple, r: RhoPair, lo: float, hi: float,
                 max_step: float) -> _Bundle:
-    per_gauge = _BUNDLE_CACHE.get(g)
-    if per_gauge is None:
-        per_gauge = weakref.WeakKeyDictionary()
-        _BUNDLE_CACHE[g] = per_gauge
-    per_pair = per_gauge.get(r)
-    if per_pair is None:
-        per_pair = {}
-        per_gauge[r] = per_pair
-    key = (lo, hi, max_step)
-    bundle = per_pair.get(key)
-    if bundle is None:
-        bundle = _build_bundle(g, r, lo, hi, max_step)
-        per_pair[key] = bundle
-    return bundle
+    """The evolution bundle of one gauge, rho pair and window, built
+    afresh.  A name of its own because perfbench's probe calls it and its
+    tracer counts these calls apart from the _build_bundle span."""
+    return _build_bundle(g, r, lo, hi, max_step)
 
 
 def _resolve_window(s0x: float, x_to: float, grid) -> tuple:

@@ -302,3 +302,16 @@ def test_run_exit_four_on_violation(monkeypatch, tmp_path):
     csv = tmp_path / "viol.csv"
     text = BARRIER_BOUNDS.replace("mode = bounds", "mode = verify")
     assert run(parse_config(text.format(csv=csv))) == 4
+
+
+def test_verify_exits_three_when_oracle_panels_run_out(monkeypatch, tmp_path):
+    import szscatter.oracle as oracle_mod
+
+    # The barrier window needs three panels.
+    monkeypatch.setattr(oracle_mod, "MAX_PANELS", 2)
+    csv = tmp_path / "verify.csv"
+    cfg = tmp_path / "verify.cfg"
+    cfg.write_text(BARRIER_BOUNDS.replace("mode = bounds", "mode = verify")
+                   .format(csv=csv))
+    assert main(["--config", str(cfg)]) == 3
+    assert not csv.exists()

@@ -6,13 +6,20 @@ hyperbolic continuation; the direct integrator is then held to them.
 """
 
 import math
+import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from szscatter.errors import AsymptoticallyClosedChannel
+from szscatter import _kernels, _tables, oracle
+from szscatter._kernels import rk45_wave
+from szscatter._tables import TABLE_STEP, build_segment_table
+from szscatter.errors import AsymptoticallyClosedChannel, NonConvergence
 from szscatter.oracle import (analytic_reflectionless, analytic_square_barrier,
                               direct_integrate)
+from szscatter.sz_core import WavefunctionSample, _plane_wave_pair
 from szscatter.potentials import (EnergySpec, gaussian, poschl_teller,
                                   square_barrier, truncate_domain,
                                   wavenumber_field)
@@ -134,3 +141,152 @@ def test_plane_wave_matching_residual():
     k_l = w.k_left
     incident = np.exp(1j * k_l * first.x) / math.sqrt(k_l)
     assert abs(first.psi - incident) < 1e-12
+
+
+# --------------------------------------------------------------------------
+# The spectral panel solver behind direct_integrate.
+
+def _rk45_wave_transmission(p, e, grid, tol):
+    """T from the retained Runge-Kutta route: rk45_wave on one k^2 table
+    over the window (smooth potentials only), matched at the right edge."""
+    w = wavenumber_field(p, e)
+    table = build_segment_table([w.k_squared], grid.x_min, grid.x_max,
+                                nudge_left=False, nudge_right=False,
+                                max_spacing=min(grid.max_step, TABLE_STEP))
+    psi0 = np.exp(1j * w.k_left * grid.x_min) / math.sqrt(w.k_left)
+    out_p = np.empty(1, dtype=np.complex128)
+    out_q = np.empty(1, dtype=np.complex128)
+    psi, dpsi, _, _, status = rk45_wave(
+        table.coeffs, table.x0, table.h, grid.x_min,
+        np.array([grid.x_max]), psi0, 1j * w.k_left * psi0, tol,
+        grid.max_step, 1e-14 * grid.span, out_p, out_q)
+    assert status == 0
+    fwd, _ = _plane_wave_pair(WavefunctionSample(grid.x_max, psi, dpsi),
+                              w.k_right)
+    return 1.0 / abs(fwd) ** 2
+
+
+def _panel_count(p, e, tol):
+    grid = truncate_domain(p, e)
+    jumps = np.array(sorted(set(p.discontinuities)), dtype=float)
+    panels = oracle._panels(wavenumber_field(p, e).k_squared, jumps, grid,
+                            p.char_length, tol)
+    return panels.a.size
+
+
+@pytest.mark.parametrize("energy", [0.1, 1.0, 10.0, 100.0])
+def test_direct_matches_closed_form_barrier(energy):
+    p = square_barrier(1.0, 1.0)
+    e = EnergySpec(energy)
+    res = direct_integrate(p, e, truncate_domain(p, e), 1e-12)
+    exact = analytic_square_barrier(1.0, 1.0, e).transmission
+    assert abs(res.transmission - exact) <= 1e-12
+
+
+@given(st.floats(0.1, 5.0), st.floats(0.1, 3.0), st.floats(0.05, 50.0))
+@settings(max_examples=60, deadline=None)
+def test_direct_random_barriers(v0, width, energy):
+    p = square_barrier(v0, width)
+    e = EnergySpec(energy)
+    res = direct_integrate(p, e, truncate_domain(p, e), 1e-12)
+    exact = analytic_square_barrier(v0, width, e).transmission
+    assert abs(res.transmission - exact) <= 1e-10
+    assert abs(res.transmission + res.reflection - 1.0) <= 1e-12
+
+
+@pytest.mark.parametrize("energy", [0.5, 2.0, 10.0])
+@pytest.mark.parametrize("build", [lambda: gaussian(1.0, 1.0),
+                                   lambda: poschl_teller(2),
+                                   lambda: gaussian(5.0, 0.05)],
+                         ids=["gauss", "pt2", "narrow_gauss"])
+def test_direct_matches_rk45_wave_route(build, energy):
+    # The narrow Gaussian is a twentieth of a panel wide, so its panels
+    # must be bisected before they pass.
+    p = build()
+    e = EnergySpec(energy)
+    grid = truncate_domain(p, e)
+    res = direct_integrate(p, e, grid, 1e-12)
+    assert abs(res.transmission - _rk45_wave_transmission(p, e, grid,
+                                                          1e-12)) <= 1e-9
+
+
+class _Refused(Exception):
+    pass
+
+
+def test_direct_builds_no_table_and_takes_no_rk_step(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise _Refused
+
+    # Every name any szscatter module holds these functions under.
+    refused = {id(_tables.build_segment_table), id(_kernels.rk45_wave),
+               id(_kernels.rk45_coeffs)}
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "szscatter":
+            for attr, value in list(vars(module).items()):
+                if id(value) in refused:
+                    monkeypatch.setattr(module, attr, refuse)
+    p = square_barrier(1.0, 1.0)
+    e = EnergySpec(2.0)
+    res = direct_integrate(p, e, truncate_domain(p, e), 1e-12, n_samples=9)
+    assert res.transmission == pytest.approx(T_BARRIER_E2, abs=1e-12)
+    assert len(res.psi_samples) == 9
+
+
+def test_loose_tolerance_needs_fewer_panels():
+    p = gaussian(5.0, 0.05)
+    e = EnergySpec(2.0)
+    tight = _panel_count(p, e, 1e-12)
+    loose = _panel_count(p, e, 1e-4)
+    assert loose < tight
+    grid = truncate_domain(p, e)
+    t_tight = direct_integrate(p, e, grid, 1e-12).transmission
+    assert direct_integrate(p, e, grid, 1e-4).transmission == pytest.approx(
+        t_tight, abs=1e-4)
+
+
+def test_panel_cap_raises_nonconvergence(monkeypatch):
+    p = gaussian(1.0, 1.0)
+    e = EnergySpec(2.0)
+    grid = truncate_domain(p, e)
+    n = _panel_count(p, e, 1e-12)
+    monkeypatch.setattr(oracle, "MAX_PANELS", n - 1)
+    with pytest.raises(NonConvergence):
+        direct_integrate(p, e, grid, 1e-12)
+    monkeypatch.setattr(oracle, "MAX_PANELS", n)
+    direct_integrate(p, e, grid, 1e-12)
+
+
+def test_samples_match_rk45_wave_route():
+    # Barycentric samples inside panels against the Runge-Kutta route
+    # stopped at the same positions.
+    p = poschl_teller(2)
+    e = EnergySpec(2.0)
+    grid = truncate_domain(p, e)
+    w = wavenumber_field(p, e)
+    xs = np.linspace(grid.x_min, grid.x_max, 37)
+    res = direct_integrate(p, e, grid, 1e-12, n_samples=xs.size)
+    table = build_segment_table([w.k_squared], grid.x_min, grid.x_max,
+                                False, False, min(grid.max_step, TABLE_STEP))
+    psi0 = np.exp(1j * w.k_left * grid.x_min) / math.sqrt(w.k_left)
+    out_p = np.empty(xs.size, dtype=np.complex128)
+    out_q = np.empty(xs.size, dtype=np.complex128)
+    rk45_wave(table.coeffs, table.x0, table.h, grid.x_min, xs, psi0,
+              1j * w.k_left * psi0, 1e-12, grid.max_step,
+              1e-14 * grid.span, out_p, out_q)
+    assert [s.x for s in res.psi_samples] == list(xs)
+    assert max(abs(s.psi - q) for s, q in zip(res.psi_samples, out_p)) < 1e-9
+    assert max(abs(s.psi_prime - q)
+               for s, q in zip(res.psi_samples, out_q)) < 1e-9
+
+
+def test_tolerance_below_rounding_stops_at_rounding_floor():
+    # Panel estimates cannot fall below rounding; such a tol is served at
+    # the rounding level instead of bisecting until the cap.
+    p = poschl_teller(2)
+    e = EnergySpec(2.0)
+    grid = truncate_domain(p, e)
+    reference = direct_integrate(p, e, grid, 1e-12).transmission
+    for tol in (1e-15, 1e-300):
+        res = direct_integrate(p, e, grid, tol)
+        assert res.transmission == pytest.approx(reference, abs=1e-12)

@@ -190,7 +190,7 @@ def test_product_routes_build_no_table(monkeypatch):
         raise _TableBuilt
 
     monkeypatch.setattr(sz_core, "build_segment_table", refuse)
-    # A fresh gauge and rho pair, so no cached bundle can serve evolve.
+    # evolve builds its tables for every call; the product routes none.
     p, e, grid, _, g, r = _barrier_setup(2.0)
     amp = scattering_amplitudes(p, e, g, 1e-10, grid)
     assert amp.transmission + amp.reflection == pytest.approx(1.0, abs=1e-9)
