@@ -1,24 +1,19 @@
 """Hot numerical kernels: adaptive embedded stepping and ordered products.
 
-The kernels are plain functions over flat arrays.  There is one
-Dormand-Prince 5(4) loop, _dp45, which takes the right-hand side as its
-first argument; rk45_coeffs (the coefficient pair) and rk45_wave (the
+The kernels are plain numpy/Python functions over flat arrays.  There is
+one Dormand-Prince 5(4) loop, _dp45, which takes the right-hand side as
+its first argument; rk45_coeffs (the coefficient pair) and rk45_wave (the
 pair psi, psi' of psi'' + k^2 psi = 0) only choose that right-hand side.
 evolve drives rk45_coeffs across segments with _tables.segment_plan.  The
 direct solver, oracle.direct_integrate, uses neither a k^2 table nor these
 kernels: it integrates spectrally on Chebyshev panels.  rk45_wave is kept
-for warm_up, for the perfbench tracer, which looks it up by name, and for
-the test that cross-checks the spectral oracle against it.
+for the perfbench tracer, which looks it up by name, and for the test
+that cross-checks the spectral oracle against it.
 
-By default the adaptive steppers are compiled with numba (njit, cached,
-GIL released); setting the environment variable ``SZ_SCATTER_NO_NUMBA=1``
-before import runs the same source uncompiled.  The ordered product is
-one numpy kernel on both paths: fourth-order Magnus step exponentials
-built as arrays and multiplied as a pairwise tree.  It reads no table:
-the caller passes a generator that it evaluates at every step's two
-Gauss points.
-``python -m szscatter.benchmark`` times the active path, and compares it
-with the other when numba is importable.
+The ordered product is one numpy kernel: fourth-order Magnus step
+exponentials built as arrays and multiplied as a pairwise tree.  It reads
+no table: the caller passes a generator that it evaluates at every step's
+two Gauss points.
 
 The Runge-Kutta kernels read their fields from one complex coefficient
 block of shape (n_fields, n_intervals, 4) with uniform knots; see
@@ -35,34 +30,14 @@ rk45_wave reads a single-row table holding k^2.
 
 import cmath
 import math
-import os
 
 import numpy as np
 
-try:
-    from numba import njit as _njit
-
-    _HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - numba is a declared dependency
-    _njit = None
-    _HAVE_NUMBA = False
-
-ENV_FLAG = "SZ_SCATTER_NO_NUMBA"
-
-_DISABLED = os.environ.get(ENV_FLAG, "0").strip().lower() in ("1", "true", "yes")
-NUMBA_ACTIVE = _HAVE_NUMBA and not _DISABLED
-
-if NUMBA_ACTIVE:
-    def _jit(fn):
-        return _njit(cache=True, nogil=True)(fn)
-else:
-    def _jit(fn):
-        return fn
-
 
 def numba_active() -> bool:
-    """True when kernels run through numba in this process."""
-    return NUMBA_ACTIVE
+    """Always False: the kernels are plain numpy/Python.  Kept only
+    because perfbench's environment record reads it."""
+    return False
 
 
 # Dormand-Prince 5(4) tableau.
@@ -89,12 +64,10 @@ STATUS_OK = 0
 STATUS_STEP_UNDERFLOW = 1
 
 
-@_jit
 def _cubic(C, row, i, dx):
     return ((C[row, i, 0] * dx + C[row, i, 1]) * dx + C[row, i, 2]) * dx + C[row, i, 3]
 
 
-@_jit
 def _generator(C, tx0, th, n_tab, x):
     """Evolution-generator entries (g11, g12, g21) at one position;
     g22 = -g11 since the generator is traceless."""
@@ -118,7 +91,6 @@ def _generator(C, tx0, th, n_tab, x):
     return g11, g12, g21
 
 
-@_jit
 def _dp45(rhs, C, tx0, th, x_start, stops, a0, b0, tol, hmax, hmin, inv0,
           out_a, out_b):
     """Adaptive Dormand-Prince 5(4) integration of (a, b)' = rhs(x, a, b).
@@ -211,13 +183,11 @@ def _dp45(rhs, C, tx0, th, x_start, stops, a0, b0, tol, hmax, hmin, inv0,
     return a, b, drift, n_acc, n_rej, status
 
 
-@_jit
 def _rhs_coeffs(C, tx0, th, n_tab, x, a, b):
     g11, g12, g21 = _generator(C, tx0, th, n_tab, x)
     return g11 * a + g12 * b, g21 * a - g11 * b
 
 
-@_jit
 def rk45_coeffs(C, tx0, th, x_start, stops, a0, b0, tol, hmax, hmin, inv0,
                 out_a, out_b):
     """_dp45 on the coefficient pair (a, b), generator from the five-row
@@ -226,7 +196,6 @@ def rk45_coeffs(C, tx0, th, x_start, stops, a0, b0, tol, hmax, hmin, inv0,
                  hmin, inv0, out_a, out_b)
 
 
-@_jit
 def _rhs_wave(C, tx0, th, n_tab, x, p, q):
     i = int((x - tx0) / th)
     if i < 0:
@@ -238,7 +207,6 @@ def _rhs_wave(C, tx0, th, n_tab, x, p, q):
     return q, -k2 * p
 
 
-@_jit
 def rk45_wave(C, tx0, th, x_start, stops, p0, q0, tol, hmax, hmin,
               out_p, out_q):
     """_dp45 on psi'' + k^2 psi = 0 as the pair (psi, psi').  Independent
@@ -323,19 +291,5 @@ def ordered_product(gen, u, v, xa, xb, nsteps):
 
 
 def warm_up() -> None:
-    """Trigger JIT compilation of every compiled kernel on a tiny problem
-    so later timings measure stepping, not compilation.  The ordered
-    product is plain numpy and has nothing to compile."""
-    C = np.zeros((5, 2, 4), dtype=np.complex128)
-    C[0, :, 3] = 1.0  # phi' = 1
-    stops = np.array([1.0])
-    out_a = np.empty(1, dtype=np.complex128)
-    out_b = np.empty(1, dtype=np.complex128)
-    rk45_coeffs(C, 0.0, 0.5, 0.0, stops, 1.0 + 0j, 0.0 + 0j, 1e-8, 1.0,
-                1e-15, 1.0, out_a, out_b)
-    K = np.zeros((1, 2, 4), dtype=np.complex128)
-    K[0, :, 3] = 1.0
-    out_p = np.empty(1, dtype=np.complex128)
-    out_q = np.empty(1, dtype=np.complex128)
-    rk45_wave(K, 0.0, 0.5, 0.0, stops, 1.0 + 0j, 1.0j, 1e-8, 1.0, 1e-15,
-              out_p, out_q)
+    """No-op: there is nothing to compile.  Kept only because perfbench's
+    set-up calls it."""

@@ -7,6 +7,7 @@ error, 3 numerical failure, 4 bound violation.
 """
 
 import argparse
+import math
 import sys
 import time
 from dataclasses import dataclass, replace
@@ -115,11 +116,17 @@ def _get_float(section: dict, sec_name: str, key: str, default=None) -> float:
         if default is None:
             raise ValidationError(f"{sec_name}.{key}", "missing")
         return default
+    return _finite(section[key], f"{sec_name}.{key}")
+
+
+def _finite(text: str, field: str) -> float:
     try:
-        return float(section[key])
+        value = float(text)
     except ValueError as exc:
-        raise ValidationError(f"{sec_name}.{key}",
-                              f"not a number: {section[key]!r}") from exc
+        raise ValidationError(field, f"not a number: {text!r}") from exc
+    if not math.isfinite(value):
+        raise ValidationError(field, f"not finite: {text!r}")
+    return value
 
 
 def _build_potential(section: dict):
@@ -173,10 +180,11 @@ def _build_energies(section: dict) -> tuple:
         raise ValidationError("energies",
                               "give either values or start/stop/count")
     if has_values:
-        try:
-            energies = tuple(float(v) for v in section["values"].split())
-        except ValueError as exc:
-            raise ValidationError("energies.values", str(exc)) from exc
+        if "spacing" in section:
+            raise ValidationError("energies.spacing",
+                                  "only applies to start/stop/count")
+        energies = tuple(_finite(v, "energies.values")
+                         for v in section["values"].split())
     elif has_range:
         start = _get_float(section, "energies", "start")
         stop = _get_float(section, "energies", "stop")

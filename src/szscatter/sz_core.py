@@ -30,6 +30,9 @@ from .gauges import DEGENERACY_RTOL, GaugeTriple, RhoPair, rho_pair
 from .potentials import (DomainGrid, EnergySpec, PotentialProfile,
                          truncate_domain, wavenumber_field)
 
+# Product steps over the whole path before refinement, shared among the
+# pieces by length, and the cap on any one piece's steps.
+MIN_PRODUCT_STEPS = 64
 MAX_PRODUCT_STEPS = 1 << 23
 
 _IDENTITY2 = np.eye(2, dtype=np.complex128)
@@ -406,7 +409,7 @@ def _refined_product(g: GaugeTriple, r: RhoPair, a: float, b: float,
 
 
 def transfer_matrix(g: GaugeTriple, r: RhoPair, x_from: float, x_to: float,
-                    n_min: int = 64, tol: float = 1.0e-10,
+                    tol: float = 1.0e-10,
                     grid: DomainGrid = None) -> TransferMatrix:
     """Discrete path-ordered exponential E(x_to, x_from).
 
@@ -432,7 +435,8 @@ def transfer_matrix(g: GaugeTriple, r: RhoPair, x_from: float, x_to: float,
         b = seg_stops[-1]
         if prev is not None:
             result = _cross(junctions, prev, j, result)
-        n0 = max(8, int(math.ceil(n_min * abs(b - a) / total_len)))
+        n0 = max(8, int(math.ceil(MIN_PRODUCT_STEPS * abs(b - a)
+                                  / total_len)))
         block = _refined_product(g, r, a, b, n0, tol_piece)
         result = block @ result
         prev = j

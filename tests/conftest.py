@@ -5,7 +5,6 @@ from dataclasses import dataclass, field
 
 import pytest
 
-from szscatter import _kernels
 from szscatter.errors import TurningPoint
 from szscatter.gauges import (gauge_antiphase, gauge_constant,
                               gauge_special_delta, gauge_wkb, rho_pair)
@@ -55,14 +54,8 @@ def _build_case(name, potential, energy) -> Case:
                 grid=grid, w=w, gauges=gauges)
 
 
-@pytest.fixture(scope="session", autouse=True)
-def warm_kernels():
-    """Compile (or cache-load) the kernels before anything is timed."""
-    _kernels.warm_up()
-
-
 @pytest.fixture(scope="session")
-def suite(warm_kernels):
+def suite():
     cases = []
     for name, build, energies in SUITE_SPECS:
         potential = build()

@@ -139,6 +139,46 @@ def test_parse_energy_range():
     with pytest.raises(ValidationError):
         parse_config("[run]\nmode = scatter\n[potential]\nkind = gaussian\n"
                      "v0 = 1\nsigma = 1\n[energies]\nvalues = 1\nstart = 1\n")
+    with pytest.raises(ValidationError) as err:
+        parse_config("[run]\nmode = scatter\n[potential]\nkind = gaussian\n"
+                     "v0 = 1\nsigma = 1\n[energies]\nvalues = 1 2\n"
+                     "spacing = log\n")
+    assert err.value.field == "energies.spacing"
+
+
+GAUSSIAN_VERIFY = {
+    "run": {"mode": "verify", "hbar": "1.0", "mass": "0.5"},
+    "potential": {"kind": "gaussian", "v0": "1.0", "sigma": "1.0"},
+    "energies": {"values": "2.0"},
+    "tolerances": {"ode_tol": "1e-12", "quad_tol": "1e-10",
+                   "tail_tol": "1e-10"},
+}
+
+
+@pytest.mark.parametrize("section,key", [
+    ("tolerances", "quad_tol"), ("tolerances", "ode_tol"),
+    ("tolerances", "tail_tol"), ("potential", "v0"), ("potential", "sigma"),
+    ("run", "hbar"), ("run", "mass"), ("energies", "values")])
+@pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+def test_non_finite_number_is_a_configuration_error(tmp_path, section, key,
+                                                    bad):
+    # NaN passes every "> 0" check and makes "err > tol" never fire, so a
+    # non-finite number must stop the run at parse time (exit 2), not
+    # silently switch a check off or fail later as a numerical error.
+    csv = tmp_path / "out.csv"
+    sections = {name: dict(keys) for name, keys in GAUSSIAN_VERIFY.items()}
+    sections[section][key] = "2.0 " + bad if key == "values" else bad
+    sections["outputs"] = {"csv_path": str(csv)}
+    text = "".join(f"[{name}]\n" + "".join(f"{k} = {v}\n"
+                                           for k, v in keys.items())
+                   for name, keys in sections.items())
+    with pytest.raises(ValidationError) as err:
+        parse_config(text)
+    assert err.value.field == f"{section}.{key}"
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(text)
+    assert main(["--config", str(cfg)]) == 2
+    assert not csv.exists()
 
 
 def test_run_scatter_free(tmp_path):

@@ -1,63 +1,9 @@
-"""Kernel backend checks: numba path, numpy fallback, and agreement."""
-
-import json
-import math
-import os
-import subprocess
-import sys
+"""Kernel checks: the Magnus step exponentials and their ordered product."""
 
 import numpy as np
 import pytest
 
 from szscatter import _kernels
-
-FALLBACK_SNIPPET = """\
-import json, math
-import szscatter as sz
-from szscatter import _kernels
-assert not _kernels.numba_active()
-p = sz.square_barrier(1.0, 1.0)
-e = sz.EnergySpec(2.0)
-grid = sz.truncate_domain(p, e)
-w = sz.wavenumber_field(p, e)
-g = sz.gauge_constant(w.k_left)
-r = sz.rho_pair(g, w)
-amp = sz.scattering_amplitudes(p, e, g, 1e-12, grid=grid)
-E = sz.transfer_matrix(g, r, grid.x_min, grid.x_max, tol=1e-9, grid=grid)
-print(json.dumps({
-    "transmission": amp.transmission,
-    "e00re": E.entries[0, 0].real,
-    "e00im": E.entries[0, 0].imag,
-}))
-"""
-
-
-def test_numba_is_default_backend():
-    if os.environ.get(_kernels.ENV_FLAG, "0").lower() in ("1", "true", "yes"):
-        pytest.skip("fallback explicitly requested in this environment")
-    assert _kernels.numba_active()
-
-
-def test_fallback_subprocess_matches_numba():
-    import szscatter as sz
-
-    p = sz.square_barrier(1.0, 1.0)
-    e = sz.EnergySpec(2.0)
-    grid = sz.truncate_domain(p, e)
-    w = sz.wavenumber_field(p, e)
-    g = sz.gauge_constant(w.k_left)
-    r = sz.rho_pair(g, w)
-    amp = sz.scattering_amplitudes(p, e, g, 1e-12, grid=grid)
-    E = sz.transfer_matrix(g, r, grid.x_min, grid.x_max, tol=1e-9, grid=grid)
-
-    env = dict(os.environ)
-    env[_kernels.ENV_FLAG] = "1"
-    out = subprocess.run([sys.executable, "-c", FALLBACK_SNIPPET], env=env,
-                         capture_output=True, text=True, check=True)
-    got = json.loads(out.stdout.strip().splitlines()[-1])
-    assert got["transmission"] == pytest.approx(amp.transmission, abs=1e-12)
-    assert got["e00re"] == pytest.approx(E.entries[0, 0].real, abs=1e-9)
-    assert got["e00im"] == pytest.approx(E.entries[0, 0].imag, abs=1e-9)
 
 
 def _field_generator(fields, _, x):
@@ -141,27 +87,3 @@ def test_step_exponential_is_unimodular():
 
 def test_warm_up_runs():
     _kernels.warm_up()
-
-
-def test_benchmark_inner_quick():
-    from szscatter import benchmark
-
-    report = benchmark._time_inner(quick=True)
-    assert set(report["timings"]) == {
-        "evolve sech^2 well (adaptive RK)",
-        "transfer matrix (ordered product)",
-        "direct reference integration",
-    }
-    assert all(t > 0 for t in report["timings"].values())
-
-
-def test_benchmark_without_numba_times_active_backend_only(monkeypatch,
-                                                          capsys):
-    from szscatter import benchmark
-
-    monkeypatch.setattr(_kernels, "_HAVE_NUMBA", False)
-    assert benchmark.main(["--quick"]) == 0
-    lines = capsys.readouterr().out.splitlines()
-    active = "numba" if _kernels.numba_active() else "numpy"
-    assert lines[0].split() == ["workload", active]
-    assert len(lines) == 4

@@ -120,10 +120,10 @@ def test_transfer_matrix_composition():
 
 def test_transfer_matrix_det_stable_under_refinement():
     _, _, grid, _, g, r = _barrier_setup(2.0)
-    coarse = transfer_matrix(g, r, grid.x_min, grid.x_max, n_min=32,
-                             tol=1e-8, grid=grid)
-    fine = transfer_matrix(g, r, grid.x_min, grid.x_max, n_min=512,
-                           tol=1e-11, grid=grid)
+    coarse = transfer_matrix(g, r, grid.x_min, grid.x_max, tol=1e-8,
+                             grid=grid)
+    fine = transfer_matrix(g, r, grid.x_min, grid.x_max, tol=1e-11,
+                           grid=grid)
     assert coarse.det == pytest.approx(fine.det, abs=1e-8)
 
 
