@@ -10,10 +10,10 @@ kernels: it integrates spectrally on Chebyshev panels.  rk45_wave is kept
 for the perfbench tracer, which looks it up by name, and for the test
 that cross-checks the spectral oracle against it.
 
-The ordered product is one numpy kernel: fourth-order Magnus step
-exponentials built as arrays and multiplied as a pairwise tree.  It reads
-no table: the caller passes a generator that it evaluates at every step's
-two Gauss points.
+The ordered product is one numpy kernel: sixth-order Magnus step
+exponentials (Blanes, Casas and Ros, BIT 40 (2000) 434) built as arrays
+and multiplied as a pairwise tree.  It reads no table: the caller passes
+a generator that it evaluates at every step's three Gauss points.
 
 The Runge-Kutta kernels read their fields from one complex coefficient
 block of shape (n_fields, n_intervals, 4) with uniform knots; see
@@ -218,33 +218,53 @@ def rk45_wave(C, tx0, th, x_start, stops, p0, q0, tol, hmax, hmin,
     return p, q, n_acc, n_rej, status
 
 
-# Gauss-Legendre nodes of one step, as fractions of h, and the weight of
-# the commutator term of the fourth-order Magnus step.
-_GAUSS_LO = 0.5 - math.sqrt(3.0) / 6.0
-_GAUSS_HI = 0.5 + math.sqrt(3.0) / 6.0
-_MAGNUS_COMM = math.sqrt(3.0) / 12.0
+# Gauss-Legendre nodes of one step, as fractions of h, and the weights
+# of the sixth-order Magnus step's differences of the generator.
+_GAUSS_NODES = (0.5 - math.sqrt(15.0) / 10.0, 0.5,
+                0.5 + math.sqrt(15.0) / 10.0)
+_ALPHA2 = math.sqrt(15.0) / 3.0
+_ALPHA3 = 10.0 / 3.0
 
 # Steps multiplied per tree reduction; bounds the temporary arrays.
 PRODUCT_BLOCK = 1 << 16
 
 
+def _comm(x, y):
+    """Commutator [X, Y] of traceless matrices stored as the rows (p, q, r)
+    of [[p, q], [r, -p]]."""
+    p1, q1, r1 = x
+    p2, q2, r2 = y
+    return np.array([q1 * r2 - q2 * r1, 2.0 * (p1 * q2 - p2 * q1),
+                     2.0 * (r1 * p2 - p1 * r2)])
+
+
 def _magnus_steps(gen, u, v, x0, h, n):
     """Entries of the n step exponentials exp(Omega) of [x0 + i h,
-    x0 + (i + 1) h] for the fourth-order Magnus step
+    x0 + (i + 1) h] for the sixth-order Magnus step of Blanes, Casas and
+    Ros (BIT 40 (2000) 434):
 
-        Omega = (h/2)(A1 + A2) + (sqrt(3)/12) h^2 [A2, A1],
+        alpha1 = h A2,  alpha2 = (sqrt(15) h / 3)(A3 - A1),
+        alpha3 = (10 h / 3)(A3 - 2 A2 + A1),
+        C1 = [alpha1, alpha2],  C2 = -(1/60)[alpha1, 2 alpha3 + C1],
+        Omega = alpha1 + alpha3 / 12
+                + (1/240)[-20 alpha1 - alpha3 + C1, alpha2 + C2],
 
-    A1 and A2 being the generator gen(u, v, x) at the lower and upper
-    Gauss point.  Omega is traceless, so exp(Omega) = cosh(z) I +
-    (sinh(z)/z) Omega with z^2 = Omega11^2 + Omega12 Omega21."""
+    A1, A2 and A3 being the generator gen(u, v, x) at the three Gauss
+    points, evaluated in one call on all 3n points.  Omega is traceless,
+    so exp(Omega) = cosh(z) I + (sinh(z)/z) Omega with z^2 = Omega11^2 +
+    Omega12 Omega21."""
     xs = x0 + np.arange(n) * h
-    p1, q1, r1 = gen(u, v, xs + _GAUSS_LO * h)
-    p2, q2, r2 = gen(u, v, xs + _GAUSS_HI * h)
-    half = 0.5 * h
-    comm = _MAGNUS_COMM * h * h
-    o11 = half * (p1 + p2) + comm * (q2 * r1 - q1 * r2)
-    o12 = half * (q1 + q2) + comm * 2.0 * (p2 * q1 - q2 * p1)
-    o21 = half * (r1 + r2) + comm * 2.0 * (r2 * p1 - p2 * r1)
+    nodes = np.concatenate([xs + c * h for c in _GAUSS_NODES])
+    # Axes: generator entry (g11, g12, g21), Gauss point, step.
+    a1, a2, a3 = np.moveaxis(np.reshape(gen(u, v, nodes), (3, 3, n)), 1, 0)
+    alpha1 = h * a2
+    alpha2 = _ALPHA2 * h * (a3 - a1)
+    alpha3 = _ALPHA3 * h * (a3 - 2.0 * a2 + a1)
+    c1 = _comm(alpha1, alpha2)
+    c2 = _comm(alpha1, 2.0 * alpha3 + c1) / -60.0
+    o11, o12, o21 = (alpha1 + alpha3 / 12.0
+                     + _comm(-20.0 * alpha1 - alpha3 + c1, alpha2 + c2)
+                     / 240.0)
     z2 = o11 * o11 + o12 * o21
     z = np.sqrt(z2)
     small = np.abs(z) < 1.0e-5
@@ -271,7 +291,7 @@ def _tree_product(m11, m12, m21, m22):
 
 
 def ordered_product(gen, u, v, xa, xb, nsteps):
-    """Path-ordered exponential over [xa, xb] in nsteps fourth-order
+    """Path-ordered exponential over [xa, xb] in nsteps sixth-order
     Magnus steps, later positions multiplying on the left.
 
     gen(u, v, x) returns the generator entries (g11, g12, g21) at an

@@ -8,10 +8,11 @@ import numpy as np
 import pytest
 
 from szscatter import sz_core
-from szscatter.errors import GaugeDegenerate
+from szscatter._kernels import ordered_product
+from szscatter.errors import GaugeDegenerate, NonConvergence
 from szscatter.gauges import (GaugeTriple, constant_field, gauge_antiphase,
-                              gauge_constant, gauge_wkb, rho_pair,
-                              with_constant_chi)
+                              gauge_constant, gauge_special_delta, gauge_wkb,
+                              rho_pair, with_constant_chi)
 from szscatter.oracle import analytic_square_barrier, direct_integrate
 from szscatter.potentials import (DomainGrid, EnergySpec, gaussian,
                                   poschl_teller, scalarize, square_barrier,
@@ -132,9 +133,10 @@ def test_transfer_matrix_det_stable_under_refinement():
     ("gauss-E2", "special_delta"), ("barrier-E2", "wkb")])
 def test_refined_product_within_tol_of_tight_product(suite, case_name,
                                                      gauge_name):
-    # The refinement accepts a product on its own error estimate
-    # |E_2n - E_n| / 15, not on the Cauchy difference itself, so check it
-    # against a product refined to 1e-14.
+    # The refinement accepts a product on the Cauchy difference
+    # |E_2n - E_n| of a pair whose step count it predicted, not on the
+    # product's distance to the limit, so check it against a product
+    # refined to 1e-14.
     case = next(c for c in suite if c.name == case_name)
     g, r, grid = case.gauges[gauge_name], case.rho(gauge_name), case.grid
     tight = transfer_matrix(g, r, grid.x_min, grid.x_max, tol=1e-14,
@@ -143,6 +145,109 @@ def test_refined_product_within_tol_of_tight_product(suite, case_name,
         got = transfer_matrix(g, r, grid.x_min, grid.x_max, tol=tol,
                               grid=grid).entries
         assert np.max(np.abs(got - tight)) < tol
+
+
+def _ramp_profile(n_knots):
+    """PCHIP tanh ramp from V = 0 to V = 0.25, sampled at n_knots points
+    on [-6, 6]."""
+    xs = np.linspace(-6.0, 6.0, n_knots)
+    ys = 0.25 * 0.5 * (1.0 + np.tanh(xs))
+    ys[0], ys[-1] = 0.0, 0.25
+    return tabulated(xs, ys, v_left=0.0, v_right=0.25)
+
+
+@pytest.mark.parametrize("energy", [0.5, 2.0])
+@pytest.mark.parametrize("gauge_name", ["constant", "special_delta"])
+def test_refined_product_within_tol_on_tabulated_ramp(energy, gauge_name):
+    # V'' jumps at the PCHIP knots, so the generator is only C^1 there and
+    # the product converges more slowly than its sixth order near them: an
+    # acceptance test that assumes the order (|E_2n - E_n| / 63, or / 15
+    # for fourth order) misses tol here.  The reference is a brute-force
+    # product of 2^14 steps per unit length; halving or doubling that
+    # count moves it by at most 6e-13, far below the smallest tol.
+    p = _ramp_profile(41)
+    e = EnergySpec(energy)
+    grid = truncate_domain(p, e)
+    w = wavenumber_field(p, e)
+    g = gauge_constant(w.k_left)
+    if gauge_name == "special_delta":
+        g = gauge_special_delta(g, w, grid)
+    r = rho_pair(g, w)
+    n_ref = int((grid.x_max - grid.x_min) * (1 << 14))
+    ref = np.array(ordered_product(sz_core._generator, g, r, grid.x_min,
+                                   grid.x_max, n_ref)).reshape(2, 2)
+    for tol in (1e-7, 1e-9, 1e-11):
+        got = transfer_matrix(g, r, grid.x_min, grid.x_max, tol=tol,
+                              grid=grid).entries
+        assert np.max(np.abs(got - ref)) < tol
+
+
+@pytest.mark.parametrize("case_name", ["pt2-E0.5", "gauss-E2", "barrier-E2"])
+@pytest.mark.parametrize("gauge_name", ["constant", "special_delta", "wkb",
+                                        "antiphase"])
+def test_product_is_pseudo_unitary_for_real_gauges(suite, case_name,
+                                                   gauge_name):
+    # For a real gauge the current is |a|^2 - |b|^2, so every propagator,
+    # junctions included, satisfies E^dagger sigma3 E = sigma3 and
+    # det E = 1.  Each Magnus exponent stays in su(1,1), so this holds to
+    # rounding even at a loose tol; a commutator or exponential that
+    # breaks that structure shows here.
+    case = next(c for c in suite if c.name == case_name)
+    g, r, grid = case.gauges[gauge_name], case.rho(gauge_name), case.grid
+    assert g.is_real
+    sigma3 = np.diag([1.0, -1.0])
+    for tol in (1e-7, 1e-12):
+        E = transfer_matrix(g, r, grid.x_min, grid.x_max, tol=tol, grid=grid)
+        drift = E.entries.conj().T @ sigma3 @ E.entries - sigma3
+        assert np.max(np.abs(drift)) <= 1e-12
+        assert abs(E.det - 1.0) <= 1e-12
+
+
+def test_prediction_bounds_product_calls(monkeypatch):
+    # The first pair (n, 2n) predicts the step count; refinement computes
+    # the predicted pair next, so an analytic profile needs at most four
+    # products per segment piece.
+    p = gaussian(1.0, 1.0)
+    e = EnergySpec(2.0)
+    grid = truncate_domain(p, e)
+    w = wavenumber_field(p, e)
+    base = gauge_constant(w.k_left)
+    gauges = [base, gauge_special_delta(base, w, grid), gauge_wkb(w, grid),
+              gauge_antiphase(base)]
+    calls = {"pieces": 0, "products": 0}
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(sz_core, "_refined_product",
+                        counted("pieces", sz_core._refined_product))
+    monkeypatch.setattr(sz_core, "ordered_product",
+                        counted("products", sz_core.ordered_product))
+    for g in gauges:
+        transfer_matrix(g, rho_pair(g, w), grid.x_min, grid.x_max,
+                        tol=1e-12, grid=grid)
+    assert calls["pieces"] >= len(gauges)
+    assert calls["products"] <= 4 * calls["pieces"]
+
+
+def test_refined_product_jump_respects_step_cap(monkeypatch):
+    # A first Cauchy difference of 1e200 predicts far more steps than
+    # MAX_PRODUCT_STEPS: refinement gives up at once instead of computing
+    # the predicted products.
+    requested = []
+
+    def fake_product(gen, g, r, a, b, n):
+        requested.append(n)
+        first = 1e200 if len(requested) == 1 else 1.0
+        return complex(first), 0j, 0j, 1.0 + 0j
+
+    monkeypatch.setattr(sz_core, "ordered_product", fake_product)
+    with pytest.raises(NonConvergence):
+        sz_core._refined_product(None, None, 0.0, 1.0, 8, 1e-10)
+    assert requested == [8, 16]
 
 
 def _gauge_with_flat_spot(k, half_width):
@@ -350,10 +455,7 @@ def test_scattering_with_constant_chi_uses_current_route():
 def test_scattering_unequal_asymptotes():
     # Smooth ramp between different asymptotic levels; T from current
     # ratios must match the independent direct route.
-    xs = np.linspace(-6.0, 6.0, 401)
-    ys = 0.25 * 0.5 * (1.0 + np.tanh(xs))
-    ys[0], ys[-1] = 0.0, 0.25
-    p = tabulated(xs, ys, v_left=0.0, v_right=0.25)
+    p = _ramp_profile(401)
     e = EnergySpec(2.0)
     grid = truncate_domain(p, e)
     w = wavenumber_field(p, e)
