@@ -1,37 +1,31 @@
 """Hot numerical kernels: adaptive embedded stepping and ordered products.
 
-The kernels are plain numpy/Python functions over flat arrays.  There is
-one Dormand-Prince 5(4) loop, _dp45, which takes the right-hand side as
-its first argument; rk45_coeffs (the coefficient pair) and rk45_wave (the
-pair psi, psi' of psi'' + k^2 psi = 0) only choose that right-hand side.
-evolve drives rk45_coeffs across segments with _tables.segment_plan.  The
-direct solver, oracle.direct_integrate, uses neither a k^2 table nor these
-kernels: it integrates spectrally on Chebyshev panels.  rk45_wave is kept
-for the perfbench tracer, which looks it up by name, and for the test
-that cross-checks the spectral oracle against it.
+The kernels are plain numpy/Python functions that read no table: each
+takes a generator gen(u, v, x), which returns the entries (g11, g12, g21)
+of the traceless 2x2 generator M at an array of positions x (g22 = -g11),
+u and v being handed to it unchanged.
+
+There is one Dormand-Prince 5(4) loop, _dp45, which evaluates the
+generator once per step attempt on its six stage positions.  rk45_coeffs
+(the coefficient pair, driven across segments by sz_core.evolve) and
+rk45_wave (the pair psi, psi' of psi'' + k^2 psi = 0, generator
+(0, 1, -k^2)) only choose the generator.  The direct solver,
+oracle.direct_integrate, uses neither: it integrates spectrally on
+Chebyshev panels.  rk45_wave is kept for the perfbench tracer, which
+looks it up by name, and for the test that cross-checks the spectral
+oracle against it.
 
 The ordered product is one numpy kernel: sixth-order Magnus step
 exponentials (Blanes, Casas and Ros, BIT 40 (2000) 434) built as arrays
-and multiplied as a pairwise tree.  It reads no table: the caller passes
-a generator that it evaluates at every step's three Gauss points.
-
-The Runge-Kutta kernels read their fields from one complex coefficient
-block of shape (n_fields, n_intervals, 4) with uniform knots; see
-_tables.SegmentTable.  Row layout for rk45_coeffs:
-
-    0: phi'            (must stay away from zero)
-    1: rho2 - 2 phi' Delta'   (diagonal coefficient)
-    2: rho1
-    3: rho2
-    4: phi + Delta     (accumulated phase)
-
-rk45_wave reads a single-row table holding k^2.
+and multiplied as a pairwise tree, with the generator evaluated at every
+step's three Gauss points.
 """
 
-import cmath
 import math
 
 import numpy as np
+
+from ._tables import EDGE_NUDGE
 
 
 def numba_active() -> bool:
@@ -55,6 +49,8 @@ _B1, _B3, _B4, _B5, _B6 = (35.0 / 384.0, 500.0 / 1113.0, 125.0 / 192.0,
 _E1, _E3, _E4, _E5, _E6, _E7 = (71.0 / 57600.0, -71.0 / 16695.0,
                                 71.0 / 1920.0, -17253.0 / 339200.0,
                                 22.0 / 525.0, -1.0 / 40.0)
+# Stage positions as fractions of the step.
+_STAGE_C = np.array([0.0, _C2, _C3, _C4, _C5, 1.0])
 
 # RMS of two error ratios is sqrt(1/2) hypot(r1, r2); hypot cannot
 # overflow where the sum of squares would.
@@ -64,48 +60,34 @@ STATUS_OK = 0
 STATUS_STEP_UNDERFLOW = 1
 
 
-def _cubic(C, row, i, dx):
-    return ((C[row, i, 0] * dx + C[row, i, 1]) * dx + C[row, i, 2]) * dx + C[row, i, 3]
+def _mul(m, a, b):
+    """The traceless generator m = (g11, g12, g21) applied to (a, b)."""
+    m11, m12, m21 = m
+    return m11 * a + m12 * b, m21 * a - m11 * b
 
 
-def _generator(C, tx0, th, n_tab, x):
-    """Evolution-generator entries (g11, g12, g21) at one position;
-    g22 = -g11 since the generator is traceless."""
-    i = int((x - tx0) / th)
-    if i < 0:
-        i = 0
-    elif i > n_tab - 1:
-        i = n_tab - 1
-    dx = x - (tx0 + i * th)
-    ppr = _cubic(C, 0, i, dx)
-    dia = _cubic(C, 1, i, dx)
-    rh1 = _cubic(C, 2, i, dx)
-    rh2 = _cubic(C, 3, i, dx)
-    phi = _cubic(C, 4, i, dx)
-    inv2 = 0.5 / ppr
-    em = cmath.exp(-2j * phi)
-    ep = 1.0 / em
-    g11 = 1j * dia * inv2
-    g12 = (rh1 + 1j * rh2) * em * inv2
-    g21 = (rh1 - 1j * rh2) * ep * inv2
-    return g11, g12, g21
-
-
-def _dp45(rhs, C, tx0, th, x_start, stops, a0, b0, tol, hmax, hmin, inv0,
+def _dp45(gen, u, v, x_start, stops, a0, b0, tol, hmax, hmin, inv0,
           out_a, out_b):
-    """Adaptive Dormand-Prince 5(4) integration of (a, b)' = rhs(x, a, b).
+    """Adaptive Dormand-Prince 5(4) integration of (a, b)' = M(x) (a, b),
+    M = [[g11, g12], [g21, -g11]] with the entries from gen(u, v, x).
 
-    Integrates from x_start through every stop in order (the final stop is
-    the endpoint), storing the state at each stop.  Returns
+    Each step attempt evaluates gen once, on its six stage positions.
+    They are clamped EDGE_NUDGE max(1, |x|) inside [x_start, stops[-1]],
+    so a generator that jumps at an end of that interval is sampled from
+    inside.  Integrates from x_start through every stop in order (the
+    final stop is the endpoint), storing the state at each stop.  Returns
     (a, b, drift, n_accepted, n_rejected, status) where drift is the
     largest observed deviation of |a|^2 - |b|^2 from inv0.
     """
-    n_tab = C.shape[1]
     x = x_start
     a = a0
     b = b0
-    dirn = 1.0 if stops[stops.shape[0] - 1] >= x_start else -1.0
-    span = abs(stops[stops.shape[0] - 1] - x_start)
+    end = stops[-1]
+    lo, hi = min(x_start, end), max(x_start, end)
+    lo += EDGE_NUDGE * max(1.0, abs(lo))
+    hi -= EDGE_NUDGE * max(1.0, abs(hi))
+    dirn = 1.0 if end >= x_start else -1.0
+    span = abs(end - x_start)
     h = dirn * min(hmax, 0.02 * span + 64.0 * hmin)
     drift = 0.0
     n_acc = 0
@@ -117,29 +99,31 @@ def _dp45(rhs, C, tx0, th, x_start, stops, a0, b0, tol, hmax, hmin, inv0,
             hs = h
             if abs(hs) > abs(xt - x):
                 hs = xt - x
-            k1a, k1b = rhs(C, tx0, th, n_tab, x, a, b)
+            m = np.array(gen(u, v, np.clip(x + _STAGE_C * hs, lo, hi))
+                         ).T.tolist()
+            k1a, k1b = _mul(m[0], a, b)
             ya = a + hs * (_A21 * k1a)
             yb = b + hs * (_A21 * k1b)
-            k2a, k2b = rhs(C, tx0, th, n_tab, x + _C2 * hs, ya, yb)
+            k2a, k2b = _mul(m[1], ya, yb)
             ya = a + hs * (_A31 * k1a + _A32 * k2a)
             yb = b + hs * (_A31 * k1b + _A32 * k2b)
-            k3a, k3b = rhs(C, tx0, th, n_tab, x + _C3 * hs, ya, yb)
+            k3a, k3b = _mul(m[2], ya, yb)
             ya = a + hs * (_A41 * k1a + _A42 * k2a + _A43 * k3a)
             yb = b + hs * (_A41 * k1b + _A42 * k2b + _A43 * k3b)
-            k4a, k4b = rhs(C, tx0, th, n_tab, x + _C4 * hs, ya, yb)
+            k4a, k4b = _mul(m[3], ya, yb)
             ya = a + hs * (_A51 * k1a + _A52 * k2a + _A53 * k3a + _A54 * k4a)
             yb = b + hs * (_A51 * k1b + _A52 * k2b + _A53 * k3b + _A54 * k4b)
-            k5a, k5b = rhs(C, tx0, th, n_tab, x + _C5 * hs, ya, yb)
+            k5a, k5b = _mul(m[4], ya, yb)
             ya = a + hs * (_A61 * k1a + _A62 * k2a + _A63 * k3a + _A64 * k4a
                            + _A65 * k5a)
             yb = b + hs * (_A61 * k1b + _A62 * k2b + _A63 * k3b + _A64 * k4b
                            + _A65 * k5b)
-            k6a, k6b = rhs(C, tx0, th, n_tab, x + hs, ya, yb)
+            k6a, k6b = _mul(m[5], ya, yb)
             a_new = a + hs * (_B1 * k1a + _B3 * k3a + _B4 * k4a + _B5 * k5a
                               + _B6 * k6a)
             b_new = b + hs * (_B1 * k1b + _B3 * k3b + _B4 * k4b + _B5 * k5b
                               + _B6 * k6b)
-            k7a, k7b = rhs(C, tx0, th, n_tab, x + hs, a_new, b_new)
+            k7a, k7b = _mul(m[5], a_new, b_new)
             err_a = hs * (_E1 * k1a + _E3 * k3a + _E4 * k4a + _E5 * k5a
                           + _E6 * k6a + _E7 * k7a)
             err_b = hs * (_E1 * k1b + _E3 * k3b + _E4 * k4b + _E5 * k5b
@@ -183,38 +167,29 @@ def _dp45(rhs, C, tx0, th, x_start, stops, a0, b0, tol, hmax, hmin, inv0,
     return a, b, drift, n_acc, n_rej, status
 
 
-def _rhs_coeffs(C, tx0, th, n_tab, x, a, b):
-    g11, g12, g21 = _generator(C, tx0, th, n_tab, x)
-    return g11 * a + g12 * b, g21 * a - g11 * b
-
-
-def rk45_coeffs(C, tx0, th, x_start, stops, a0, b0, tol, hmax, hmin, inv0,
+def rk45_coeffs(gen, u, v, x_start, stops, a0, b0, tol, hmax, hmin, inv0,
                 out_a, out_b):
-    """_dp45 on the coefficient pair (a, b), generator from the five-row
-    table.  Returns (a, b, drift, n_accepted, n_rejected, status)."""
-    return _dp45(_rhs_coeffs, C, tx0, th, x_start, stops, a0, b0, tol, hmax,
-                 hmin, inv0, out_a, out_b)
+    """_dp45 on the coefficient pair (a, b), generator gen(u, v, x).
+    Returns (a, b, drift, n_accepted, n_rejected, status)."""
+    return _dp45(gen, u, v, x_start, stops, a0, b0, tol, hmax, hmin, inv0,
+                 out_a, out_b)
 
 
-def _rhs_wave(C, tx0, th, n_tab, x, p, q):
-    i = int((x - tx0) / th)
-    if i < 0:
-        i = 0
-    elif i > n_tab - 1:
-        i = n_tab - 1
-    dx = x - (tx0 + i * th)
-    k2 = _cubic(C, 0, i, dx)
-    return q, -k2 * p
+def _wave_generator(k_squared, _, x):
+    """Traceless generator (0, 1, -k^2) of the pair (psi, psi')."""
+    k2 = np.asarray(k_squared(x))
+    return np.zeros_like(k2), np.ones_like(k2), -k2
 
 
-def rk45_wave(C, tx0, th, x_start, stops, p0, q0, tol, hmax, hmin,
+def rk45_wave(k_squared, x_start, stops, p0, q0, tol, hmax, hmin,
               out_p, out_q):
     """_dp45 on psi'' + k^2 psi = 0 as the pair (psi, psi').  Independent
-    of the gauge machinery by construction: the only field it reads is k^2
-    (table row 0).  Returns (psi, psi', n_accepted, n_rejected, status)."""
+    of the gauge machinery by construction: the only field it reads is
+    the callable k_squared.  Returns (psi, psi', n_accepted, n_rejected,
+    status)."""
     p, q, _, n_acc, n_rej, status = _dp45(
-        _rhs_wave, C, tx0, th, x_start, stops, p0, q0, tol, hmax, hmin, 0.0,
-        out_p, out_q)
+        _wave_generator, k_squared, None, x_start, stops, p0, q0, tol, hmax,
+        hmin, 0.0, out_p, out_q)
     return p, q, n_acc, n_rej, status
 
 

@@ -1,11 +1,18 @@
-"""Piecewise-cubic field tables consumed by the hot kernels.
+"""Segment walking, segmented antiderivatives and piecewise-cubic tables.
 
-Every scalar field a kernel needs (phi', the diagonal coefficient, rho1,
-rho2, the accumulated phase phi+Delta, or k^2 for the direct solver) is
-reduced to per-segment cubic polynomial coefficients on uniform knots.
-Segments never straddle a discontinuity, so each table represents a smooth
-function and interpolation error stays at the 1e-12 level for the default
-knot spacing.
+segment_plan splits a walk at the edges of the smooth segments; evolve and
+transfer_matrix both walk with it.  segmented_antiderivative builds the
+continuous phi of the local-wavenumber and family gauges and the Delta of
+the special-Delta gauge from Gauss-Legendre accumulation and cubic Hermite
+pieces.  Segments never
+straddle a discontinuity, and samples at a jump are nudged EDGE_NUDGE
+inside the segment so they take the one-sided limit.
+
+No kernel reads a table: the Runge-Kutta loop and the ordered product
+evaluate their generator directly.  build_segment_table (cubic-spline
+coefficients of several fields on shared uniform knots) is called by no
+module of the package; it stays because perfbench's tracer wraps it by
+name.
 """
 
 from bisect import bisect_left, bisect_right
@@ -14,7 +21,7 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss
 from scipy.interpolate import CubicHermiteSpline, CubicSpline
 
-# Default knot spacing for kernel tables; segments shorter than
+# Default knot spacing for tables and antiderivatives; segments shorter than
 # 8 * TABLE_STEP still get at least MIN_INTERVALS intervals.
 TABLE_STEP = 1.0e-3
 MIN_INTERVALS = 8

@@ -21,7 +21,7 @@ from .errors import (BoundViolation, ComplexGaugeRejected, EmptyFamily,
                      GaugeDegenerate, NonConvergence, TurningPoint)
 from .gauges import GaugeTriple, gauge_interpolated
 from .potentials import (DomainGrid, EnergySpec, PotentialProfile, scalarize,
-                         truncate_domain, wavenumber_field)
+                         truncate_domain, wavenumber_field, window_edges)
 
 GOLDEN_TOL = 1.0e-6
 SCAN_POINTS = 33
@@ -85,9 +85,7 @@ def theta_integral(t: ThetaField, grid: DomainGrid, tol: float) -> float:
     at jump discontinuities."""
     if tol <= 0:
         raise ValueError("tol must be > 0")
-    inner = sorted(b for b in set(t.breakpoints)
-                   if grid.x_min < b < grid.x_max)
-    edges = [grid.x_min, *inner, grid.x_max]
+    edges = window_edges(grid.x_min, grid.x_max, t.breakpoints)
     n_seg = len(edges) - 1
     total = 0.0
     err_total = 0.0

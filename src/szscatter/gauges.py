@@ -13,7 +13,7 @@ from scipy.interpolate import PchipInterpolator
 
 from ._tables import TABLE_STEP, segmented_antiderivative
 from .errors import GaugeDegenerate, TurningPoint
-from .potentials import DomainGrid, WaveNumberField, scalarize
+from .potentials import DomainGrid, WaveNumberField, scalarize, window_edges
 
 # Relative floor for |phi'|; below this the system matrix is unusable.
 DEGENERACY_RTOL = 1.0e-12
@@ -119,12 +119,6 @@ def gauge_constant(k_ref: float, chi: float = 0.0) -> GaugeTriple:
     )
 
 
-def _grid_edges(grid: DomainGrid, breakpoints) -> list:
-    inner = sorted(b for b in set(breakpoints)
-                   if grid.x_min < b < grid.x_max)
-    return [grid.x_min, *inner, grid.x_max]
-
-
 def _min_positive_k2(w: WaveNumberField, edges) -> float:
     worst = np.inf
     for lo, hi in zip(edges[:-1], edges[1:]):
@@ -137,7 +131,7 @@ def _min_positive_k2(w: WaveNumberField, edges) -> float:
 
 def gauge_wkb(w: WaveNumberField, grid: DomainGrid) -> GaugeTriple:
     """Local-wavenumber gauge phi' = k(x), valid above the barrier only."""
-    edges = _grid_edges(grid, w.breakpoints)
+    edges = window_edges(grid.x_min, grid.x_max, w.breakpoints)
     if _min_positive_k2(w, edges) <= 0.0:
         raise TurningPoint("k^2(x) <= 0 on the grid; phi' = k(x) "
                            "is inadmissible")
@@ -184,7 +178,7 @@ def gauge_interpolated(w: WaveNumberField, grid: DomainGrid,
     k_ref = w.k_left
     if s == 0.0:
         return gauge_constant(k_ref)
-    edges = _grid_edges(grid, w.breakpoints)
+    edges = window_edges(grid.x_min, grid.x_max, w.breakpoints)
     if _min_positive_k2(w, edges) <= 0.0:
         raise TurningPoint(f"family member s={s:g} needs k^2 > 0 on the grid")
 
@@ -224,7 +218,8 @@ def gauge_special_delta(base: GaugeTriple, w: WaveNumberField,
     has an identically zero diagonal."""
     if not base.delta_is_zero:
         raise ValueError("base gauge must have Delta identically zero")
-    edges = _grid_edges(grid, set(base.breakpoints) | set(w.breakpoints))
+    edges = window_edges(grid.x_min, grid.x_max,
+                         (*base.breakpoints, *w.breakpoints))
 
     def raw_dprime(xv):
         ppr = np.asarray(base.phi_prime(xv))

@@ -31,7 +31,8 @@ import numpy as np
 from numpy.polynomial.chebyshev import chebint, chebvander
 
 from .errors import AsymptoticallyClosedChannel, NonConvergence
-from .potentials import DomainGrid, EnergySpec, PotentialProfile, wavenumber_field
+from .potentials import (DomainGrid, EnergySpec, PotentialProfile,
+                         wavenumber_field, window_edges)
 from .sz_core import WavefunctionSample, _plane_wave_pair
 
 # Chebyshev-Lobatto points per panel.
@@ -135,8 +136,7 @@ def _panels(k_squared, jumps, grid: DomainGrid, width: float,
     The window is split at the jumps and into panels no wider than width
     or 4 / k_max; panels whose error estimate exceeds their share of tol
     (tol times their share of the window) are bisected until all pass."""
-    inner = [x for x in jumps if grid.x_min < x < grid.x_max]
-    edges = np.array([grid.x_min, *inner, grid.x_max])
+    edges = np.array(window_edges(grid.x_min, grid.x_max, jumps))
     a, b = _subdivide(edges[:-1], edges[1:], width)
     probe = a[:, None] + 0.5 * (b - a)[:, None] * (_NODES[1:-1] + 1.0)
     k_max = math.sqrt(float(np.max(np.abs(k_squared(probe.ravel())))))

@@ -280,6 +280,12 @@ class DomainGrid:
         return self.x_max - self.x_min
 
 
+def window_edges(lo: float, hi: float, breakpoints) -> list:
+    """[lo, *the distinct breakpoints strictly inside (lo, hi), sorted, hi]:
+    the edges of the smooth pieces of a window."""
+    return [lo, *sorted(b for b in set(breakpoints) if lo < b < hi), hi]
+
+
 def truncate_domain(p: PotentialProfile, e: EnergySpec,
                     tol: float = 1.0e-10) -> DomainGrid:
     """Smallest window outside which |V - asymptote| < tol * max(|E|, 1).

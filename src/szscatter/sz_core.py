@@ -4,10 +4,10 @@ Two independent evolution routes are provided and serve as mutual
 oracles: ordered products of sixth-order Magnus step exponentials
 (transfer_matrix), the discrete realization of the path-ordered
 exponential, and adaptive embedded Runge-Kutta stepping of the
-coefficient pair (evolve).  The product evaluates the generator straight
-from the gauge and rho callables at its Gauss points and builds no
-table; scattering_amplitudes goes through it.  The Runge-Kutta route
-reads per-segment cubic-spline tables, built afresh for every evolution.
+coefficient pair (evolve).  Both evaluate the one generator, _generator,
+straight from the gauge and rho callables: the product at its Gauss
+points, the Runge-Kutta route at its stage positions.  Neither builds a
+table.  scattering_amplitudes goes through the product.
 
 Discontinuities in the potential or gauge split the domain into smooth
 segments.  Steps never straddle a split; where the gauge representation
@@ -23,12 +23,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._kernels import STATUS_STEP_UNDERFLOW, ordered_product, rk45_coeffs
-from ._tables import (EDGE_NUDGE, TABLE_STEP, build_segment_table,
-                      segment_plan)
+from ._tables import EDGE_NUDGE, segment_plan
 from .errors import GaugeDegenerate, NonConvergence, StepUnderflow
 from .gauges import DEGENERACY_RTOL, GaugeTriple, RhoPair, rho_pair
 from .potentials import (DomainGrid, EnergySpec, PotentialProfile,
-                         truncate_domain, wavenumber_field)
+                         truncate_domain, wavenumber_field, window_edges)
 
 # Product steps over the whole path before refinement, shared among the
 # pieces by length, and the cap on any one piece's steps.
@@ -140,15 +139,8 @@ def rhs_matrix(g: GaugeTriple, r: RhoPair, x: float) -> np.ndarray:
 
 def reconstruct_psi(g: GaugeTriple, s: CoefficientState) -> WavefunctionSample:
     """Exact wavefunction and derivative from the coefficient pair."""
-    ppr = _check_phi_prime(g, complex(g.phi_prime(s.x)))
-    phase = complex(g.phi(s.x)) + complex(g.delta(s.x))
-    chi = complex(g.chi(s.x))
-    root = cmath.sqrt(ppr)
-    ep = cmath.exp(1j * phase)
-    em = 1.0 / ep
-    psi = (s.a * ep + s.b * em) / root
-    psi_prime = 1j * root * (s.a * ep - s.b * em) + chi * psi
-    return WavefunctionSample(s.x, psi, psi_prime)
+    psi, psi_prime = _rep_matrix(g, s.x, 0) @ np.array([s.a, s.b])
+    return WavefunctionSample(s.x, complex(psi), complex(psi_prime))
 
 
 def project_wavefunction(g: GaugeTriple, x: float, psi: complex,
@@ -185,18 +177,7 @@ def probability_current(g: GaugeTriple, s: CoefficientState) -> float:
 
 
 # --------------------------------------------------------------------------
-# Smooth segments and junction projections; for the Runge-Kutta route,
-# evolution bundles that add per-segment kernel tables.
-
-
-class _Bundle:
-    __slots__ = ("edges", "tables", "junctions", "hmax")
-
-    def __init__(self, edges, tables, junctions, hmax):
-        self.edges = edges
-        self.tables = tables
-        self.junctions = junctions  # junctions[i] sits at edges[i + 1]
-        self.hmax = hmax
+# Smooth segments and junction projections.
 
 
 def _rep_matrix(g: GaugeTriple, x: float, side: int) -> np.ndarray:
@@ -229,11 +210,9 @@ def _junction(g: GaugeTriple, x: float) -> np.ndarray:
 
 def _segments(g: GaugeTriple, r: RhoPair, lo: float, hi: float) -> tuple:
     """Split [lo, hi] at the breakpoints into smooth segments and check
-    |phi'| on each.  Returns (edges, junctions, breakpoints), with
-    junctions[i] the projection at edges[i + 1]."""
-    all_breaks = set(g.breakpoints) | set(r.breakpoints)
-    inner = sorted(b for b in all_breaks if lo < b < hi)
-    edges = [lo, *inner, hi]
+    |phi'| on each.  Returns (edges, junctions), with junctions[i] the
+    projection at edges[i + 1]."""
+    edges = window_edges(lo, hi, (*g.breakpoints, *r.breakpoints))
     for a, b in zip(edges[:-1], edges[1:]):
         eps = 1e-12 * max(1.0, abs(a), abs(b))
         probe = np.linspace(a + eps, b - eps, 513)
@@ -242,39 +221,22 @@ def _segments(g: GaugeTriple, r: RhoPair, lo: float, hi: float) -> tuple:
                                                        float(np.max(ppr))):
             raise GaugeDegenerate("|phi'| below the degeneracy threshold "
                                   f"on [{a:g}, {b:g}]")
-    return edges, [_junction(g, b) for b in inner], all_breaks
+    return edges, [_junction(g, b) for b in edges[1:-1]]
 
 
 def _build_bundle(g: GaugeTriple, r: RhoPair, lo: float, hi: float,
-                  max_step: float) -> _Bundle:
-    edges, junctions, all_breaks = _segments(g, r, lo, hi)
-    spacing = min(max_step, TABLE_STEP)
-
-    if g.diag_vanishes:
-        diag_field = 0.0
-    else:
-        def diag_field(xv):
-            return (np.asarray(r.rho2(xv))
-                    - 2.0 * np.asarray(g.phi_prime(xv))
-                    * np.asarray(g.delta_prime(xv)))
-
-    def phase_field(xv):
-        return np.asarray(g.phi(xv)) + np.asarray(g.delta(xv))
-
-    fields = [g.phi_prime, diag_field, r.rho1, r.rho2, phase_field]
-    tables = [build_segment_table(fields, a, b,
-                                  nudge_left=a in all_breaks,
-                                  nudge_right=b in all_breaks,
-                                  max_spacing=spacing)
-              for a, b in zip(edges[:-1], edges[1:])]
-    return _Bundle(edges, tables, junctions, max_step)
+                  max_step: float) -> tuple:
+    """The (edges, junctions) that evolve walks; see _segments.  max_step
+    is unused (evolve passes its step cap to the kernel) but stays, with
+    the name, because perfbench's tracer and probe reach them."""
+    return _segments(g, r, lo, hi)
 
 
 def _bundle_for(g: GaugeTriple, r: RhoPair, lo: float, hi: float,
-                max_step: float) -> _Bundle:
-    """The evolution bundle of one gauge, rho pair and window, built
-    afresh.  A name of its own because perfbench's probe calls it and its
-    tracer counts these calls apart from the _build_bundle span."""
+                max_step: float) -> tuple:
+    """_build_bundle under a name of its own, because perfbench's probe
+    calls it and its tracer counts these calls apart from the
+    _build_bundle span."""
     return _build_bundle(g, r, lo, hi, max_step)
 
 
@@ -301,52 +263,13 @@ def _cross(junctions: list, j_from: int, j_to: int,
     return proj @ y if j_to > j_from else np.linalg.solve(proj, y)
 
 
-def _walk_segments(bundle: _Bundle, start: float, stops: np.ndarray,
-                   a0: complex, b0: complex, tol: float) -> tuple:
-    """Drive the kernel across segments, recording the state at each stop.
-
-    stops must be ordered along the travel direction and end at the final
-    target.  Returns (states, EvolveStats).
-    """
-    hmin = 1e-14 * max(abs(stops[-1] - start), 1e-30)
-    inv0 = (a0.real * a0.real + a0.imag * a0.imag
-            - b0.real * b0.real - b0.imag * b0.imag)
-    a, b = complex(a0), complex(b0)
-    drift = 0.0
-    acc = rej = 0
-    out_states = []
-    prev = None
-    for j, x, seg_stops, n_taken in segment_plan(bundle.edges, start, stops):
-        if prev is not None:
-            y = _cross(bundle.junctions, prev, j, np.array([a, b]))
-            a, b = complex(y[0]), complex(y[1])
-        stop_arr = np.asarray(seg_stops, dtype=float)
-        out_a = np.empty(stop_arr.size, dtype=np.complex128)
-        out_b = np.empty(stop_arr.size, dtype=np.complex128)
-        table = bundle.tables[j]
-        a, b, d, na, nr, status = rk45_coeffs(
-            table.coeffs, table.x0, table.h, x, stop_arr,
-            a, b, tol, bundle.hmax, hmin, inv0, out_a, out_b)
-        if status == STATUS_STEP_UNDERFLOW:
-            raise StepUnderflow("adaptive step fell below 1e-14 of the "
-                                "domain width")
-        drift = max(drift, d)
-        acc += na
-        rej += nr
-        for idx in range(n_taken):
-            out_states.append(CoefficientState(float(stop_arr[idx]),
-                                               complex(out_a[idx]),
-                                               complex(out_b[idx])))
-        prev = j
-    return out_states, EvolveStats(acc, rej, drift)
-
-
 def evolve_path(g: GaugeTriple, r: RhoPair, s0: CoefficientState,
                 sample_points, tol: float, grid: DomainGrid = None) -> tuple:
     """Evolve (a, b) from s0 through ordered sample points.
 
-    The last sample point is the endpoint.  Returns
-    (list of CoefficientState, EvolveStats).
+    The last sample point is the endpoint.  rk45_coeffs steps each smooth
+    segment on _generator, and the pair crosses the junction projections
+    between segments.  Returns (list of CoefficientState, EvolveStats).
     """
     if tol <= 0:
         raise ValueError("tol must be > 0")
@@ -362,10 +285,40 @@ def evolve_path(g: GaugeTriple, r: RhoPair, s0: CoefficientState,
     if pts.size > 1:
         lo = min(lo, float(np.min(pts)))
         hi = max(hi, float(np.max(pts)))
-    bundle = _bundle_for(g, r, lo, hi, max_step)
+    edges, junctions = _bundle_for(g, r, lo, hi, max_step)
     if x_to == s0.x and pts.size == 1:
         return [CoefficientState(s0.x, s0.a, s0.b)], EvolveStats(0, 0, 0.0)
-    return _walk_segments(bundle, s0.x, pts, s0.a, s0.b, tol)
+
+    hmin = 1e-14 * max(abs(x_to - s0.x), 1e-30)
+    a, b = complex(s0.a), complex(s0.b)
+    inv0 = (a.real * a.real + a.imag * a.imag
+            - b.real * b.real - b.imag * b.imag)
+    drift = 0.0
+    acc = rej = 0
+    out_states = []
+    prev = None
+    for j, x, seg_stops, n_taken in segment_plan(edges, s0.x, pts):
+        if prev is not None:
+            y = _cross(junctions, prev, j, np.array([a, b]))
+            a, b = complex(y[0]), complex(y[1])
+        stop_arr = np.asarray(seg_stops, dtype=float)
+        out_a = np.empty(stop_arr.size, dtype=np.complex128)
+        out_b = np.empty(stop_arr.size, dtype=np.complex128)
+        a, b, d, na, nr, status = rk45_coeffs(
+            _generator, g, r, x, stop_arr, a, b, tol, max_step, hmin, inv0,
+            out_a, out_b)
+        if status == STATUS_STEP_UNDERFLOW:
+            raise StepUnderflow("adaptive step fell below 1e-14 of the "
+                                "domain width")
+        drift = max(drift, d)
+        acc += na
+        rej += nr
+        for idx in range(n_taken):
+            out_states.append(CoefficientState(float(stop_arr[idx]),
+                                               complex(out_a[idx]),
+                                               complex(out_b[idx])))
+        prev = j
+    return out_states, EvolveStats(acc, rej, drift)
 
 
 def evolve_diagnostics(g: GaugeTriple, r: RhoPair, s0: CoefficientState,
@@ -440,7 +393,7 @@ def transfer_matrix(g: GaugeTriple, r: RhoPair, x_from: float, x_to: float,
     if x_from == x_to:
         return TransferMatrix(_IDENTITY2.copy(), x_from, x_to)
     lo, hi, _ = _resolve_window(x_from, x_to, grid)
-    edges, junctions, _ = _segments(g, r, lo, hi)
+    edges, junctions = _segments(g, r, lo, hi)
     pieces = list(segment_plan(edges, x_from, [x_to]))
     total_len = abs(x_to - x_from)
     tol_piece = tol / len(pieces)

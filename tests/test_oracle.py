@@ -15,7 +15,6 @@ from hypothesis import strategies as st
 
 from szscatter import _kernels, _tables, oracle
 from szscatter._kernels import rk45_wave
-from szscatter._tables import TABLE_STEP, build_segment_table
 from szscatter.errors import AsymptoticallyClosedChannel, NonConvergence
 from szscatter.oracle import (analytic_reflectionless, analytic_square_barrier,
                               direct_integrate)
@@ -147,19 +146,16 @@ def test_plane_wave_matching_residual():
 # The spectral panel solver behind direct_integrate.
 
 def _rk45_wave_transmission(p, e, grid, tol):
-    """T from the retained Runge-Kutta route: rk45_wave on one k^2 table
-    over the window (smooth potentials only), matched at the right edge."""
+    """T from the retained Runge-Kutta route: rk45_wave on k^2 over the
+    window (smooth potentials only), matched at the right edge."""
     w = wavenumber_field(p, e)
-    table = build_segment_table([w.k_squared], grid.x_min, grid.x_max,
-                                nudge_left=False, nudge_right=False,
-                                max_spacing=min(grid.max_step, TABLE_STEP))
     psi0 = np.exp(1j * w.k_left * grid.x_min) / math.sqrt(w.k_left)
     out_p = np.empty(1, dtype=np.complex128)
     out_q = np.empty(1, dtype=np.complex128)
     psi, dpsi, _, _, status = rk45_wave(
-        table.coeffs, table.x0, table.h, grid.x_min,
-        np.array([grid.x_max]), psi0, 1j * w.k_left * psi0, tol,
-        grid.max_step, 1e-14 * grid.span, out_p, out_q)
+        w.k_squared, grid.x_min, np.array([grid.x_max]), psi0,
+        1j * w.k_left * psi0, tol, grid.max_step, 1e-14 * grid.span, out_p,
+        out_q)
     assert status == 0
     fwd, _ = _plane_wave_pair(WavefunctionSample(grid.x_max, psi, dpsi),
                               w.k_right)
@@ -266,14 +262,11 @@ def test_samples_match_rk45_wave_route():
     w = wavenumber_field(p, e)
     xs = np.linspace(grid.x_min, grid.x_max, 37)
     res = direct_integrate(p, e, grid, 1e-12, n_samples=xs.size)
-    table = build_segment_table([w.k_squared], grid.x_min, grid.x_max,
-                                False, False, min(grid.max_step, TABLE_STEP))
     psi0 = np.exp(1j * w.k_left * grid.x_min) / math.sqrt(w.k_left)
     out_p = np.empty(xs.size, dtype=np.complex128)
     out_q = np.empty(xs.size, dtype=np.complex128)
-    rk45_wave(table.coeffs, table.x0, table.h, grid.x_min, xs, psi0,
-              1j * w.k_left * psi0, 1e-12, grid.max_step,
-              1e-14 * grid.span, out_p, out_q)
+    rk45_wave(w.k_squared, grid.x_min, xs, psi0, 1j * w.k_left * psi0,
+              1e-12, grid.max_step, 1e-14 * grid.span, out_p, out_q)
     assert [s.x for s in res.psi_samples] == list(xs)
     assert max(abs(s.psi - q) for s, q in zip(res.psi_samples, out_p)) < 1e-9
     assert max(abs(s.psi_prime - q)

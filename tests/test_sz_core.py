@@ -2,12 +2,13 @@
 
 import cmath
 import math
+import sys
 import warnings
 
 import numpy as np
 import pytest
 
-from szscatter import sz_core
+from szscatter import _tables, sz_core
 from szscatter._kernels import ordered_product
 from szscatter.errors import GaugeDegenerate, NonConvergence
 from szscatter.gauges import (GaugeTriple, constant_field, gauge_antiphase,
@@ -290,20 +291,44 @@ class _TableBuilt(Exception):
     pass
 
 
-def test_product_routes_build_no_table(monkeypatch):
+def test_no_route_builds_a_table(monkeypatch):
     def refuse(*args, **kwargs):
         raise _TableBuilt
 
-    monkeypatch.setattr(sz_core, "build_segment_table", refuse)
-    # evolve builds its tables for every call; the product routes none.
+    # Every name any szscatter module holds build_segment_table under.
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "szscatter":
+            for attr, value in list(vars(module).items()):
+                if value is _tables.build_segment_table:
+                    monkeypatch.setattr(module, attr, refuse)
     p, e, grid, _, g, r = _barrier_setup(2.0)
     amp = scattering_amplitudes(p, e, g, 1e-10, grid)
     assert amp.transmission + amp.reflection == pytest.approx(1.0, abs=1e-9)
     E = transfer_matrix(g, r, grid.x_min, grid.x_max, tol=1e-9, grid=grid)
     assert E.det == pytest.approx(1.0, abs=1e-9)
-    with pytest.raises(_TableBuilt):
-        evolve(g, r, CoefficientState(grid.x_min, 1.0 + 0j, 0j), grid.x_max,
-               1e-10, grid=grid)
+    out = evolve(g, r, CoefficientState(grid.x_min, 1.0 + 0j, 0j),
+                 grid.x_max, 1e-10, grid=grid)
+    assert abs(out.a) ** 2 - abs(out.b) ** 2 == pytest.approx(1.0, abs=1e-9)
+
+
+def test_evolve_samples_jumps_one_sided():
+    # The rho pair jumps at both barrier edges, which are segment ends.
+    # Stage positions on a segment end must see the generator from inside
+    # the segment; sampled across the jump, steps there are rejected and
+    # the state is off by far more than tol.
+    p = square_barrier(5.0, 1.0)
+    e = EnergySpec(6.0)
+    grid = truncate_domain(p, e)
+    w = wavenumber_field(p, e)
+    g = gauge_constant(w.k_left)
+    r = rho_pair(g, w)
+    s0 = CoefficientState(grid.x_min, 1.0 + 0j, 0j)
+    out, stats = evolve_diagnostics(g, r, s0, grid.x_max, 1e-8, grid=grid)
+    ref = transfer_matrix(g, r, grid.x_min, grid.x_max, tol=1e-13,
+                          grid=grid).apply(s0)
+    assert abs(out.a - ref.a) <= 1e-12
+    assert abs(out.b - ref.b) <= 1e-12
+    assert stats.n_rejected == 0
 
 
 def test_reconstruct_plane_waves():
