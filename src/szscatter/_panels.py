@@ -1,0 +1,122 @@
+"""Chebyshev-Lobatto panels and the one bisection loop that refines them.
+
+A panel [a, b] with half-width h carries PANEL_NODES Chebyshev-Lobatto
+points x = a + h (t + 1), t in [-1, 1].  S maps values at the points to
+values of the integral from a of their interpolant (in units of h), so
+h S and h^2 S^2 are the spectral integration operators of Greengard
+(SIAM J. Numer. Anal. 28 (1991) 1071), and h S[-1] is the Clenshaw-Curtis
+rule on the panel (Clenshaw & Curtis, Numer. Math. 2 (1960) 197).  TAIL
+gives the last N_TAIL Chebyshev coefficients of the interpolant; their
+size is the panel's error estimate.
+
+The oracle (psi'' = -k^2 psi) and the bound integral (theta) both start
+from a window cut at its breakpoints into pieces no wider than a given
+width, and hand bisect() a function that solves one batch of panels.
+bisect() accepts a panel when its error estimate is at most
+max(tol (b - a) / span, ROUNDING_FLOOR), bisects the others and solves
+them again together, and raises NonConvergence past MAX_PANELS panels or
+when a half would be no wider than JUMP_NUDGE max(1, |x|).
+"""
+
+import numpy as np
+from numpy.polynomial.chebyshev import chebint, chebvander
+
+from .errors import NonConvergence
+
+# Chebyshev-Lobatto points per panel.
+PANEL_NODES = 24
+# Most panels one window may hold; past it the bisection gives up with
+# NonConvergence.
+MAX_PANELS = 1 << 14
+# Trailing Chebyshev coefficients that measure a panel's error.
+N_TAIL = 3
+# Inward nudge, relative to max(1, |x|), of a panel end that lies on a
+# breakpoint: the Lobatto points include both ends, and a jump there must
+# be sampled from the panel's own side.
+JUMP_NUDGE = 1.0e-13
+# Error estimates below this are rounding noise of one panel.
+ROUNDING_FLOOR = 64.0 * float(np.finfo(np.float64).eps)
+
+
+def _chebyshev_operators(n: int) -> tuple:
+    """Lobatto points on [-1, 1] in ascending order, the integration
+    matrix S (values at the points -> values of the integral from -1 of
+    their interpolant), the rows of the values -> coefficients map that
+    give the last N_TAIL coefficients, and the barycentric weights."""
+    t = -np.cos(np.pi * np.arange(n) / (n - 1))
+    to_coef = np.linalg.inv(chebvander(t, n - 1))
+    integ = chebint(np.eye(n), lbnd=-1.0, axis=0)
+    s = chebvander(t, n) @ integ @ to_coef
+    bary = (-1.0) ** np.arange(n)
+    bary[[0, -1]] *= 0.5
+    return t, s, to_coef[-N_TAIL:], bary
+
+
+NODES, S, TAIL, BARY = _chebyshev_operators(PANEL_NODES)
+S2 = S @ S
+
+
+def points(a: np.ndarray, h: np.ndarray) -> np.ndarray:
+    """The Lobatto points of the panels [a_i, a_i + 2 h_i], shape (P, n)."""
+    return a[:, None] + h[:, None] * (NODES + 1.0)
+
+
+def nudged(x: np.ndarray, a: np.ndarray, b: np.ndarray,
+           breaks: np.ndarray) -> np.ndarray:
+    """The points x of the panels [a_i, b_i] with every end that lies on
+    a breakpoint moved JUMP_NUDGE max(1, |end|) inward (a copy, or x
+    itself when there are no breakpoints)."""
+    if not breaks.size:
+        return x
+    xe = x.copy()
+    for col, ends, inward in ((0, a, 1.0), (-1, b, -1.0)):
+        at = np.isin(ends, breaks)
+        xe[at, col] += inward * JUMP_NUDGE * np.maximum(1.0, np.abs(ends[at]))
+    return xe
+
+
+def _too_many(n: int) -> None:
+    if n > MAX_PANELS:
+        raise NonConvergence(f"panel refinement needs more than "
+                             f"{MAX_PANELS} panels")
+
+
+def subdivide(lo: np.ndarray, hi: np.ndarray, width: float) -> tuple:
+    """Cut each [lo_i, hi_i] into equal panels no wider than width."""
+    n = np.ceil((hi - lo) / width).astype(int).clip(1)
+    _too_many(int(n.sum()))
+    seg = np.repeat(np.arange(lo.size), n)
+    j = np.arange(seg.size) - np.repeat(np.cumsum(n) - n, n)
+    step = ((hi - lo) / n)[seg]
+    left = lo[seg] + j * step
+    return left, np.where(j + 1 == n[seg], hi[seg], lo[seg] + (j + 1) * step)
+
+
+def bisect(solve, a: np.ndarray, b: np.ndarray, span: float,
+           tol: float) -> list:
+    """Refine the panels [a_i, b_i] until each passes its share of tol.
+
+    solve(a, b) returns (err, *results) for a batch of panels, each an
+    array with one row per panel.  Panels with err <= max(tol (b - a) /
+    span, ROUNDING_FLOOR) are kept; the rest are halved and solved again
+    as one batch, until a half would be no wider than the nudge.  Returns
+    [a, b, err, *results] of the kept panels in ascending order of a."""
+    done = []
+    n_done = 0
+    while a.size:
+        _too_many(n_done + a.size)
+        err, *results = solve(a, b)
+        ok = err <= np.maximum(tol * (b - a) / span, ROUNDING_FLOOR)
+        done.append([a[ok], b[ok], err[ok], *(r[ok] for r in results)])
+        n_done += int(np.count_nonzero(ok))
+        a, b = a[~ok], b[~ok]
+        mid = 0.5 * (a + b)
+        # A half no wider than the nudge could not be sampled one-sided.
+        if np.any(mid - a <= JUMP_NUDGE * np.maximum(1.0, np.abs(mid))):
+            raise NonConvergence(f"panel refinement cannot resolve a panel "
+                                 f"to tol={tol:g}")
+        a, b = np.concatenate((a, mid)), np.concatenate((mid, b))
+
+    kept = [np.concatenate(parts) for parts in zip(*done)]
+    order = np.argsort(kept[0])
+    return [part[order] for part in kept]

@@ -8,20 +8,26 @@ depends on phi and chi but not on Delta.  Its line integral J over the
 truncated domain bounds the asymptotic coefficients (|alpha| <= cosh J,
 |beta| <= sinh J) and hence T >= sech^2 J, R <= tanh^2 J, for every real
 admissible gauge.  Minimizing J over a gauge family tightens the bound.
+
+J is integrated on the Chebyshev panels the oracle also uses (_panels):
+Clenshaw-Curtis sums on panels split at theta's breakpoints, bisected
+until each panel's trailing-coefficient estimate meets its share of the
+tolerance.  The optimizer scans the family, then refines the best member
+by golden section, keeping the gauge and J of the best member evaluated.
 """
 
 import math
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import IntegrationWarning, quad
 
+from ._panels import S, TAIL, bisect, nudged, points, subdivide
 from .errors import (BoundViolation, ComplexGaugeRejected, EmptyFamily,
                      GaugeDegenerate, NonConvergence, TurningPoint)
 from .gauges import GaugeTriple, gauge_interpolated
-from .potentials import (DomainGrid, EnergySpec, PotentialProfile, scalarize,
-                         truncate_domain, wavenumber_field, window_edges)
+from .potentials import (GRID_DIVISIONS, DomainGrid, EnergySpec,
+                         PotentialProfile, scalarize, truncate_domain,
+                         wavenumber_field, window_edges)
 
 GOLDEN_TOL = 1.0e-6
 SCAN_POINTS = 33
@@ -81,34 +87,42 @@ def theta_field(g: GaugeTriple, w) -> ThetaField:
 
 
 def theta_integral(t: ThetaField, grid: DomainGrid, tol: float) -> float:
-    """Adaptive quadrature of theta over the truncated domain, splitting
-    at jump discontinuities."""
+    """Integral of theta over the truncated domain on Chebyshev panels.
+
+    The window is cut at theta's breakpoints into panels no wider than
+    GRID_DIVISIONS grid steps, the length truncate_domain divides into
+    steps.  Each panel's integral is its Clenshaw-Curtis sum h S[-1] theta
+    and its error estimate h times its largest trailing Chebyshev
+    coefficient; _panels.bisect halves the panels that miss their share
+    of tol.  theta is evaluated once per bisection level, on every open
+    panel's points, with a panel end on a breakpoint nudged inward so a
+    jump is sampled from the panel's own side.  Raises NonConvergence when
+    theta is not finite, when the panels run out, or when the summed
+    estimate exceeds tol.
+    """
     if tol <= 0:
         raise ValueError("tol must be > 0")
-    edges = window_edges(grid.x_min, grid.x_max, t.breakpoints)
-    n_seg = len(edges) - 1
-    total = 0.0
-    err_total = 0.0
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", IntegrationWarning)
-        # Gauss-Kronrod nodes are strictly interior, so integrating up to
-        # a jump never evaluates the integrand exactly on it.
-        for a, b in zip(edges[:-1], edges[1:]):
-            try:
-                val, err = quad(t.theta, a, b,
-                                epsabs=0.5 * tol / n_seg, epsrel=1e-11,
-                                limit=400)
-            except IntegrationWarning as exc:
-                raise NonConvergence(
-                    f"theta quadrature failed on [{a:g}, {b:g}]: {exc}"
-                ) from exc
-            total += val
-            err_total += err
+    edges = np.array(window_edges(grid.x_min, grid.x_max, t.breakpoints))
+    breaks = edges[1:-1]
+
+    def solve(a, b):
+        h = 0.5 * (b - a)
+        x = nudged(points(a, h), a, b, breaks)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            vals = np.asarray(t.theta(x.ravel())).reshape(x.shape)
+        if not np.all(np.isfinite(vals)):
+            raise NonConvergence("theta is not finite on the window")
+        err = h * np.max(np.abs(vals @ TAIL.T), axis=1)
+        return err, h * (vals @ S[-1])
+
+    a, b = subdivide(edges[:-1], edges[1:], GRID_DIVISIONS * grid.max_step)
+    _, _, err, parts = bisect(solve, a, b, grid.span, tol)
+    err_total = float(np.sum(err))
     if err_total > tol:
         raise NonConvergence(
             f"theta quadrature error estimate {err_total:g} exceeds "
             f"tol={tol:g}")
-    return float(total)
+    return float(np.sum(parts))
 
 
 def _report(theta: float, gauge_id: str) -> BoundReport:
@@ -202,54 +216,49 @@ def optimize_gauge(p: PotentialProfile, e: EnergySpec, family: GaugeFamily,
     if grid is None:
         grid = truncate_domain(p, e)
 
+    best_val, best_s, best_gauge = math.inf, None, None
+
     def theta_of(s):
+        nonlocal best_val, best_s, best_gauge
         # Members can fail either at construction (turning point) or at
         # the bound integrand (distributional phi''); both are skipped.
+        # The strict comparison lets the earliest evaluated s win ties.
         try:
             g = family.builder(s)
-            t = theta_field(g, w)
-            return g, theta_integral(t, grid, tol)
+            val = theta_integral(theta_field(g, w), grid, tol)
         except (TurningPoint, GaugeDegenerate):
-            return None, math.inf
+            return math.inf
+        if val < best_val:
+            best_val, best_s, best_gauge = val, s, g
+        return val
 
     scan = np.linspace(family.s_min, family.s_max, SCAN_POINTS)
     if not np.any(np.isclose(scan, family.baseline_s, atol=0.0)):
         scan = np.sort(np.append(scan, family.baseline_s))
-    best_s = None
-    best_val = math.inf
-    values = {}
-    for s in scan:
-        _, val = theta_of(float(s))
-        values[float(s)] = val
-        if val < best_val:  # strict: earliest (smallest) s wins ties
-            best_val = val
-            best_s = float(s)
-    if best_s is None or math.isinf(best_val):
+    values = {float(s): theta_of(float(s)) for s in scan}
+    if best_s is None:
         raise EmptyFamily(f"no admissible member in family {family.name}")
 
     idx = int(np.where(scan == best_s)[0][0])
     lo = float(scan[max(idx - 1, 0)])
     hi = float(scan[min(idx + 1, scan.size - 1)])
-    if math.isinf(values.get(lo, math.inf)):
+    if math.isinf(values[lo]):
         lo = best_s
-    if math.isinf(values.get(hi, math.inf)):
+    if math.isinf(values[hi]):
         hi = best_s
+    # Golden section: each step keeps one interior point and its value.
     inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
-    while hi - lo > GOLDEN_TOL:
+    if hi - lo > GOLDEN_TOL:
         m1 = hi - inv_phi * (hi - lo)
         m2 = lo + inv_phi * (hi - lo)
-        _, v1 = theta_of(m1)
-        _, v2 = theta_of(m2)
-        if v1 < best_val:
-            best_val, best_s = v1, m1
-        if v2 < best_val:
-            best_val, best_s = v2, m2
+        v1, v2 = theta_of(m1), theta_of(m2)
+    while hi - lo > GOLDEN_TOL:
         if v1 <= v2:
-            hi = m2
+            hi, m2, v2 = m2, m1, v1
+            m1 = hi - inv_phi * (hi - lo)
+            v1 = theta_of(m1)
         else:
-            lo = m1
-    best_gauge, best_theta = theta_of(best_s)
-    if best_gauge is None:
-        raise EmptyFamily(f"optimizer landed on an inadmissible member "
-                          f"s={best_s:g}")
-    return best_gauge, _report(best_theta, best_gauge.label)
+            lo, m1, v1 = m1, m2, v2
+            m2 = lo + inv_phi * (hi - lo)
+            v2 = theta_of(m2)
+    return best_gauge, _report(best_val, best_gauge.label)

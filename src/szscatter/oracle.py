@@ -14,7 +14,9 @@ second-kind system (I + diag(k^2) h^2 S^2) sigma = -k^2 (psi_a +
 psi'_a (x - a)), and one batched solve gives both fundamental solutions of
 every panel, hence its 2x2 map (psi, psi')_a -> (psi, psi')_b.  A panel is
 accepted when the error its trailing Chebyshev coefficients of sigma imply
-is below its share of tol; the others are bisected and re-solved together.
+is below its share of tol; the others are bisected and re-solved together
+(the panel operators and the bisection loop live in _panels, which the
+bound integral shares).
 The maps are multiplied in order and the result is matched onto plane
 waves at the right edge; that matching is all the oracle shares with the
 coefficient-pair engine.  The analytic oracles are closed forms, so they
@@ -28,44 +30,16 @@ from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.polynomial.chebyshev import chebint, chebvander
 
-from .errors import AsymptoticallyClosedChannel, NonConvergence
+from ._panels import (BARY, NODES, PANEL_NODES, S, S2, TAIL, bisect, nudged,
+                      points, subdivide)
+from .errors import AsymptoticallyClosedChannel
 from .potentials import (DomainGrid, EnergySpec, PotentialProfile,
                          wavenumber_field, window_edges)
 from .sz_core import WavefunctionSample, _plane_wave_pair
 
-# Chebyshev-Lobatto points per panel.
-PANEL_NODES = 24
-# Most panels one direct_integrate call may hold; past it the bisection
-# gives up with NonConvergence.
-MAX_PANELS = 1 << 14
 # Panels per batched solve, which bounds the (panels, n, n) systems.
 _SOLVE_BLOCK = 1024
-# Inward nudge that samples k^2 one-sided at a jump of the potential.
-_JUMP_NUDGE = 1.0e-13
-# Trailing Chebyshev coefficients of sigma that measure a panel's error.
-_N_TAIL = 3
-# Error estimates below this are rounding noise of one panel solve.
-_ROUNDING_FLOOR = 64.0 * float(np.finfo(np.float64).eps)
-
-
-def _chebyshev_operators(n: int) -> tuple:
-    """Lobatto points on [-1, 1] in ascending order, the integration
-    matrix S (values at the points -> values of the integral from -1 of
-    their interpolant), the rows of the values -> coefficients map that
-    give the last _N_TAIL coefficients, and the barycentric weights."""
-    t = -np.cos(np.pi * np.arange(n) / (n - 1))
-    to_coef = np.linalg.inv(chebvander(t, n - 1))
-    integ = chebint(np.eye(n), lbnd=-1.0, axis=0)
-    s = chebvander(t, n) @ integ @ to_coef
-    bary = (-1.0) ** np.arange(n)
-    bary[[0, -1]] *= 0.5
-    return t, s, to_coef[-_N_TAIL:], bary
-
-
-_NODES, _S, _TAIL, _BARY = _chebyshev_operators(PANEL_NODES)
-_S2 = _S @ _S
 
 
 @dataclass(frozen=True)
@@ -85,48 +59,28 @@ _Panels = namedtuple("_Panels", "a h maps sigma")
 
 def _solve_panels(k_squared, a, b, jumps) -> tuple:
     """Both fundamental solutions on each panel [a_i, b_i].  Returns
-    (maps, sigma, err): map entries of shape (P, 4), sigma of shape
-    (P, n, 2) and each panel's error estimate."""
+    (err, maps, sigma): each panel's error estimate, map entries of shape
+    (P, 4) and sigma of shape (P, n, 2)."""
     h = 0.5 * (b - a)
-    x = a[:, None] + h[:, None] * (_NODES + 1.0)
-    xe = x.copy()
-    for col, ends, inward in ((0, a, 1.0), (-1, b, -1.0)):
-        at = np.isin(ends, jumps)
-        xe[at, col] += inward * _JUMP_NUDGE * np.maximum(1.0, np.abs(ends[at]))
+    x = points(a, h)
+    xe = nudged(x, a, b, jumps)
     k2 = np.asarray(k_squared(xe.ravel())).reshape(xe.shape)
     rhs = -k2[:, :, None] * np.stack((np.ones_like(x), x - a[:, None]), -1)
     sigma = np.empty_like(rhs)
     for lo in range(0, a.size, _SOLVE_BLOCK):
         blk = slice(lo, lo + _SOLVE_BLOCK)
         hh = (h[blk] * h[blk])[:, None, None]
-        system = np.eye(PANEL_NODES) + k2[blk, :, None] * hh * _S2
+        system = np.eye(PANEL_NODES) + k2[blk, :, None] * hh * S2
         sigma[blk] = np.linalg.solve(system, rhs[blk])
-    d_end = h[:, None] * (_S[-1] @ sigma)
-    p_end = (h * h)[:, None] * (_S2[-1] @ sigma)
+    d_end = h[:, None] * (S[-1] @ sigma)
+    p_end = (h * h)[:, None] * (S2[-1] @ sigma)
     maps = np.stack((1.0 + p_end[:, 0], 2.0 * h + p_end[:, 1],
                      d_end[:, 0], 1.0 + d_end[:, 1]), axis=-1)
     # The dropped tail moves psi of the first solution by about h^2 times
     # its size and psi' of the second by about h times it.
-    tail = np.max(np.abs(_TAIL @ sigma), axis=1)
+    tail = np.max(np.abs(TAIL @ sigma), axis=1)
     err = np.maximum(h * h * tail[:, 0], h * tail[:, 1])
-    return maps, sigma, err
-
-
-def _too_many(n: int) -> None:
-    if n > MAX_PANELS:
-        raise NonConvergence(f"direct integration needs more than "
-                             f"{MAX_PANELS} panels")
-
-
-def _subdivide(lo: np.ndarray, hi: np.ndarray, width: float) -> tuple:
-    """Cut each [lo_i, hi_i] into equal panels no wider than width."""
-    n = np.ceil((hi - lo) / width).astype(int).clip(1)
-    _too_many(int(n.sum()))
-    seg = np.repeat(np.arange(lo.size), n)
-    j = np.arange(seg.size) - np.repeat(np.cumsum(n) - n, n)
-    step = ((hi - lo) / n)[seg]
-    left = lo[seg] + j * step
-    return left, np.where(j + 1 == n[seg], hi[seg], lo[seg] + (j + 1) * step)
+    return err, maps, sigma
 
 
 def _panels(k_squared, jumps, grid: DomainGrid, width: float,
@@ -134,42 +88,27 @@ def _panels(k_squared, jumps, grid: DomainGrid, width: float,
     """Adaptive panel partition of the window with every panel solved.
 
     The window is split at the jumps and into panels no wider than width
-    or 4 / k_max; panels whose error estimate exceeds their share of tol
-    (tol times their share of the window) are bisected until all pass."""
+    or 4 / k_max; _panels.bisect then halves every panel whose error
+    estimate exceeds its share of tol until all pass."""
     edges = np.array(window_edges(grid.x_min, grid.x_max, jumps))
-    a, b = _subdivide(edges[:-1], edges[1:], width)
-    probe = a[:, None] + 0.5 * (b - a)[:, None] * (_NODES[1:-1] + 1.0)
+    a, b = subdivide(edges[:-1], edges[1:], width)
+    probe = points(a, 0.5 * (b - a))[:, 1:-1]
     k_max = math.sqrt(float(np.max(np.abs(k_squared(probe.ravel())))))
     if 4.0 < k_max * width:
-        a, b = _subdivide(a, b, 4.0 / k_max)
-
-    done = []
-    n_done = 0
-    while a.size:
-        _too_many(n_done + a.size)
-        maps, sigma, err = _solve_panels(k_squared, a, b, jumps)
-        ok = err <= np.maximum(tol * (b - a) / grid.span, _ROUNDING_FLOOR)
-        done.append((a[ok], b[ok], maps[ok], sigma[ok]))
-        n_done += int(np.count_nonzero(ok))
-        a, b = a[~ok], b[~ok]
-        mid = 0.5 * (a + b)
-        if np.any((mid <= a) | (mid >= b)):
-            raise NonConvergence("direct integration cannot resolve a "
-                                 f"panel to tol={tol:g}")
-        a, b = np.concatenate((a, mid)), np.concatenate((mid, b))
-
-    a, b, maps, sigma = (np.concatenate(parts) for parts in zip(*done))
-    order = np.argsort(a)
-    return _Panels(a[order], 0.5 * (b - a)[order], maps[order], sigma[order])
+        a, b = subdivide(a, b, 4.0 / k_max)
+    a, b, _, maps, sigma = bisect(
+        lambda a, b: _solve_panels(k_squared, a, b, jumps), a, b, grid.span,
+        tol)
+    return _Panels(a, 0.5 * (b - a), maps, sigma)
 
 
 def _interpolate(t: np.ndarray, values: np.ndarray) -> np.ndarray:
     """Barycentric interpolation of node values (one row per point) at
     the points t in [-1, 1]."""
-    diff = t[:, None] - _NODES
+    diff = t[:, None] - NODES
     hit = diff == 0.0
     diff[hit] = 1.0
-    weights = _BARY / diff
+    weights = BARY / diff
     out = (weights * values).sum(axis=1) / weights.sum(axis=1)
     rows, cols = np.nonzero(hit)
     out[rows] = values[rows, cols]
@@ -185,9 +124,9 @@ def _samples(panels: _Panels, starts: np.ndarray, xs: np.ndarray) -> tuple:
     a, h = panels.a[i], panels.h[i]
     psi_a, dpsi_a = starts[0, i], starts[1, i]
     sig = np.einsum("pnc,cp->pn", panels.sigma[i], starts[:, i])
-    psi = (psi_a[:, None] + dpsi_a[:, None] * h[:, None] * (_NODES + 1.0)
-           + (h * h)[:, None] * (sig @ _S2.T))
-    dpsi = dpsi_a[:, None] + h[:, None] * (sig @ _S.T)
+    psi = (psi_a[:, None] + dpsi_a[:, None] * h[:, None] * (NODES + 1.0)
+           + (h * h)[:, None] * (sig @ S2.T))
+    dpsi = dpsi_a[:, None] + h[:, None] * (sig @ S.T)
     t = (xs - a) / h - 1.0
     return _interpolate(t, psi), _interpolate(t, dpsi)
 
@@ -200,8 +139,8 @@ def direct_integrate(p: PotentialProfile, e: EnergySpec, grid: DomainGrid,
     it to the right edge, where it is matched onto normalized plane waves.
     tol bounds the summed panel error estimates.  With n_samples > 0 the
     wavefunction is recorded at that many uniformly spaced positions.
-    Raises NonConvergence when the panels would exceed MAX_PANELS or a
-    panel cannot be resolved.
+    Raises NonConvergence when the panels would exceed _panels.MAX_PANELS
+    or a panel cannot be resolved.
     """
     if tol <= 0:
         raise ValueError("tol must be > 0")

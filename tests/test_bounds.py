@@ -1,21 +1,26 @@
 """Theta field, the four bounds, verification, and gauge optimization."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
+from scipy.integrate import IntegrationWarning, quad
 
+from szscatter import _panels, bounds
 from szscatter.bounds import (BoundReport, bound_report, optimize_gauge,
                               phi_prime_family, theta_field, theta_integral,
-                              verify_bounds, GaugeFamily)
+                              verify_bounds, GaugeFamily, ThetaField)
 from szscatter.errors import (BoundViolation, ComplexGaugeRejected,
-                              EmptyFamily, GaugeDegenerate, TurningPoint)
+                              EmptyFamily, GaugeDegenerate, NonConvergence,
+                              TurningPoint)
 from szscatter.gauges import (GaugeTriple, constant_field, gauge_antiphase,
                               gauge_constant, gauge_special_delta, gauge_wkb)
 from szscatter.oracle import (OracleResult, analytic_square_barrier,
                               direct_integrate)
-from szscatter.potentials import (EnergySpec, gaussian, square_barrier,
-                                  truncate_domain, wavenumber_field)
+from szscatter.potentials import (EnergySpec, gaussian, poschl_teller,
+                                  square_barrier, tabulated, truncate_domain,
+                                  wavenumber_field, window_edges)
 
 SQRT2 = math.sqrt(2.0)
 
@@ -222,6 +227,22 @@ def test_theta_integral_nonconvergence_on_degenerate_slope():
         theta_integral(t, grid, 1e-10)
 
 
+def test_theta_integral_nonconvergence_on_vanishing_slope():
+    # The monotone cubic through x^2 has phi'(0) = 0 exactly, and the
+    # first bisection puts a panel end there: theta is infinite.
+    from szscatter.gauges import gauge_from_tables
+    from szscatter.potentials import DomainGrid
+
+    xs = np.linspace(-1.0, 1.0, 81)
+    g = gauge_from_tables((xs, xs**2))
+    assert g.phi_prime(0.0) == 0.0
+    w = wavenumber_field(square_barrier(0.0, 1.0), EnergySpec(1.0))
+    t = theta_field(g, w)
+    grid = DomainGrid(-1.0, 1.0, max_step=0.01)
+    with pytest.raises(NonConvergence, match="not finite"):
+        theta_integral(t, grid, 1e-10)
+
+
 def test_optimizer_empty_family():
     def always_fails(s):
         raise TurningPoint("no admissible member")
@@ -231,3 +252,116 @@ def test_optimizer_empty_family():
     e, grid, _ = _setup(p, 2.0)
     with pytest.raises(EmptyFamily):
         optimize_gauge(p, e, family, 1e-10, grid=grid)
+
+
+def _piecewise_quad(t, edges):
+    """Reference theta integral: scipy's adaptive quad on each smooth
+    piece, with any quad warning raised as an error."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", IntegrationWarning)
+        return sum(quad(t.theta, a, b, epsabs=1e-14, epsrel=1e-13,
+                        limit=200)[0]
+                   for a, b in zip(edges[:-1], edges[1:]))
+
+
+@pytest.mark.parametrize("energy", [0.5, 2.0, 10.0])
+@pytest.mark.parametrize("build", [lambda: gaussian(1.0, 1.0),
+                                   lambda: poschl_teller(2),
+                                   lambda: square_barrier(1.0, 1.0),
+                                   lambda: gaussian(5.0, 0.05)],
+                         ids=["gauss", "pt2", "barrier", "narrow_gauss"])
+def test_theta_integral_matches_piecewise_quad(build, energy):
+    p = build()
+    e, grid, w = _setup(p, energy)
+    base = gauge_constant(w.k_left)
+    gauges = [base, gauge_special_delta(base, w, grid)]
+    try:
+        gauges.append(gauge_wkb(w, grid))
+    except TurningPoint:  # k^2 < 0 somewhere: no wkb gauge
+        pass
+    checked = 0
+    for g in gauges:
+        if g.phi_prime_jumps:  # wkb on the barrier has no theta field
+            continue
+        t = theta_field(g, w)
+        edges = window_edges(grid.x_min, grid.x_max, t.breakpoints)
+        assert abs(theta_integral(t, grid, 1e-10)
+                   - _piecewise_quad(t, edges)) <= 1e-12, g.label
+        checked += 1
+    assert checked >= 2
+
+
+def _odd_bump_table():
+    xs = np.linspace(-6.0, 6.0, 41)
+    p = tabulated(xs, 0.8 * xs * np.exp(-xs**2))
+    _, grid, w = _setup(p, 2.0)
+    return xs, grid, w
+
+
+def test_theta_integral_on_table_constant_gauge():
+    # Adaptive quad over the whole window raised NonConvergence here at
+    # tol 1e-10.  theta is smooth on each knot interval, so quad on each
+    # interval gives the reference.
+    xs, grid, w = _odd_bump_table()
+    t = theta_field(gauge_constant(w.k_left), w)
+    reference = _piecewise_quad(t, [grid.x_min, *xs, grid.x_max])
+    assert abs(theta_integral(t, grid, 1e-10) - reference) <= 1e-10
+
+
+def test_theta_integral_on_table_wkb_gauge():
+    # Adaptive quad over the whole window raised NonConvergence here at
+    # tol 1e-8 and 1e-10.
+    _, grid, w = _odd_bump_table()
+    t = theta_field(gauge_wkb(w, grid), w)
+    assert abs(theta_integral(t, grid, 1e-8)
+               - theta_integral(t, grid, 1e-10)) <= 1e-8
+
+
+def test_theta_never_sampled_on_a_breakpoint():
+    # theta jumps at the barrier edges; the panel ends there are sampled
+    # from inside their own panel.
+    p = square_barrier(1.0, 1.0)
+    _, grid, w = _setup(p, 2.0)
+    t = theta_field(gauge_constant(SQRT2), w)
+    seen = []
+
+    def recording(x):
+        seen.append(np.array(x, dtype=float))
+        return t.theta(x)
+
+    spy = ThetaField(theta=recording, gauge_id=t.gauge_id,
+                     breakpoints=t.breakpoints)
+    assert theta_integral(spy, grid, 1e-10) == pytest.approx(
+        THETA_BARRIER_E2, abs=1e-12)
+    xs = np.concatenate(seen)
+    assert not np.isin(t.breakpoints, xs).any()
+
+
+def test_theta_integral_raises_when_panels_run_out(monkeypatch):
+    p = gaussian(1.0, 1.0)
+    _, grid, w = _setup(p, 2.0)
+    t = theta_field(gauge_constant(SQRT2), w)
+    theta_integral(t, grid, 1e-10)
+    monkeypatch.setattr(_panels, "MAX_PANELS", 2)
+    with pytest.raises(NonConvergence):
+        theta_integral(t, grid, 1e-10)
+
+
+def test_golden_section_reuses_one_interior_point(monkeypatch):
+    # 33 scan members, then one new member per golden-section step (two
+    # for the first); the winner's theta is not computed again.
+    p = gaussian(1.0, 1.0)
+    e, grid, w = _setup(p, 2.0)
+    family = phi_prime_family(p, e, grid)
+    calls = []
+
+    def counting(t, grid, tol):
+        calls.append(t.gauge_id)
+        return theta_integral(t, grid, tol)
+
+    monkeypatch.setattr(bounds, "theta_integral", counting)
+    gauge, rep = optimize_gauge(p, e, family, 1e-10, grid=grid)
+    monkeypatch.undo()
+    assert len(calls) <= 58
+    assert rep.theta_integral == theta_integral(theta_field(gauge, w), grid,
+                                                1e-10)

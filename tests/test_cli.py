@@ -345,10 +345,10 @@ def test_run_exit_four_on_violation(monkeypatch, tmp_path):
 
 
 def test_verify_exits_three_when_oracle_panels_run_out(monkeypatch, tmp_path):
-    import szscatter.oracle as oracle_mod
+    import szscatter._panels as panels_mod
 
-    # The barrier window needs three panels.
-    monkeypatch.setattr(oracle_mod, "MAX_PANELS", 2)
+    # The barrier window needs three panels, for the oracle and theta alike.
+    monkeypatch.setattr(panels_mod, "MAX_PANELS", 2)
     csv = tmp_path / "verify.csv"
     cfg = tmp_path / "verify.cfg"
     cfg.write_text(BARRIER_BOUNDS.replace("mode = bounds", "mode = verify")

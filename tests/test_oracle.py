@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from szscatter import _kernels, _tables, oracle
+from szscatter import _kernels, _panels, _tables, oracle
 from szscatter._kernels import rk45_wave
 from szscatter.errors import AsymptoticallyClosedChannel, NonConvergence
 from szscatter.oracle import (analytic_reflectionless, analytic_square_barrier,
@@ -246,10 +246,10 @@ def test_panel_cap_raises_nonconvergence(monkeypatch):
     e = EnergySpec(2.0)
     grid = truncate_domain(p, e)
     n = _panel_count(p, e, 1e-12)
-    monkeypatch.setattr(oracle, "MAX_PANELS", n - 1)
+    monkeypatch.setattr(_panels, "MAX_PANELS", n - 1)
     with pytest.raises(NonConvergence):
         direct_integrate(p, e, grid, 1e-12)
-    monkeypatch.setattr(oracle, "MAX_PANELS", n)
+    monkeypatch.setattr(_panels, "MAX_PANELS", n)
     direct_integrate(p, e, grid, 1e-12)
 
 
