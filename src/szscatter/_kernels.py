@@ -25,7 +25,7 @@ import math
 
 import numpy as np
 
-from ._tables import EDGE_NUDGE
+from ._panels import EDGE_NUDGE
 
 
 def numba_active() -> bool:

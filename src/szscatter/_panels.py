@@ -15,7 +15,7 @@ width, and hand bisect() a function that solves one batch of panels.
 bisect() accepts a panel when its error estimate is at most
 max(tol (b - a) / span, ROUNDING_FLOOR), bisects the others and solves
 them again together, and raises NonConvergence past MAX_PANELS panels or
-when a half would be no wider than JUMP_NUDGE max(1, |x|).
+when a half would be no wider than EDGE_NUDGE max(1, |x|).
 """
 
 import numpy as np
@@ -30,10 +30,11 @@ PANEL_NODES = 24
 MAX_PANELS = 1 << 14
 # Trailing Chebyshev coefficients that measure a panel's error.
 N_TAIL = 3
-# Inward nudge, relative to max(1, |x|), of a panel end that lies on a
-# breakpoint: the Lobatto points include both ends, and a jump there must
-# be sampled from the panel's own side.
-JUMP_NUDGE = 1.0e-13
+# Inward nudge, relative to max(1, |x|), of a sample on an edge where a
+# field may jump, so it takes the one-sided limit from its own side: panel
+# ends on a breakpoint (the Lobatto points include both ends), antiderivative
+# knots at segment ends, Runge-Kutta stages and junction projections.
+EDGE_NUDGE = 1.0e-13
 # Error estimates below this are rounding noise of one panel.
 ROUNDING_FLOOR = 64.0 * float(np.finfo(np.float64).eps)
 
@@ -64,14 +65,14 @@ def points(a: np.ndarray, h: np.ndarray) -> np.ndarray:
 def nudged(x: np.ndarray, a: np.ndarray, b: np.ndarray,
            breaks: np.ndarray) -> np.ndarray:
     """The points x of the panels [a_i, b_i] with every end that lies on
-    a breakpoint moved JUMP_NUDGE max(1, |end|) inward (a copy, or x
+    a breakpoint moved EDGE_NUDGE max(1, |end|) inward (a copy, or x
     itself when there are no breakpoints)."""
     if not breaks.size:
         return x
     xe = x.copy()
     for col, ends, inward in ((0, a, 1.0), (-1, b, -1.0)):
         at = np.isin(ends, breaks)
-        xe[at, col] += inward * JUMP_NUDGE * np.maximum(1.0, np.abs(ends[at]))
+        xe[at, col] += inward * EDGE_NUDGE * np.maximum(1.0, np.abs(ends[at]))
     return xe
 
 
@@ -112,7 +113,7 @@ def bisect(solve, a: np.ndarray, b: np.ndarray, span: float,
         a, b = a[~ok], b[~ok]
         mid = 0.5 * (a + b)
         # A half no wider than the nudge could not be sampled one-sided.
-        if np.any(mid - a <= JUMP_NUDGE * np.maximum(1.0, np.abs(mid))):
+        if np.any(mid - a <= EDGE_NUDGE * np.maximum(1.0, np.abs(mid))):
             raise NonConvergence(f"panel refinement cannot resolve a panel "
                                  f"to tol={tol:g}")
         a, b = np.concatenate((a, mid)), np.concatenate((mid, b))

@@ -4,9 +4,9 @@ segment_plan splits a walk at the edges of the smooth segments; evolve and
 transfer_matrix both walk with it.  segmented_antiderivative builds the
 continuous phi of the local-wavenumber and family gauges and the Delta of
 the special-Delta gauge from Gauss-Legendre accumulation and cubic Hermite
-pieces.  Segments never
-straddle a discontinuity, and samples at a jump are nudged EDGE_NUDGE
-inside the segment so they take the one-sided limit.
+pieces.  Segments never straddle a discontinuity, and samples at a jump
+are nudged EDGE_NUDGE (_panels) inside the segment (nudged_knots) so they
+take the one-sided limit.
 
 No kernel reads a table: the Runge-Kutta loop and the ordered product
 evaluate their generator directly.  build_segment_table (cubic-spline
@@ -21,13 +21,12 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss
 from scipy.interpolate import CubicHermiteSpline, CubicSpline
 
+from ._panels import EDGE_NUDGE
+
 # Default knot spacing for tables and antiderivatives; segments shorter than
 # 8 * TABLE_STEP still get at least MIN_INTERVALS intervals.
 TABLE_STEP = 1.0e-3
 MIN_INTERVALS = 8
-
-# Inward nudge used to sample one-sided limits at jump discontinuities.
-EDGE_NUDGE = 1.0e-13
 
 _GL_NODES, _GL_WEIGHTS = leggauss(5)
 
@@ -203,12 +202,7 @@ def segmented_antiderivative(fn, edges, max_spacing: float, y0: float = 0.0) -> 
     for x0, x1 in zip(edges[:-1], edges[1:]):
         n = max(MIN_INTERVALS, int(np.ceil((x1 - x0) / max_spacing)))
         xs = segment_knots(x0, x1, n)
-        span = x1 - x0
-        eps = EDGE_NUDGE * max(1.0, abs(x0), abs(x1), span)
-        xs_eval = xs.copy()
-        xs_eval[0] += eps
-        xs_eval[-1] -= eps
-        dys = np.asarray(fn(xs_eval), dtype=float)
+        dys = np.asarray(fn(nudged_knots(xs, True, True)), dtype=float)
         ys = cumulative_values(fn, xs, running)
         # Match the one-sided derivative samples with the true knots.
         polys.append(CubicHermiteSpline(xs, ys, dys))

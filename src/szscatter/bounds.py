@@ -2,8 +2,9 @@
 
 The nonnegative field
 
-    theta(x) = sqrt(rho1^2 + rho2^2) / (2 |phi'|)
+    theta(x) = sqrt(rho1^2 + rho2^2) / (2 |phi'|),
 
+built from gauges.rho_pair and equal to |M12| of the evolution generator,
 depends on phi and chi but not on Delta.  Its line integral J over the
 truncated domain bounds the asymptotic coefficients (|alpha| <= cosh J,
 |beta| <= sinh J) and hence T >= sech^2 J, R <= tanh^2 J, for every real
@@ -24,13 +25,16 @@ import numpy as np
 from ._panels import S, TAIL, bisect, nudged, points, subdivide
 from .errors import (BoundViolation, ComplexGaugeRejected, EmptyFamily,
                      GaugeDegenerate, NonConvergence, TurningPoint)
-from .gauges import GaugeTriple, gauge_interpolated
+from .gauges import GaugeTriple, gauge_interpolated, rho_pair
 from .potentials import (GRID_DIVISIONS, DomainGrid, EnergySpec,
                          PotentialProfile, scalarize, truncate_domain,
                          wavenumber_field, window_edges)
 
 GOLDEN_TOL = 1.0e-6
 SCAN_POINTS = 33
+# Rounding slack of a bound check: a margin below -BOUND_SLACK is a
+# violation.
+BOUND_SLACK = 1.0e-12
 
 
 @dataclass(frozen=True, eq=False)
@@ -73,17 +77,16 @@ def theta_field(g: GaugeTriple, w) -> ThetaField:
             "phi' is discontinuous, so phi'' has point masses the bound "
             "integral cannot represent; use a gauge with continuous phi'")
 
-    def raw(xv):
-        ppr = np.asarray(g.phi_prime(xv))
-        chi = np.asarray(g.chi(xv))
-        r1 = np.asarray(g.phi_double_prime(xv)) + 2.0 * chi * ppr
-        r2 = (np.asarray(w.k_squared(xv)) + chi**2
-              + np.asarray(g.chi_prime(xv)) - ppr**2)
-        return np.sqrt(r1 * r1 + r2 * r2) / (2.0 * np.abs(ppr))
+    r = rho_pair(g, w)
 
-    breaks = tuple(sorted(set(g.breakpoints) | set(w.breakpoints)))
+    def raw(xv):
+        r1 = np.asarray(r.rho1(xv))
+        r2 = np.asarray(r.rho2(xv))
+        return (np.sqrt(r1 * r1 + r2 * r2)
+                / (2.0 * np.abs(np.asarray(g.phi_prime(xv)))))
+
     return ThetaField(theta=scalarize(raw), gauge_id=g.label,
-                      breakpoints=breaks)
+                      breakpoints=r.breakpoints)
 
 
 def theta_integral(t: ThetaField, grid: DomainGrid, tol: float) -> float:
@@ -152,16 +155,16 @@ def bound_report(p: PotentialProfile, e: EnergySpec, g: GaugeTriple,
 def verify_bounds(report: BoundReport, exact) -> VerificationRecord:
     """Check an exact result against a bound report.
 
-    A negative margin beyond 1e-12 raises BoundViolation: the bounds are
-    rigorous, so a violation always signals an implementation bug.
+    A negative margin beyond BOUND_SLACK raises BoundViolation: the bounds
+    are rigorous, so a violation always signals an implementation bug.
     """
     margin_t = exact.transmission - report.t_lower
     margin_r = report.r_upper - exact.reflection
-    if margin_t < -1e-12:
+    if margin_t < -BOUND_SLACK:
         raise BoundViolation(
             f"T_exact={exact.transmission:.15g} fell below "
             f"t_lower={report.t_lower:.15g} (gauge {report.gauge_id})")
-    if margin_r < -1e-12:
+    if margin_r < -BOUND_SLACK:
         raise BoundViolation(
             f"R_exact={exact.reflection:.15g} exceeded "
             f"r_upper={report.r_upper:.15g} (gauge {report.gauge_id})")

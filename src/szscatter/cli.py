@@ -304,7 +304,7 @@ def _rows_for_energy(config: RunConfig, energy: float) -> tuple:
         amp = scattering_amplitudes(config.potential, e, gauge,
                                     config.ode_tol, grid)
         margin = oracle_t - report.t_lower
-        if margin < -1e-12:
+        if margin < -bounds_mod.BOUND_SLACK:
             violations += 1
         rows.append(ResultRow(
             energy=energy, gauge_id=gauge.label,
@@ -337,7 +337,7 @@ def _rows_for_energy(config: RunConfig, energy: float) -> tuple:
             if config.mode == "verify":
                 row.oracle_t = oracle_t
                 row.margin_t = oracle_t - report.t_lower
-                if row.margin_t < -1e-12:
+                if row.margin_t < -bounds_mod.BOUND_SLACK:
                     violations += 1
         row.runtime_ms = 1e3 * (time.perf_counter() - start)
         rows.append(row)

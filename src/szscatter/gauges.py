@@ -1,19 +1,24 @@
 """Gauge triples (phi, Delta, chi), their derived rho pair, and presets.
 
 A gauge triple parameterizes the two-wave decomposition of the
-wavefunction.  Presets cover the useful special cases: constant phase
-slope, local-wavenumber slope (WKB-like), the diagonal-killing Delta
-choice, and the phase-killing Delta = -phi choice.  Arbitrary tabulated
-gauges are accepted through gauge_from_tables.
+wavefunction.  rho_pair is the one place the pair rho1 = phi'' + 2 chi
+phi', rho2 = k^2 + chi^2 + chi' - phi'^2 is written: the evolution
+generator, the bound integrand theta (bounds.theta_field) and the
+diagonal-killing Delta' = rho2 / (2 phi') all read it.  Presets cover the
+useful special cases: constant phase slope, the family phi' = (1-s)
+k_left + s k(x) whose s = 1 member is the local-wavenumber (WKB-like)
+gauge, the diagonal-killing Delta choice, and the phase-killing Delta =
+-phi choice.  Arbitrary tabulated gauges are accepted through
+gauge_from_tables.
 """
 
 import numpy as np
 from dataclasses import dataclass, field, replace
-from scipy.interpolate import PchipInterpolator
 
 from ._tables import TABLE_STEP, segmented_antiderivative
 from .errors import GaugeDegenerate, TurningPoint
-from .potentials import DomainGrid, WaveNumberField, scalarize, window_edges
+from .potentials import (DomainGrid, WaveNumberField, load_table, pchip_field,
+                         scalarize, window_edges)
 
 # Relative floor for |phi'|; below this the system matrix is unusable.
 DEGENERACY_RTOL = 1.0e-12
@@ -119,49 +124,10 @@ def gauge_constant(k_ref: float, chi: float = 0.0) -> GaugeTriple:
     )
 
 
-def _min_positive_k2(w: WaveNumberField, edges) -> float:
-    worst = np.inf
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        span = hi - lo
-        eps = 1e-12 * max(1.0, abs(lo), abs(hi))
-        xs = np.linspace(lo + eps, hi - eps, 4097)
-        worst = min(worst, float(np.min(w.k_squared(xs))))
-    return worst
-
-
 def gauge_wkb(w: WaveNumberField, grid: DomainGrid) -> GaugeTriple:
-    """Local-wavenumber gauge phi' = k(x), valid above the barrier only."""
-    edges = window_edges(grid.x_min, grid.x_max, w.breakpoints)
-    if _min_positive_k2(w, edges) <= 0.0:
-        raise TurningPoint("k^2(x) <= 0 on the grid; phi' = k(x) "
-                           "is inadmissible")
-    spacing = min(grid.max_step, TABLE_STEP)
-    phi = segmented_antiderivative(w.k, edges, spacing)
-    jumps = False
-    for b in w.breakpoints:
-        if grid.x_min < b < grid.x_max:
-            eps = 1e-9 * max(1.0, abs(b))
-            if abs(float(w.k(b - eps)) - float(w.k(b + eps))) > 1e-9:
-                jumps = True
-                break
-    scale = float(np.max(w.k(np.linspace(grid.x_min, grid.x_max, 2049))))
-    return GaugeTriple(
-        phi=scalarize(lambda xv: np.asarray(phi(xv))),
-        phi_prime=w.k,
-        phi_double_prime=w.k_prime,
-        delta=constant_field(0.0),
-        delta_prime=constant_field(0.0),
-        chi=constant_field(0.0),
-        chi_prime=constant_field(0.0),
-        is_real=True,
-        label="wkb",
-        breakpoints=tuple(b for b in w.breakpoints
-                          if grid.x_min < b < grid.x_max),
-        phi_prime_scale=scale,
-        phi_prime_jumps=jumps,
-        delta_is_zero=True,
-        grid=grid,
-    )
+    """Local-wavenumber gauge phi' = k(x), valid above the barrier only:
+    the s = 1 member of gauge_interpolated."""
+    return replace(gauge_interpolated(w, grid, 1.0), label="wkb")
 
 
 def gauge_interpolated(w: WaveNumberField, grid: DomainGrid,
@@ -170,8 +136,9 @@ def gauge_interpolated(w: WaveNumberField, grid: DomainGrid,
     phi'(x) = (1-s) k_left + s k(x), chi = Delta = 0.
 
     s = 0 reproduces the constant gauge up to an irrelevant additive
-    phase constant; s = 1 is the WKB-like gauge.  Members with s > 0
-    require k^2 > 0 on the grid.
+    phase constant; s = 1 is the WKB-like gauge (gauge_wkb).  Members
+    with s > 0 require k^2 > 0 on the grid, and their phi' jumps wherever
+    k does at a breakpoint inside the grid.
     """
     if not 0.0 <= s <= 1.0:
         raise ValueError("s must lie in [0, 1]")
@@ -179,34 +146,36 @@ def gauge_interpolated(w: WaveNumberField, grid: DomainGrid,
     if s == 0.0:
         return gauge_constant(k_ref)
     edges = window_edges(grid.x_min, grid.x_max, w.breakpoints)
-    if _min_positive_k2(w, edges) <= 0.0:
-        raise TurningPoint(f"family member s={s:g} needs k^2 > 0 on the grid")
+    for lo, hi in zip(edges[:-1], edges[1:]):
+        eps = 1e-12 * max(1.0, abs(lo), abs(hi))
+        if np.min(w.k_squared(np.linspace(lo + eps, hi - eps, 4097))) <= 0.0:
+            raise TurningPoint(
+                f"family member s={s:g} needs k^2 > 0 on the grid")
 
-    def raw_slope(xv):
-        return (1.0 - s) * k_ref + s * np.asarray(w.k(xv))
+    if s == 1.0:  # the blend's values bit for bit, without its arithmetic
+        slope, curv = w.k, w.k_prime
+    else:
+        slope = scalarize(lambda xv: (1.0 - s) * k_ref
+                          + s * np.asarray(w.k(xv)))
+        curv = scalarize(lambda xv: s * np.asarray(w.k_prime(xv)))
 
-    def raw_curv(xv):
-        return s * np.asarray(w.k_prime(xv))
+    def k_jump(b):
+        eps = 1e-9 * max(1.0, abs(b))
+        return abs(float(w.k(b - eps)) - float(w.k(b + eps)))
 
     spacing = min(grid.max_step, TABLE_STEP)
-    phi = segmented_antiderivative(scalarize(raw_slope), edges, spacing)
-    scale = float(np.max(raw_slope(np.linspace(grid.x_min, grid.x_max, 2049))))
-    jumps = bool(w.breakpoints) and s > 0.0
-    return GaugeTriple(
+    phi = segmented_antiderivative(slope, edges, spacing)
+    scale = float(np.max(slope(np.linspace(grid.x_min, grid.x_max, 2049))))
+    inside = tuple(b for b in w.breakpoints if grid.x_min < b < grid.x_max)
+    return replace(
+        gauge_constant(k_ref),
         phi=scalarize(lambda xv: np.asarray(phi(xv))),
-        phi_prime=scalarize(raw_slope),
-        phi_double_prime=scalarize(raw_curv),
-        delta=constant_field(0.0),
-        delta_prime=constant_field(0.0),
-        chi=constant_field(0.0),
-        chi_prime=constant_field(0.0),
-        is_real=True,
+        phi_prime=slope,
+        phi_double_prime=curv,
         label=f"family(s={s:.6g})",
-        breakpoints=tuple(b for b in w.breakpoints
-                          if grid.x_min < b < grid.x_max),
+        breakpoints=inside,
         phi_prime_scale=scale,
-        phi_prime_jumps=jumps,
-        delta_is_zero=True,
+        phi_prime_jumps=any(k_jump(b) > 1e-9 for b in inside),
         grid=grid,
     )
 
@@ -220,12 +189,10 @@ def gauge_special_delta(base: GaugeTriple, w: WaveNumberField,
         raise ValueError("base gauge must have Delta identically zero")
     edges = window_edges(grid.x_min, grid.x_max,
                          (*base.breakpoints, *w.breakpoints))
+    rho2 = rho_pair(base, w).rho2
 
     def raw_dprime(xv):
-        ppr = np.asarray(base.phi_prime(xv))
-        r2 = (np.asarray(w.k_squared(xv)) + np.asarray(base.chi(xv)) ** 2
-              + np.asarray(base.chi_prime(xv)) - ppr**2)
-        return r2 / (2.0 * ppr)
+        return np.asarray(rho2(xv)) / (2.0 * np.asarray(base.phi_prime(xv)))
 
     probe = np.linspace(grid.x_min, grid.x_max, 4097)
     ppr_abs = np.abs(np.asarray(base.phi_prime(probe)))
@@ -277,22 +244,9 @@ def with_tabulated_chi(base: GaugeTriple, positions, values) -> GaugeTriple:
     """Replace the base gauge's chi with a tabulated function; the
     derivative comes from the same monotone-cubic machinery as tabulated
     potentials."""
-    chi, chi_p, _ = _pchip_field(positions, values)
+    chi, chi_p, _ = pchip_field(positions, values)
     return replace(base, chi=chi, chi_prime=chi_p,
                    label=base.label + "+chi(table)", diag_vanishes=False)
-
-
-def _pchip_field(positions, values):
-    xs = np.asarray(positions, dtype=float)
-    ys = np.asarray(values, dtype=float)
-    if xs.ndim != 1 or xs.shape != ys.shape or xs.size < 2:
-        raise ValueError("need two 1-d arrays of equal length >= 2")
-    if not np.all(np.diff(xs) > 0):
-        raise ValueError("table positions must be strictly increasing")
-    f = PchipInterpolator(xs, ys, extrapolate=True)
-    return (scalarize(lambda xv: np.asarray(f(xv))),
-            scalarize(lambda xv: np.asarray(f.derivative()(xv))),
-            scalarize(lambda xv: np.asarray(f.derivative(2)(xv))))
 
 
 def gauge_from_tables(phi_table, delta_table=None, chi_table=None,
@@ -302,15 +256,15 @@ def gauge_from_tables(phi_table, delta_table=None, chi_table=None,
     Each table is a (positions, values) pair; derivatives come from the
     same monotone-cubic machinery used for tabulated potentials.
     """
-    phi, phi_p, phi_pp = _pchip_field(*phi_table)
+    phi, phi_p, phi_pp = pchip_field(*phi_table)
     if delta_table is not None:
-        delta, delta_p, _ = _pchip_field(*delta_table)
+        delta, delta_p, _ = pchip_field(*delta_table)
         delta_zero = bool(np.all(np.asarray(delta_table[1]) == 0.0))
     else:
         delta, delta_p = constant_field(0.0), constant_field(0.0)
         delta_zero = True
     if chi_table is not None:
-        chi, chi_p, _ = _pchip_field(*chi_table)
+        chi, chi_p, _ = pchip_field(*chi_table)
     else:
         chi, chi_p = constant_field(0.0), constant_field(0.0)
     xs = np.asarray(phi_table[0], dtype=float)
@@ -334,8 +288,6 @@ def gauge_from_files(phi_path, delta_path=None, chi_path=None,
                      label: str = "tabulated") -> GaugeTriple:
     """User-supplied gauge from two-column text files, one per function
     (same format as tabulated potentials)."""
-    from .potentials import load_table
-
     return gauge_from_tables(
         load_table(phi_path),
         delta_table=None if delta_path is None else load_table(delta_path),

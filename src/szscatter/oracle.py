@@ -18,7 +18,8 @@ is below its share of tol; the others are bisected and re-solved together
 (the panel operators and the bisection loop live in _panels, which the
 bound integral shares).
 The maps are multiplied in order and the result is matched onto plane
-waves at the right edge; that matching is all the oracle shares with the
+waves at the right edge; that matching and the T/R read-out
+(sz_core._probabilities) are all the oracle shares with the
 coefficient-pair engine.  The analytic oracles are closed forms, so they
 check both routes independently.  Agreement between these and the
 coefficient-pair engine is the backbone of the acceptance suite.
@@ -36,7 +37,7 @@ from ._panels import (BARY, NODES, PANEL_NODES, S, S2, TAIL, bisect, nudged,
 from .errors import AsymptoticallyClosedChannel
 from .potentials import (DomainGrid, EnergySpec, PotentialProfile,
                          wavenumber_field, window_edges)
-from .sz_core import WavefunctionSample, _plane_wave_pair
+from .sz_core import WavefunctionSample, _plane_wave_pair, _probabilities
 
 # Panels per batched solve, which bounds the (panels, n, n) systems.
 _SOLVE_BLOCK = 1024
@@ -165,12 +166,7 @@ def direct_integrate(p: PotentialProfile, e: EnergySpec, grid: DomainGrid,
 
     fwd, bwd = _plane_wave_pair(WavefunctionSample(grid.x_max, psi, dpsi),
                                 w.k_right)
-    mod_f = abs(fwd) ** 2
-    transmission = 1.0 / mod_f
-    reflection = abs(bwd) ** 2 / mod_f
-    if 1.0 < transmission < 1.0 + 1e-9:
-        transmission = 1.0
-    return OracleResult(float(transmission), float(reflection), samples,
+    return OracleResult(*_probabilities(fwd, bwd), samples,
                         "direct_integration")
 
 

@@ -124,19 +124,30 @@ def poschl_teller(ell: int, scale: float = 1.0) -> PotentialProfile:
     )
 
 
-def tabulated(positions, values, v_left=None, v_right=None) -> PotentialProfile:
-    """Sampled potential, monotone-cubic interpolated inside the sample
-    range and clamped to the asymptotic values outside."""
+def pchip_field(positions, values) -> tuple:
+    """Monotone-cubic (PCHIP) interpolant of a table and its first two
+    derivatives, as callables built once; the end pieces extrapolate."""
     xs = np.asarray(positions, dtype=float)
     ys = np.asarray(values, dtype=float)
     if xs.ndim != 1 or xs.shape != ys.shape or xs.size < 2:
         raise ValueError("need two 1-d arrays of equal length >= 2")
     if not np.all(np.diff(xs) > 0):
-        raise ValueError("sample positions must be strictly increasing")
+        raise ValueError("table positions must be strictly increasing")
+    f = PchipInterpolator(xs, ys, extrapolate=True)
+    d1, d2 = f.derivative(), f.derivative(2)
+    return (scalarize(lambda xv: np.asarray(f(xv))),
+            scalarize(lambda xv: np.asarray(d1(xv))),
+            scalarize(lambda xv: np.asarray(d2(xv))))
+
+
+def tabulated(positions, values, v_left=None, v_right=None) -> PotentialProfile:
+    """Sampled potential, monotone-cubic interpolated inside the sample
+    range and clamped to the asymptotic values outside."""
+    pchip, dpchip, _ = pchip_field(positions, values)
+    xs = np.asarray(positions, dtype=float)
+    ys = np.asarray(values, dtype=float)
     vl = float(ys[0] if v_left is None else v_left)
     vr = float(ys[-1] if v_right is None else v_right)
-    pchip = PchipInterpolator(xs, ys, extrapolate=False)
-    dpchip = pchip.derivative()
     x_lo, x_hi = float(xs[0]), float(xs[-1])
 
     def raw(xv):

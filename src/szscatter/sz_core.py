@@ -23,7 +23,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._kernels import STATUS_STEP_UNDERFLOW, ordered_product, rk45_coeffs
-from ._tables import EDGE_NUDGE, segment_plan
+from ._panels import EDGE_NUDGE
+from ._tables import segment_plan
 from .errors import GaugeDegenerate, NonConvergence, StepUnderflow
 from .gauges import DEGENERACY_RTOL, GaugeTriple, RhoPair, rho_pair
 from .potentials import (DomainGrid, EnergySpec, PotentialProfile,
@@ -443,14 +444,8 @@ def scattering_amplitudes(p: PotentialProfile, e: EnergySpec,
     else:
         sample = reconstruct_psi(g, final)
         alpha, beta = _plane_wave_pair(sample, w.k_right)
-    mod_a = abs(alpha) ** 2
-    transmission = 1.0 / mod_a
-    reflection = abs(beta) ** 2 / mod_a
-    # Current conservation keeps |alpha| >= 1; forgive rounding overshoot.
-    if 1.0 < transmission < 1.0 + 1e-9:
-        transmission = 1.0
     return ScatteringAmplitudes(complex(alpha), complex(beta),
-                                float(transmission), float(reflection))
+                                *_probabilities(alpha, beta))
 
 
 def _edges_plane_wave_compatible(g: GaugeTriple, w, grid: DomainGrid) -> bool:
@@ -463,6 +458,17 @@ def _edges_plane_wave_compatible(g: GaugeTriple, w, grid: DomainGrid) -> bool:
         if abs(complex(g.chi(x))) > 1e-9:
             return False
     return True
+
+
+def _probabilities(fwd: complex, bwd: complex) -> tuple:
+    """(T, R) = (1, |bwd|^2) / |fwd|^2 from the plane-wave pair at the
+    right edge.  Current conservation keeps |fwd| >= 1, so T above 1 by
+    less than 1e-9 is rounding overshoot and is clamped to 1."""
+    mod = abs(fwd) ** 2
+    transmission = 1.0 / mod
+    if 1.0 < transmission < 1.0 + 1e-9:
+        transmission = 1.0
+    return float(transmission), float(abs(bwd) ** 2 / mod)
 
 
 def _plane_wave_pair(sample: WavefunctionSample, k: float) -> tuple:

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from scipy.integrate import IntegrationWarning, quad
 
-from szscatter import _panels, bounds
+from szscatter import _panels, bounds, sz_core
 from szscatter.bounds import (BoundReport, bound_report, optimize_gauge,
                               phi_prime_family, theta_field, theta_integral,
                               verify_bounds, GaugeFamily, ThetaField)
@@ -74,6 +74,28 @@ def test_theta_nonnegative(suite):
             t = theta_field(g, case.w)
             xs = np.linspace(case.grid.x_min, case.grid.x_max, 101)
             assert np.min(np.asarray(t.theta(xs))) >= 0.0, (case.name, name)
+
+
+def test_theta_is_generator_offdiagonal_modulus(suite):
+    # The bound rests on theta = |M12| of the evolution generator; theta
+    # is built from the rho pair without the phase factor, whose modulus
+    # is 1 only up to rounding.  Sampled off the breakpoints, where a
+    # jump would be taken from an arbitrary side.
+    checked = 0
+    for case in suite:
+        for name, g in case.gauges.items():
+            if g.phi_prime_jumps:  # wkb on the barrier has no theta field
+                continue
+            t = theta_field(g, case.w)
+            xs = np.linspace(case.grid.x_min, case.grid.x_max, 201)
+            for b in t.breakpoints:
+                xs = xs[np.abs(xs - b) > 1e-9]
+            theta = np.asarray(t.theta(xs))
+            _, g12, _ = sz_core._generator(g, case.rho(name), xs)
+            np.testing.assert_allclose(theta, np.abs(g12), rtol=2e-15,
+                                       atol=0.0, err_msg=f"{case.name} {name}")
+            checked += 1
+    assert checked >= 3 * len(suite)
 
 
 def test_theta_integral_hand_values():
@@ -212,7 +234,12 @@ def test_optimizer_tunneling_falls_back_to_baseline():
 
 
 def test_theta_integral_nonconvergence_on_degenerate_slope():
-    # phi = x^3 has phi' touching zero, making theta non-integrable.
+    # theta is integrable here: the monotone cubic through the 81-knot
+    # table of x^3 has phi'(0) = 6.25e-4 and min |phi'| ~ 4.7e-4.  The
+    # integral fails only because phi'' jumps at the 81 knots, which the
+    # gauge does not declare as breakpoints, so bisection toward them
+    # goes below the nudge width.  With the knots passed as breakpoints
+    # the panels converge to J = 59.29854030853.
     from szscatter.errors import NonConvergence
     from szscatter.gauges import gauge_from_tables
     from szscatter.potentials import DomainGrid
@@ -223,7 +250,7 @@ def test_theta_integral_nonconvergence_on_degenerate_slope():
     w = wavenumber_field(p, EnergySpec(1.0))
     t = theta_field(g, w)
     grid = DomainGrid(-1.0, 1.0, max_step=0.01)
-    with pytest.raises(NonConvergence):
+    with pytest.raises(NonConvergence, match="cannot resolve"):
         theta_integral(t, grid, 1e-10)
 
 

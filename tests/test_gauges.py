@@ -234,6 +234,21 @@ def test_interpolated_family_endpoints():
     ghalf = gauge_interpolated(w, grid, 0.5)
     assert ghalf.phi_prime(0.0) == pytest.approx(
         0.5 * w.k_left + 0.5 * float(w.k(0.0)), abs=1e-12)
+    # gauge_wkb is the s = 1 member, field for field and flag for flag.
+    wkb = gauge_wkb(w, grid)
+    xs = np.linspace(grid.x_min, grid.x_max, 257)
+    for name in ("phi", "phi_prime", "phi_double_prime", "delta",
+                 "delta_prime", "chi", "chi_prime"):
+        assert np.array_equal(getattr(wkb, name)(xs),
+                              getattr(g1, name)(xs)), name
+    for name in ("is_real", "breakpoints", "phi_prime_scale",
+                 "phi_prime_jumps", "delta_is_zero", "diag_vanishes", "grid"):
+        assert getattr(wkb, name) == getattr(g1, name), name
+    assert wkb.label == "wkb"
+    # On the barrier every member with s > 0 inherits k's jumps.
+    _, _, grid_b, w_b = _barrier_setup(2.0)
+    for s, jumps in ((0.0, False), (0.5, True), (1.0, True)):
+        assert gauge_interpolated(w_b, grid_b, s).phi_prime_jumps is jumps
 
 
 def test_gauge_from_tables():
