@@ -152,12 +152,8 @@ def gauge_interpolated(w: WaveNumberField, grid: DomainGrid,
             raise TurningPoint(
                 f"family member s={s:g} needs k^2 > 0 on the grid")
 
-    if s == 1.0:  # the blend's values bit for bit, without its arithmetic
-        slope, curv = w.k, w.k_prime
-    else:
-        slope = scalarize(lambda xv: (1.0 - s) * k_ref
-                          + s * np.asarray(w.k(xv)))
-        curv = scalarize(lambda xv: s * np.asarray(w.k_prime(xv)))
+    slope = scalarize(lambda xv: (1.0 - s) * k_ref + s * np.asarray(w.k(xv)))
+    curv = scalarize(lambda xv: s * np.asarray(w.k_prime(xv)))
 
     def k_jump(b):
         eps = 1e-9 * max(1.0, abs(b))
@@ -244,7 +240,7 @@ def with_tabulated_chi(base: GaugeTriple, positions, values) -> GaugeTriple:
     """Replace the base gauge's chi with a tabulated function; the
     derivative comes from the same monotone-cubic machinery as tabulated
     potentials."""
-    chi, chi_p, _ = pchip_field(positions, values)
+    chi, chi_p = pchip_field(positions, values)
     return replace(base, chi=chi, chi_prime=chi_p,
                    label=base.label + "+chi(table)", diag_vanishes=False)
 
@@ -256,15 +252,15 @@ def gauge_from_tables(phi_table, delta_table=None, chi_table=None,
     Each table is a (positions, values) pair; derivatives come from the
     same monotone-cubic machinery used for tabulated potentials.
     """
-    phi, phi_p, phi_pp = pchip_field(*phi_table)
+    phi, phi_p, phi_pp = pchip_field(*phi_table, order=2)
     if delta_table is not None:
-        delta, delta_p, _ = pchip_field(*delta_table)
+        delta, delta_p = pchip_field(*delta_table)
         delta_zero = bool(np.all(np.asarray(delta_table[1]) == 0.0))
     else:
         delta, delta_p = constant_field(0.0), constant_field(0.0)
         delta_zero = True
     if chi_table is not None:
-        chi, chi_p, _ = pchip_field(*chi_table)
+        chi, chi_p = pchip_field(*chi_table)
     else:
         chi, chi_p = constant_field(0.0), constant_field(0.0)
     xs = np.asarray(phi_table[0], dtype=float)

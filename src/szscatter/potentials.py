@@ -124,9 +124,9 @@ def poschl_teller(ell: int, scale: float = 1.0) -> PotentialProfile:
     )
 
 
-def pchip_field(positions, values) -> tuple:
-    """Monotone-cubic (PCHIP) interpolant of a table and its first two
-    derivatives, as callables built once; the end pieces extrapolate."""
+def pchip_field(positions, values, order: int = 1) -> tuple:
+    """Monotone-cubic (PCHIP) interpolant of a table and its derivatives up
+    to `order`, as callables built once; the end pieces extrapolate."""
     xs = np.asarray(positions, dtype=float)
     ys = np.asarray(values, dtype=float)
     if xs.ndim != 1 or xs.shape != ys.shape or xs.size < 2:
@@ -134,18 +134,16 @@ def pchip_field(positions, values) -> tuple:
     if not np.all(np.diff(xs) > 0):
         raise ValueError("table positions must be strictly increasing")
     f = PchipInterpolator(xs, ys, extrapolate=True)
-    d1, d2 = f.derivative(), f.derivative(2)
-    return (scalarize(lambda xv: np.asarray(f(xv))),
-            scalarize(lambda xv: np.asarray(d1(xv))),
-            scalarize(lambda xv: np.asarray(d2(xv))))
+    parts = [f] + [f.derivative(n) for n in range(1, order + 1)]
+    return tuple(scalarize(lambda xv, p=p: np.asarray(p(xv))) for p in parts)
 
 
 def tabulated(positions, values, v_left=None, v_right=None) -> PotentialProfile:
     """Sampled potential, monotone-cubic interpolated inside the sample
     range and clamped to the asymptotic values outside."""
-    pchip, dpchip, _ = pchip_field(positions, values)
     xs = np.asarray(positions, dtype=float)
     ys = np.asarray(values, dtype=float)
+    pchip, dpchip = pchip_field(xs, ys)
     vl = float(ys[0] if v_left is None else v_left)
     vr = float(ys[-1] if v_right is None else v_right)
     x_lo, x_hi = float(xs[0]), float(xs[-1])
@@ -154,12 +152,12 @@ def tabulated(positions, values, v_left=None, v_right=None) -> PotentialProfile:
         out = np.where(xv < x_lo, vl, np.where(xv > x_hi, vr, 0.0))
         inside = (xv >= x_lo) & (xv <= x_hi)
         if np.any(inside):
-            out = np.where(inside, np.nan_to_num(pchip(np.clip(xv, x_lo, x_hi))), out)
+            out = np.where(inside, pchip(np.clip(xv, x_lo, x_hi)), out)
         return out
 
     def raw_deriv(xv):
         inside = (xv >= x_lo) & (xv <= x_hi)
-        vals = np.nan_to_num(dpchip(np.clip(xv, x_lo, x_hi)))
+        vals = dpchip(np.clip(xv, x_lo, x_hi))
         return np.where(inside, vals, 0.0)
 
     return PotentialProfile(
