@@ -1,25 +1,31 @@
-"""Chebyshev-Lobatto panels and the one bisection loop that refines them.
+"""Chebyshev-Lobatto panels, the one bisection loop that refines them, the
+one antiderivative built on them and the one evaluator of their
+interpolants.
 
 A panel [a, b] with half-width h carries PANEL_NODES Chebyshev-Lobatto
 points x = a + h (t + 1), t in [-1, 1].  S maps values at the points to
 values of the integral from a of their interpolant (in units of h), so
 h S and h^2 S^2 are the spectral integration operators of Greengard
 (SIAM J. Numer. Anal. 28 (1991) 1071), and h S[-1] is the Clenshaw-Curtis
-rule on the panel (Clenshaw & Curtis, Numer. Math. 2 (1960) 197).  TAIL
-gives the last N_TAIL Chebyshev coefficients of the interpolant; their
-size is the panel's error estimate.
+rule on the panel (Clenshaw & Curtis, Numer. Math. 2 (1960) 197).
+TO_COEF maps values at the points to Chebyshev coefficients, and TAIL,
+its last N_TAIL rows, gives the trailing coefficients whose size is the
+panel's error estimate.
 
-The oracle (psi'' = -k^2 psi) and the bound integral (theta) both start
-from a window cut at its breakpoints into pieces no wider than a given
-width, and hand bisect() a function that solves one batch of panels.
-bisect() accepts a panel when its error estimate is at most
-max(tol (b - a) / span, ROUNDING_FLOOR), bisects the others and solves
-them again together, and raises NonConvergence past MAX_PANELS panels or
-when a half would be no wider than EDGE_NUDGE max(1, |x|).
+The oracle (psi'' = -k^2 psi), the bound integral (theta) and the gauge
+antiderivatives (antiderivative: phi = int phi', Delta = int Delta') all
+start from a window cut at its breakpoints into panels, and hand bisect()
+a function that solves one batch of panels.  bisect() accepts a panel
+when its error estimate is at most max(tol (b - a) / span,
+ROUNDING_FLOOR), bisects the others and solves them again together, and
+raises NonConvergence past MAX_PANELS panels or when a half would be no
+wider than EDGE_NUDGE max(1, |x|).  evaluate() reads the oracle's
+wavefunction and the antiderivatives back from the panels' Chebyshev
+coefficients.
 """
 
 import numpy as np
-from numpy.polynomial.chebyshev import chebint, chebvander
+from numpy.polynomial.chebyshev import chebint, chebval, chebvander
 
 from .errors import NonConvergence
 
@@ -37,24 +43,24 @@ N_TAIL = 3
 EDGE_NUDGE = 1.0e-13
 # Error estimates below this are rounding noise of one panel.
 ROUNDING_FLOOR = 64.0 * float(np.finfo(np.float64).eps)
+# Summed error estimate an antiderivative is refined to.
+ANTIDERIVATIVE_TOL = 1.0e-12
 
 
 def _chebyshev_operators(n: int) -> tuple:
     """Lobatto points on [-1, 1] in ascending order, the integration
     matrix S (values at the points -> values of the integral from -1 of
-    their interpolant), the rows of the values -> coefficients map that
-    give the last N_TAIL coefficients, and the barycentric weights."""
+    their interpolant) and the values -> Chebyshev coefficients map."""
     t = -np.cos(np.pi * np.arange(n) / (n - 1))
     to_coef = np.linalg.inv(chebvander(t, n - 1))
     integ = chebint(np.eye(n), lbnd=-1.0, axis=0)
     s = chebvander(t, n) @ integ @ to_coef
-    bary = (-1.0) ** np.arange(n)
-    bary[[0, -1]] *= 0.5
-    return t, s, to_coef[-N_TAIL:], bary
+    return t, s, to_coef
 
 
-NODES, S, TAIL, BARY = _chebyshev_operators(PANEL_NODES)
+NODES, S, TO_COEF = _chebyshev_operators(PANEL_NODES)
 S2 = S @ S
+TAIL = TO_COEF[-N_TAIL:]
 
 
 def points(a: np.ndarray, h: np.ndarray) -> np.ndarray:
@@ -121,3 +127,41 @@ def bisect(solve, a: np.ndarray, b: np.ndarray, span: float,
     kept = [np.concatenate(parts) for parts in zip(*done)]
     order = np.argsort(kept[0])
     return [part[order] for part in kept]
+
+
+def evaluate(a: np.ndarray, h: np.ndarray, coef: np.ndarray, x):
+    """The interpolants of the panels [a_i, a_i + 2 h_i], given by their
+    Chebyshev coefficients coef[i], at the positions x (a position on a
+    panel end belongs to the panel before; the end panels extrapolate)."""
+    i = np.clip(np.searchsorted(a, x, side="left") - 1, 0, a.size - 1)
+    return chebval((x - a[i]) / h[i] - 1.0, coef[i].T, tensor=False)
+
+
+def antiderivative(fn, edges):
+    """The antiderivative of fn that vanishes at edges[0], over the window
+    [edges[0], edges[-1]], as a callable of x.
+
+    fn may jump at the interior edges, which are sampled one-sided.  The
+    panels start one per piece and are bisected with the bound integral's
+    rule (error estimate h max|TAIL f|) to a summed estimate of
+    ANTIDERIVATIVE_TOL.  Each panel holds h S f, the integral from its
+    left end, offset by the sum of the earlier panels' end values."""
+    edges = np.asarray(edges, dtype=float)
+    breaks = edges[1:-1]
+
+    def solve(a, b):
+        h = 0.5 * (b - a)
+        x = nudged(points(a, h), a, b, breaks)
+        vals = np.asarray(fn(x.ravel()), dtype=float).reshape(x.shape)
+        err = h * np.max(np.abs(vals @ TAIL.T), axis=1)
+        return err, h[:, None] * (vals @ S.T)
+
+    a, b, _, parts = bisect(solve, edges[:-1], edges[1:],
+                            edges[-1] - edges[0], ANTIDERIVATIVE_TOL)
+    offsets = np.concatenate(([0.0], np.cumsum(parts[:-1, -1])))
+    coef = (offsets[:, None] + parts) @ TO_COEF.T
+    # Trailing coefficients below rounding only cost evaluation time.
+    big = np.flatnonzero(np.max(np.abs(coef), axis=0) > ROUNDING_FLOOR)
+    coef = coef[:, :1 + np.max(big, initial=0)]
+    h = 0.5 * (b - a)
+    return lambda x: evaluate(a, h, coef, x)

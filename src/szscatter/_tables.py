@@ -1,34 +1,28 @@
-"""Segment walking, segmented antiderivatives and piecewise-cubic tables.
+"""Segment walking and piecewise-cubic tables.
 
 segment_plan splits a walk at the edges of the smooth segments; evolve and
-transfer_matrix both walk with it.  segmented_antiderivative builds the
-continuous phi of the local-wavenumber and family gauges and the Delta of
-the special-Delta gauge from Gauss-Legendre accumulation and cubic Hermite
-pieces.  Segments never straddle a discontinuity, and samples at a jump
-are nudged EDGE_NUDGE (_panels) inside the segment (nudged_knots) so they
-take the one-sided limit.
+transfer_matrix both walk with it.  Segments never straddle a
+discontinuity.
 
 No kernel reads a table: the Runge-Kutta loop and the ordered product
-evaluate their generator directly.  build_segment_table (cubic-spline
-coefficients of several fields on shared uniform knots) is called by no
-module of the package; it stays because perfbench's tracer wraps it by
-name.
+evaluate their generator directly, and the gauge antiderivatives live on
+the Chebyshev panels (_panels.antiderivative).  build_segment_table
+(cubic-spline coefficients of several fields on shared uniform knots,
+sampled one-sided at jumps through nudged_knots) is called by no module
+of the package; it, SegmentTable, eval_table, segment_knots,
+nudged_knots and MIN_INTERVALS stay only because perfbench's tracer wraps
+build_segment_table by name.
 """
 
 from bisect import bisect_left, bisect_right
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
-from scipy.interpolate import CubicHermiteSpline, CubicSpline
+from scipy.interpolate import CubicSpline
 
 from ._panels import EDGE_NUDGE
 
-# Default knot spacing for tables and antiderivatives; segments shorter than
-# 8 * TABLE_STEP still get at least MIN_INTERVALS intervals.
-TABLE_STEP = 1.0e-3
+# Fewest knot intervals of one table segment.
 MIN_INTERVALS = 8
-
-_GL_NODES, _GL_WEIGHTS = leggauss(5)
 
 
 class SegmentTable:
@@ -135,76 +129,3 @@ def eval_table(table: SegmentTable, row: int, x) -> np.ndarray:
     dx = xv - (table.x0 + idx * table.h)
     c = table.coeffs[row, idx]
     return ((c[..., 0] * dx + c[..., 1]) * dx + c[..., 2]) * dx + c[..., 3]
-
-
-def gauss_increments(fn, xs: np.ndarray) -> np.ndarray:
-    """Integral of fn over each knot interval by 5-point Gauss-Legendre."""
-    lo = xs[:-1]
-    hi = xs[1:]
-    mid = 0.5 * (lo + hi)
-    half = 0.5 * (hi - lo)
-    total = np.zeros(lo.shape, dtype=float)
-    for node, weight in zip(_GL_NODES, _GL_WEIGHTS):
-        total = total + weight * np.asarray(fn(mid + node * half), dtype=float)
-    return total * half
-
-
-def cumulative_values(fn, xs: np.ndarray, y0: float = 0.0) -> np.ndarray:
-    """Antiderivative values of fn at the knots, starting from y0.
-
-    The running sum is carried in extended precision so rounding does not
-    accumulate across long grids (phases enter complex exponentials, so
-    absolute accuracy matters).
-    """
-    inc = gauss_increments(fn, xs).astype(np.longdouble)
-    out = np.empty(xs.shape, dtype=np.longdouble)
-    out[0] = y0
-    out[1:] = y0 + np.cumsum(inc)
-    return out.astype(float)
-
-
-class PiecewisePoly:
-    """Callable piecewise polynomial over contiguous segments.
-
-    Outside the covered window the end polynomials extrapolate, which is
-    adequate because every consumer stays within the truncated domain.
-    """
-
-    __slots__ = ("_edges", "_polys")
-
-    def __init__(self, edges, polys):
-        self._edges = np.asarray(edges, dtype=float)  # interior breakpoints only
-        self._polys = list(polys)
-
-    def __call__(self, x):
-        xv = np.asarray(x, dtype=float)
-        if xv.ndim == 0:
-            piece = int(np.searchsorted(self._edges, float(xv), side="right"))
-            return float(self._polys[piece](float(xv)))
-        out = np.empty(xv.shape, dtype=float)
-        piece_of = np.searchsorted(self._edges, xv, side="right")
-        for piece, poly in enumerate(self._polys):
-            mask = piece_of == piece
-            if np.any(mask):
-                out[mask] = poly(xv[mask])
-        return out
-
-
-def segmented_antiderivative(fn, edges, max_spacing: float, y0: float = 0.0) -> PiecewisePoly:
-    """Continuous antiderivative of a piecewise-smooth integrand.
-
-    Within each segment the result is a cubic Hermite interpolant built
-    from Gauss-Legendre accumulated values and the exact integrand as
-    derivative data.
-    """
-    polys = []
-    running = float(y0)
-    for x0, x1 in zip(edges[:-1], edges[1:]):
-        n = max(MIN_INTERVALS, int(np.ceil((x1 - x0) / max_spacing)))
-        xs = segment_knots(x0, x1, n)
-        dys = np.asarray(fn(nudged_knots(xs, True, True)), dtype=float)
-        ys = cumulative_values(fn, xs, running)
-        # Match the one-sided derivative samples with the true knots.
-        polys.append(CubicHermiteSpline(xs, ys, dys))
-        running = float(ys[-1])
-    return PiecewisePoly(np.asarray(edges[1:-1], dtype=float), polys)

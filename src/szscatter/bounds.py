@@ -181,13 +181,11 @@ def verify_bounds(report: BoundReport, exact) -> VerificationRecord:
 
 @dataclass(frozen=True, eq=False)
 class GaugeFamily:
-    """One-parameter family of candidate gauges for bound tightening."""
+    """One-parameter family of candidate gauges for bound tightening:
+    builder(s) gives the member at s in [0, 1]."""
 
     name: str
     builder: object = field(repr=False)
-    s_min: float = 0.0
-    s_max: float = 1.0
-    baseline_s: float = 0.0
 
 
 def phi_prime_family(p: PotentialProfile, e: EnergySpec,
@@ -211,9 +209,9 @@ def optimize_gauge(p: PotentialProfile, e: EnergySpec, family: GaugeFamily,
                    tol: float, grid: DomainGrid = None) -> tuple:
     """Minimize the theta integral over a scalar gauge family.
 
-    Coarse scan (SCAN_POINTS values, always including the baseline)
-    followed by golden-section refinement; deterministic tie-break on the
-    smallest s.  Returns (best gauge, its BoundReport).
+    Coarse scan (SCAN_POINTS values of s over [0, 1], the s = 0 baseline
+    included) followed by golden-section refinement; deterministic
+    tie-break on the smallest s.  Returns (best gauge, its BoundReport).
     """
     w = wavenumber_field(p, e)
     if grid is None:
@@ -235,9 +233,7 @@ def optimize_gauge(p: PotentialProfile, e: EnergySpec, family: GaugeFamily,
             best_val, best_s, best_gauge = val, s, g
         return val
 
-    scan = np.linspace(family.s_min, family.s_max, SCAN_POINTS)
-    if not np.any(np.isclose(scan, family.baseline_s, atol=0.0)):
-        scan = np.sort(np.append(scan, family.baseline_s))
+    scan = np.linspace(0.0, 1.0, SCAN_POINTS)
     values = {float(s): theta_of(float(s)) for s in scan}
     if best_s is None:
         raise EmptyFamily(f"no admissible member in family {family.name}")

@@ -169,7 +169,7 @@ def _build_potential(section: dict):
     try:
         return pot_mod.tabulated_from_file(section["file"], v_left=v_left,
                                            v_right=v_right)
-    except OSError as exc:
+    except (OSError, ValueError) as exc:
         raise ValidationError("potential.file", str(exc)) from exc
 
 

@@ -8,14 +8,16 @@ diagonal-killing Delta' = rho2 / (2 phi') all read it.  Presets cover the
 useful special cases: constant phase slope, the family phi' = (1-s)
 k_left + s k(x) whose s = 1 member is the local-wavenumber (WKB-like)
 gauge, the diagonal-killing Delta choice, and the phase-killing Delta =
--phi choice.  Arbitrary tabulated gauges are accepted through
-gauge_from_tables.
+-phi choice.  The antiderivatives phi = int phi' of the family and Delta
+= int Delta' of the diagonal-killing gauge are Chebyshev panel
+interpolants (_panels.antiderivative), split at the breakpoints.
+Arbitrary tabulated gauges are accepted through gauge_from_tables.
 """
 
 import numpy as np
 from dataclasses import dataclass, field, replace
 
-from ._tables import TABLE_STEP, segmented_antiderivative
+from ._panels import antiderivative
 from .errors import GaugeDegenerate, TurningPoint
 from .potentials import (DomainGrid, WaveNumberField, load_table, pchip_field,
                          scalarize, window_edges)
@@ -159,13 +161,11 @@ def gauge_interpolated(w: WaveNumberField, grid: DomainGrid,
         eps = 1e-9 * max(1.0, abs(b))
         return abs(float(w.k(b - eps)) - float(w.k(b + eps)))
 
-    spacing = min(grid.max_step, TABLE_STEP)
-    phi = segmented_antiderivative(slope, edges, spacing)
     scale = float(np.max(slope(np.linspace(grid.x_min, grid.x_max, 2049))))
     inside = tuple(b for b in w.breakpoints if grid.x_min < b < grid.x_max)
     return replace(
         gauge_constant(k_ref),
-        phi=scalarize(lambda xv: np.asarray(phi(xv))),
+        phi=scalarize(antiderivative(slope, edges)),
         phi_prime=slope,
         phi_double_prime=curv,
         label=f"family(s={s:.6g})",
@@ -195,11 +195,9 @@ def gauge_special_delta(base: GaugeTriple, w: WaveNumberField,
     if float(np.min(ppr_abs)) <= DEGENERACY_RTOL * float(np.max(ppr_abs)):
         raise GaugeDegenerate("|phi'| below the degeneracy threshold")
 
-    spacing = min(grid.max_step, TABLE_STEP)
-    delta = segmented_antiderivative(scalarize(raw_dprime), edges, spacing)
     return replace(
         base,
-        delta=scalarize(lambda xv: np.asarray(delta(xv))),
+        delta=scalarize(antiderivative(raw_dprime, edges)),
         delta_prime=scalarize(raw_dprime),
         label=f"special_delta[{base.label}]",
         breakpoints=tuple(sorted(set(base.breakpoints) | set(w.breakpoints))),

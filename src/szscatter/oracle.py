@@ -15,8 +15,10 @@ psi'_a (x - a)), and one batched solve gives both fundamental solutions of
 every panel, hence its 2x2 map (psi, psi')_a -> (psi, psi')_b.  A panel is
 accepted when the error its trailing Chebyshev coefficients of sigma imply
 is below its share of tol; the others are bisected and re-solved together
-(the panel operators and the bisection loop live in _panels, which the
-bound integral shares).
+(the panel operators, the bisection loop and the interpolant evaluator
+live in _panels, which the bound integral and the gauge antiderivatives
+share).  Wavefunction samples come from the Chebyshev interpolants of psi
+and psi' on the accepted panels.
 The maps are multiplied in order and the result is matched onto plane
 waves at the right edge; that matching and the T/R read-out
 (sz_core._probabilities) are all the oracle shares with the
@@ -32,8 +34,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._panels import (BARY, NODES, PANEL_NODES, S, S2, TAIL, bisect, nudged,
-                      points, subdivide)
+from ._panels import (NODES, PANEL_NODES, S, S2, TAIL, TO_COEF, bisect,
+                      evaluate, nudged, points, subdivide)
 from .errors import AsymptoticallyClosedChannel
 from .potentials import (DomainGrid, EnergySpec, PotentialProfile,
                          wavenumber_field, window_edges)
@@ -103,33 +105,17 @@ def _panels(k_squared, jumps, grid: DomainGrid, width: float,
     return _Panels(a, 0.5 * (b - a), maps, sigma)
 
 
-def _interpolate(t: np.ndarray, values: np.ndarray) -> np.ndarray:
-    """Barycentric interpolation of node values (one row per point) at
-    the points t in [-1, 1]."""
-    diff = t[:, None] - NODES
-    hit = diff == 0.0
-    diff[hit] = 1.0
-    weights = BARY / diff
-    out = (weights * values).sum(axis=1) / weights.sum(axis=1)
-    rows, cols = np.nonzero(hit)
-    out[rows] = values[rows, cols]
-    return out
-
-
 def _samples(panels: _Panels, starts: np.ndarray, xs: np.ndarray) -> tuple:
     """psi and psi' at the positions xs, interpolated inside the panel
     holding each (a position on a panel end belongs to the panel before),
     from the states (psi, psi') at the panels' left ends."""
-    i = np.clip(np.searchsorted(panels.a, xs, side="left") - 1, 0,
-                panels.a.size - 1)
-    a, h = panels.a[i], panels.h[i]
-    psi_a, dpsi_a = starts[0, i], starts[1, i]
-    sig = np.einsum("pnc,cp->pn", panels.sigma[i], starts[:, i])
-    psi = (psi_a[:, None] + dpsi_a[:, None] * h[:, None] * (NODES + 1.0)
-           + (h * h)[:, None] * (sig @ S2.T))
-    dpsi = dpsi_a[:, None] + h[:, None] * (sig @ S.T)
-    t = (xs - a) / h - 1.0
-    return _interpolate(t, psi), _interpolate(t, dpsi)
+    h = panels.h[:, None]
+    sig = np.einsum("pnc,cp->pn", panels.sigma, starts)
+    psi = (starts[0, :, None] + starts[1, :, None] * h * (NODES + 1.0)
+           + h * h * (sig @ S2.T))
+    dpsi = starts[1, :, None] + h * (sig @ S.T)
+    return tuple(evaluate(panels.a, panels.h, vals @ TO_COEF.T, xs)
+                 for vals in (psi, dpsi))
 
 
 def direct_integrate(p: PotentialProfile, e: EnergySpec, grid: DomainGrid,

@@ -331,6 +331,25 @@ def test_main_exit_codes(tmp_path):
     assert (tmp_path / "other.csv").exists()
 
 
+@pytest.mark.parametrize("table", [
+    "0.0 0.1\n-1.0 0.2\n1.0 0.0\n",        # positions not increasing
+    "-1.0 0.0 1.0\n0.0 0.5 1.0\n1.0 0.0 1.0\n",  # three columns
+    "-1.0 0.0\n0.0 abc\n1.0 0.0\n",        # a non-numeric cell
+    "-1.0 0.0\n0.0 nan\n1.0 0.0\n",        # a NaN value
+], ids=["unordered", "three-columns", "non-numeric", "nan"])
+def test_malformed_potential_file_is_a_configuration_error(tmp_path, table):
+    path = tmp_path / "pot.dat"
+    path.write_text(table)
+    csv = tmp_path / "out.csv"
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(
+        "[run]\nmode = scatter\n[potential]\nkind = tabulated\n"
+        f"file = {path}\n[energies]\nvalues = 1.0\n"
+        f"[outputs]\ncsv_path = {csv}\n")
+    assert main(["--config", str(cfg)]) == 2
+    assert not csv.exists()
+
+
 def test_run_exit_four_on_violation(monkeypatch, tmp_path):
     import szscatter.cli as cli_mod
 

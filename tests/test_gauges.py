@@ -6,14 +6,16 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.integrate import quad
 
 from szscatter.errors import TurningPoint
 from szscatter.gauges import (gauge_antiphase, gauge_constant,
                               gauge_from_tables, gauge_interpolated,
                               gauge_special_delta, gauge_wkb, rho_pair,
                               with_constant_chi)
-from szscatter.potentials import (EnergySpec, gaussian, square_barrier,
-                                  truncate_domain, wavenumber_field)
+from szscatter.potentials import (EnergySpec, gaussian, poschl_teller,
+                                  square_barrier, tabulated, truncate_domain,
+                                  wavenumber_field, window_edges)
 from szscatter.sz_core import rhs_matrix
 
 SQRT2 = math.sqrt(2.0)
@@ -249,6 +251,61 @@ def test_interpolated_family_endpoints():
     _, _, grid_b, w_b = _barrier_setup(2.0)
     for s, jumps in ((0.0, False), (0.5, True), (1.0, True)):
         assert gauge_interpolated(w_b, grid_b, s).phi_prime_jumps is jumps
+
+
+RAMP_KNOTS = np.linspace(-6.0, 6.0, 41)
+
+
+def _ramp():
+    """The 41-knot PCHIP tanh ramp from V = 0 to V = 0.25."""
+    ys = 0.25 * 0.5 * (1.0 + np.tanh(RAMP_KNOTS))
+    ys[0], ys[-1] = 0.0, 0.25
+    return tabulated(RAMP_KNOTS, ys, v_left=0.0, v_right=0.25)
+
+
+def _quad_antiderivative(fn, pieces, xs):
+    """The integral of fn from pieces[0] to each x, by quad on every
+    smooth piece up to x."""
+    def piece_quad(lo, hi):
+        return quad(fn, lo, hi, epsabs=1e-14, epsrel=1e-13, limit=200)[0]
+
+    totals = np.cumsum([0.0] + [piece_quad(lo, hi) for lo, hi
+                                in zip(pieces[:-1], pieces[1:])])
+    j = np.clip(np.searchsorted(pieces, xs, side="right") - 1, 0,
+                len(pieces) - 2)
+    return np.array([totals[i] + piece_quad(pieces[i], x)
+                     for i, x in zip(j, xs)])
+
+
+@pytest.mark.parametrize("build,energy", [
+    (lambda: gaussian(1.0, 1.0), 2.0), (lambda: gaussian(1.0, 1.0), 10.0),
+    (lambda: poschl_teller(2), 0.5), (lambda: square_barrier(1.0, 1.0), 2.0),
+    (_ramp, 2.0)], ids=["gauss-E2", "gauss-E10", "pt2-E0.5", "barrier-E2",
+                        "ramp41-E2"])
+def test_antiderivatives_match_piecewise_quad(build, energy):
+    # wkb phi and special_delta Delta against quad on each smooth piece
+    # (between breakpoints and, on the ramp, PCHIP knots), on a uniform
+    # sweep of the window and on both sides of every breakpoint.  On the
+    # barrier both integrands are piecewise constant, so the reference is
+    # the exact piecewise-linear antiderivative.
+    p = build()
+    e = EnergySpec(energy)
+    grid = truncate_domain(p, e)
+    w = wavenumber_field(p, e)
+    knots = RAMP_KNOTS if p.kind == "tabulated" else ()
+    pieces = np.array(window_edges(grid.x_min, grid.x_max,
+                                   (*w.breakpoints, *knots)))
+    breaks = [b for b in w.breakpoints if grid.x_min < b < grid.x_max]
+    xs = np.sort(np.concatenate((
+        np.linspace(grid.x_min, grid.x_max, 101),
+        [b + side * 1e-9 for b in breaks for side in (-1.0, 1.0)])))
+    wkb = gauge_wkb(w, grid)
+    delta = gauge_special_delta(gauge_constant(w.k_left), w, grid)
+    for fn, dfn in ((wkb.phi, wkb.phi_prime),
+                    (delta.delta, delta.delta_prime)):
+        np.testing.assert_allclose(np.asarray(fn(xs)),
+                                   _quad_antiderivative(dfn, pieces, xs),
+                                   rtol=0.0, atol=1e-13)
 
 
 def test_gauge_from_tables():

@@ -145,6 +145,33 @@ def test_plane_wave_matching_residual():
 # --------------------------------------------------------------------------
 # The spectral panel solver behind direct_integrate.
 
+def test_antiderivative_matches_closed_form():
+    anti = _panels.antiderivative(np.cos, [-2.0, 0.5, 3.0])
+    xs = np.linspace(-2.0, 3.0, 301)
+    expected = np.sin(xs) - np.sin(-2.0)
+    np.testing.assert_allclose(anti(xs), expected, atol=1e-12)
+    # continuity across the interior edge
+    assert anti(0.5 - 1e-12) == pytest.approx(anti(0.5 + 1e-12), abs=1e-11)
+    # scalar call path
+    assert anti(1.0) == pytest.approx(np.sin(1.0) - np.sin(-2.0), abs=1e-12)
+
+
+def test_antiderivative_samples_jumps_one_sided():
+    calls = []
+
+    def step(x):
+        calls.append(x.size)
+        return np.where(x >= 0.0, 2.0, -1.0)
+
+    # Sampled from its own side, each piece is constant, so the first
+    # batch of panels is accepted; a sample of the other side's value at
+    # 0 would force bisection toward the jump.
+    anti = _panels.antiderivative(step, [-1.0, 0.0, 1.0])
+    assert len(calls) == 1
+    np.testing.assert_allclose(anti(np.array([-1.0, -0.5, 0.0, 0.5, 1.0])),
+                               [0.0, -0.5, -1.0, 0.0, 1.0], atol=1e-14)
+
+
 def _rk45_wave_transmission(p, e, grid, tol):
     """T from the retained Runge-Kutta route: rk45_wave on k^2 over the
     window (smooth potentials only), matched at the right edge."""
@@ -254,7 +281,7 @@ def test_panel_cap_raises_nonconvergence(monkeypatch):
 
 
 def test_samples_match_rk45_wave_route():
-    # Barycentric samples inside panels against the Runge-Kutta route
+    # Panel-interpolant samples against the Runge-Kutta route
     # stopped at the same positions.
     p = poschl_teller(2)
     e = EnergySpec(2.0)

@@ -3,8 +3,7 @@
 import numpy as np
 import pytest
 
-from szscatter._tables import (build_segment_table, eval_table,
-                               segment_plan, segmented_antiderivative)
+from szscatter._tables import build_segment_table, eval_table, segment_plan
 
 
 def test_table_matches_smooth_fields():
@@ -42,17 +41,6 @@ def test_nudged_sampling_takes_one_sided_limits():
     table = build_segment_table([step], -1.0, 0.0, False, True, 1e-2)
     assert eval_table(table, 0, -1e-9) == pytest.approx(-1.0, abs=1e-6)
     assert eval_table(table, 0, 0.0) == pytest.approx(-1.0, abs=1e-6)
-
-
-def test_segmented_antiderivative_matches_closed_form():
-    anti = segmented_antiderivative(np.cos, [-2.0, 0.5, 3.0], 1e-3)
-    xs = np.linspace(-2.0, 3.0, 301)
-    expected = np.sin(xs) - np.sin(-2.0)
-    np.testing.assert_allclose(anti(xs), expected, atol=1e-12)
-    # continuity across the interior edge
-    assert anti(0.5 - 1e-12) == pytest.approx(anti(0.5 + 1e-12), abs=1e-11)
-    # scalar call path
-    assert anti(1.0) == pytest.approx(np.sin(1.0) - np.sin(-2.0), abs=1e-12)
 
 
 def test_segment_plan_assigns_edge_stops_to_the_segment_left():
