@@ -139,7 +139,7 @@ def evaluate(a: np.ndarray, h: np.ndarray, coef: np.ndarray, x):
 
 def antiderivative(fn, edges):
     """The antiderivative of fn that vanishes at edges[0], over the window
-    [edges[0], edges[-1]], as a callable of x.
+    [edges[0], edges[-1]], as a callable of x; real or complex as fn is.
 
     fn may jump at the interior edges, which are sampled one-sided.  The
     panels start one per piece and are bisected with the bound integral's
@@ -152,7 +152,7 @@ def antiderivative(fn, edges):
     def solve(a, b):
         h = 0.5 * (b - a)
         x = nudged(points(a, h), a, b, breaks)
-        vals = np.asarray(fn(x.ravel()), dtype=float).reshape(x.shape)
+        vals = np.asarray(fn(x.ravel())).reshape(x.shape)
         err = h * np.max(np.abs(vals @ TAIL.T), axis=1)
         return err, h[:, None] * (vals @ S.T)
 

@@ -11,13 +11,14 @@ the Chebyshev panels (_panels.antiderivative).  build_segment_table
 sampled one-sided at jumps through nudged_knots) is called by no module
 of the package; it, SegmentTable, eval_table, segment_knots,
 nudged_knots and MIN_INTERVALS stay only because perfbench's tracer wraps
-build_segment_table by name.
+build_segment_table by name.  It is the package's one use of scipy
+(CubicSpline), imported inside the function, so the package runs on
+numpy alone.
 """
 
 from bisect import bisect_left, bisect_right
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
 from ._panels import EDGE_NUDGE
 
@@ -69,6 +70,9 @@ def build_segment_table(fields, x0: float, x1: float,
     number (stored as an exact constant row, no interpolation).  All
     callable fields share a single not-a-knot spline solve.
     """
+    # Imported here so that importing the package never loads scipy.
+    from scipy.interpolate import CubicSpline
+
     length = x1 - x0
     n = max(MIN_INTERVALS, int(np.ceil(length / max_spacing)))
     xs = segment_knots(x0, x1, n)

@@ -195,10 +195,11 @@ def gauge_special_delta(base: GaugeTriple, w: WaveNumberField,
     if float(np.min(ppr_abs)) <= DEGENERACY_RTOL * float(np.max(ppr_abs)):
         raise GaugeDegenerate("|phi'| below the degeneracy threshold")
 
+    cast = float if base.is_real else complex
     return replace(
         base,
-        delta=scalarize(antiderivative(raw_dprime, edges)),
-        delta_prime=scalarize(raw_dprime),
+        delta=scalarize(antiderivative(raw_dprime, edges), cast),
+        delta_prime=scalarize(raw_dprime, cast),
         label=f"special_delta[{base.label}]",
         breakpoints=tuple(sorted(set(base.breakpoints) | set(w.breakpoints))),
         delta_is_zero=False,

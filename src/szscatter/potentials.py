@@ -1,8 +1,14 @@
-"""Potential profiles, the local wavenumber field, and domain truncation."""
+"""Potential profiles, the local wavenumber field, and domain truncation.
+
+Analytic profiles carry closed-form V and V'.  Tabulated profiles, and
+tabulated gauge fields, go through pchip_field, the one monotone-cubic
+(PCHIP) interpolant of the package, written in numpy alone.
+"""
+
+from math import perm
 
 import numpy as np
 from dataclasses import dataclass, field
-from scipy.interpolate import PchipInterpolator
 
 from .errors import AsymptoticallyClosedChannel, NoDecay
 
@@ -125,17 +131,60 @@ def poschl_teller(ell: int, scale: float = 1.0) -> PotentialProfile:
 
 
 def pchip_field(positions, values, order: int = 1) -> tuple:
-    """Monotone-cubic (PCHIP) interpolant of a table and its derivatives up
-    to `order`, as callables built once; the end pieces extrapolate."""
+    """Monotone-cubic (PCHIP) interpolant of a table and its derivatives
+    up to `order` (at most 3), as callables built once.
+
+    The knot slopes are those of scipy's PchipInterpolator: the weighted
+    harmonic mean of the neighbouring secants (Fritsch & Butland, SIAM J.
+    Sci. Stat. Comput. 5 (1984) 300), 0 where they differ in sign or one
+    is 0, and at the ends scipy's three-point rule, clamped to keep the
+    shape; a 2-point table is linear.  Each piece is a cubic in the
+    distance from its left knot, summed in scipy's order.  A knot belongs
+    to the piece on its right, and the end pieces extrapolate.
+    """
     xs = np.asarray(positions, dtype=float)
     ys = np.asarray(values, dtype=float)
     if xs.ndim != 1 or xs.shape != ys.shape or xs.size < 2:
         raise ValueError("need two 1-d arrays of equal length >= 2")
+    if not (np.all(np.isfinite(xs)) and np.all(np.isfinite(ys))):
+        raise ValueError("table entries must be finite")
     if not np.all(np.diff(xs) > 0):
         raise ValueError("table positions must be strictly increasing")
-    f = PchipInterpolator(xs, ys, extrapolate=True)
-    parts = [f] + [f.derivative(n) for n in range(1, order + 1)]
-    return tuple(scalarize(lambda xv, p=p: np.asarray(p(xv))) for p in parts)
+    h = np.diff(xs)
+    m = np.diff(ys) / h
+    d = np.full(xs.size, m[0])
+    if xs.size > 2:
+        w1 = 2.0 * h[1:] + h[:-1]
+        w2 = h[1:] + 2.0 * h[:-1]
+        flat = ((np.sign(m[1:]) != np.sign(m[:-1])) | (m[1:] == 0)
+                | (m[:-1] == 0))
+        ml, mr = np.where(flat, 1.0, m[:-1]), np.where(flat, 1.0, m[1:])
+        d[1:-1] = np.where(flat, 0.0, 1.0 / ((w1 / ml + w2 / mr) / (w1 + w2)))
+        h0, h1, m0, m1 = h[[0, -1]], h[[1, -2]], m[[0, -1]], m[[1, -2]]
+        end = ((2.0 * h0 + h1) * m0 - h0 * m1) / (h0 + h1)
+        over = (np.sign(m0) != np.sign(m1)) & (np.abs(end) > 3.0 * np.abs(m0))
+        d[[0, -1]] = np.where(np.sign(end) != np.sign(m0), 0.0,
+                              np.where(over, 3.0 * m0, end))
+    t = (d[:-1] + d[1:] - 2.0 * m) / h
+    # coef[p]: the coefficient of s^p, s measured from the left knot.
+    coef = (ys[:-1], d[:-1], (m - d[:-1]) / h - t, t / h)
+
+    def piece(n):
+        # The n-th derivative, sum of p!/(p-n)! coef[p] s^(p-n), p >= n.
+        c = [perm(p, n) * coef[p] for p in range(n, 4)]
+
+        def raw(xv):
+            i = np.clip(np.searchsorted(xs, xv, side="right") - 1,
+                        0, xs.size - 2)
+            s = xv - xs[i]
+            out, z = c[0][i], s
+            for row in c[1:]:
+                out, z = out + row[i] * z, z * s
+            return out
+
+        return scalarize(raw)
+
+    return tuple(piece(n) for n in range(order + 1))
 
 
 def tabulated(positions, values, v_left=None, v_right=None) -> PotentialProfile:

@@ -1,6 +1,9 @@
 """Config parsing, run modes, CSV determinism, and plot data."""
 
 import math
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -374,3 +377,45 @@ def test_verify_exits_three_when_oracle_panels_run_out(monkeypatch, tmp_path):
                    .format(csv=csv))
     assert main(["--config", str(cfg)]) == 3
     assert not csv.exists()
+
+
+SCIPY_FREE_RUN = """\
+import sys
+import numpy as np
+import szscatter, szscatter.cli
+from szscatter.gauges import gauge_from_tables
+
+codes = [szscatter.cli.main(["--config", path]) for path in sys.argv[1:]]
+xs = np.linspace(-3.0, 3.0, 61)
+gauge_from_tables((xs, 1.2 * xs), chi_table=(xs, 0.1 * np.exp(-xs**2)))
+print(codes, sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+"""
+
+
+def test_runtime_never_loads_scipy(tmp_path):
+    # A fresh process (this one loaded scipy for the test references)
+    # imports the package, runs verify sweeps on a Gaussian and on a
+    # tabulated file and builds a tabulated gauge, without scipy.
+    # The 41-knot tanh ramp from V = 0 to V = 0.25 on [-6, 6].
+    ramp = [0.125 * (1.0 + math.tanh(0.3 * i - 6.0)) for i in range(41)]
+    ramp[0], ramp[-1] = 0.0, 0.25
+    table = tmp_path / "ramp.dat"
+    table.write_text("".join(f"{0.3 * i - 6.0!r} {v!r}\n"
+                             for i, v in enumerate(ramp)))
+    potentials = {
+        "gaussian": "kind = gaussian\nv0 = 1.0\nsigma = 1.0\n",
+        "ramp": f"kind = tabulated\nfile = {table}\n"}
+    configs = []
+    for name, potential in potentials.items():
+        cfg = tmp_path / f"{name}.cfg"
+        cfg.write_text(
+            "[run]\nmode = verify\n[potential]\n" + potential
+            + "[energies]\nvalues = 2.0 5.0\n[gauges]\n"
+            "names = constant special_delta antiphase\n[outputs]\n"
+            f"csv_path = {tmp_path / name}.csv\n")
+        configs.append(str(cfg))
+    src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", SCIPY_FREE_RUN, *configs],
+                         env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[0, 0] []"

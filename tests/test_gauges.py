@@ -1,6 +1,7 @@
 """Gauge presets, derived rho fields, and structural identities."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -163,6 +164,32 @@ def test_special_delta_zero_diagonal():
         m = rhs_matrix(g, r, float(x))
         assert m[0, 0] == 0.0 + 0.0j
         assert m[1, 1] == 0.0 + 0.0j
+
+
+def test_special_delta_keeps_complex_chi():
+    # With a complex chi, Delta' = rho2 / (2 phi') is complex and so is its
+    # antiderivative Delta: Delta(0) matches quad of both parts, and T
+    # matches the base gauge's, with no warning (a dropped imaginary part
+    # once gave T = 0.17 against 0.98).
+    from szscatter.sz_core import scattering_amplitudes
+
+    p = gaussian(1.0, 1.0)
+    e = EnergySpec(2.0)
+    grid = truncate_domain(p, e)
+    w = wavenumber_field(p, e)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        base = gauge_constant(w.k_left, chi=0.3 + 0.3j)
+        g = gauge_special_delta(base, w, grid)
+        parts = [quad(lambda x, f=f: f(g.delta_prime(x)), grid.x_min, 0.0,
+                      epsabs=1e-14, epsrel=1e-14, limit=200)[0]
+                 for f in (np.real, np.imag)]
+        ref = scattering_amplitudes(p, e, base, 1e-10, grid=grid)
+        got = scattering_amplitudes(p, e, g, 1e-10, grid=grid)
+    assert isinstance(g.delta(0.0), complex)
+    assert abs(g.delta(0.0) - complex(*parts)) < 1e-13
+    assert abs(got.transmission - ref.transmission) < 1e-9
+    assert abs(got.reflection - ref.reflection) < 1e-9
 
 
 def test_special_delta_requires_zero_delta_base():

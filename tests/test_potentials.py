@@ -6,12 +6,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.interpolate import PchipInterpolator
 
 from szscatter.errors import AsymptoticallyClosedChannel, NoDecay
 from szscatter.potentials import (DomainGrid, EnergySpec, evaluate_potential,
-                                  gaussian, poschl_teller, square_barrier,
-                                  tabulated, tabulated_from_file,
-                                  truncate_domain, wavenumber_field)
+                                  gaussian, pchip_field, poschl_teller,
+                                  square_barrier, tabulated,
+                                  tabulated_from_file, truncate_domain,
+                                  wavenumber_field)
 
 
 def test_square_barrier_values():
@@ -124,9 +126,52 @@ def test_tabulated_roundtrip_and_clamp():
     assert evaluate_potential(p, 10.0) == ys[-1]
 
 
+def test_pchip_matches_scipy():
+    # Scipy's PchipInterpolator is the reference for the numpy PCHIP:
+    # values, first and second derivatives at the knots, between them and
+    # up to one unit beyond each end, scaled by the reference's size on
+    # the table range.  Tables: a 2-knot line, a flat table, then seeded
+    # random tables of 2-60 knots, non-monotone, monotone, and rounded
+    # (repeated values: flat and sign-changing secants).
+    rng = np.random.default_rng(20)
+    tables = [([0.0, 2.0], [1.0, 3.0]), ([0.0, 1.0, 3.0], [2.0, 2.0, 2.0])]
+    for trial in range(300):
+        n = int(rng.integers(2, 61))
+        ys = rng.normal(size=n)
+        if trial % 3 == 1:
+            ys = np.cumsum(np.abs(ys))
+        elif trial % 3 == 2:
+            ys = np.round(ys)
+        tables.append((np.cumsum(rng.uniform(0.05, 1.0, n)) - 0.5 * n, ys))
+    worst = np.zeros(3)
+    for xs, ys in tables:
+        ref = PchipInterpolator(xs, ys, extrapolate=True)
+        mine = pchip_field(xs, ys, order=2)
+        mid = np.linspace(xs[0], xs[-1], 7 * len(xs))
+        out = np.linspace(1.0, 0.0, 5, endpoint=False)
+        x = np.concatenate((xs, mid, xs[0] - out, xs[-1] + out))
+        for n in range(3):
+            scale = max(1.0, np.max(np.abs(ref.derivative(n)(mid))))
+            err = np.abs(mine[n](x) - ref.derivative(n)(x)) / scale
+            worst[n] = max(worst[n], np.max(err))
+    assert worst[0] <= 1e-14
+    assert worst[1] <= 1e-14
+    assert worst[2] <= 1e-13
+
+
 def test_tabulated_requires_increasing_positions():
     with pytest.raises(ValueError):
         tabulated([0.0, 0.0, 1.0], [1.0, 2.0, 3.0])
+
+
+@pytest.mark.parametrize("xs, ys", [
+    ([-math.inf, 0.0, 1.0], [0.0, 1.0, 0.0]),
+    ([-1.0, 0.0, 1.0], [0.0, math.nan, 0.0]),
+    ([-1.0, 0.0, 1.0], [0.0, math.inf, 0.0]),
+], ids=["inf-position", "nan-value", "inf-value"])
+def test_pchip_requires_finite_tables(xs, ys):
+    with pytest.raises(ValueError, match="finite"):
+        pchip_field(xs, ys)
 
 
 def test_tabulated_from_file(tmp_path):
