@@ -5,11 +5,11 @@ takes a generator gen(u, v, x), which returns the entries (g11, g12, g21)
 of the traceless 2x2 generator M at an array of positions x (g22 = -g11),
 u and v being handed to it unchanged.
 
-There is one Dormand-Prince 5(4) loop, _dp45, which evaluates the
-generator once per step attempt on its six stage positions.  rk45_coeffs
-(the coefficient pair, driven across segments by sz_core.evolve) and
-rk45_wave (the pair psi, psi' of psi'' + k^2 psi = 0, generator
-(0, 1, -k^2)) only choose the generator.  The direct solver,
+There is one Dormand-Prince 5(4) loop, rk45_coeffs, which evaluates the
+generator once per step attempt on its six stage positions.  sz_core.evolve
+drives it across segments on the coefficient pair; rk45_wave runs it on
+the pair psi, psi' of psi'' + k^2 psi = 0 with the generator
+(0, 1, -k^2).  The direct solver,
 oracle.direct_integrate, uses neither: it integrates spectrally on
 Chebyshev panels.  rk45_wave is kept for the perfbench tracer, which
 looks it up by name, and for the test that cross-checks the spectral
@@ -66,8 +66,8 @@ def _mul(m, a, b):
     return m11 * a + m12 * b, m21 * a - m11 * b
 
 
-def _dp45(gen, u, v, x_start, stops, a0, b0, tol, hmax, hmin, inv0,
-          out_a, out_b):
+def rk45_coeffs(gen, u, v, x_start, stops, a0, b0, tol, hmax, hmin, inv0,
+                out_a, out_b):
     """Adaptive Dormand-Prince 5(4) integration of (a, b)' = M(x) (a, b),
     M = [[g11, g12], [g21, -g11]] with the entries from gen(u, v, x).
 
@@ -167,14 +167,6 @@ def _dp45(gen, u, v, x_start, stops, a0, b0, tol, hmax, hmin, inv0,
     return a, b, drift, n_acc, n_rej, status
 
 
-def rk45_coeffs(gen, u, v, x_start, stops, a0, b0, tol, hmax, hmin, inv0,
-                out_a, out_b):
-    """_dp45 on the coefficient pair (a, b), generator gen(u, v, x).
-    Returns (a, b, drift, n_accepted, n_rejected, status)."""
-    return _dp45(gen, u, v, x_start, stops, a0, b0, tol, hmax, hmin, inv0,
-                 out_a, out_b)
-
-
 def _wave_generator(k_squared, _, x):
     """Traceless generator (0, 1, -k^2) of the pair (psi, psi')."""
     k2 = np.asarray(k_squared(x))
@@ -183,11 +175,11 @@ def _wave_generator(k_squared, _, x):
 
 def rk45_wave(k_squared, x_start, stops, p0, q0, tol, hmax, hmin,
               out_p, out_q):
-    """_dp45 on psi'' + k^2 psi = 0 as the pair (psi, psi').  Independent
-    of the gauge machinery by construction: the only field it reads is
-    the callable k_squared.  Returns (psi, psi', n_accepted, n_rejected,
-    status)."""
-    p, q, _, n_acc, n_rej, status = _dp45(
+    """rk45_coeffs on psi'' + k^2 psi = 0 as the pair (psi, psi').
+    Independent of the gauge machinery by construction: the only field it
+    reads is the callable k_squared.  Returns (psi, psi', n_accepted,
+    n_rejected, status)."""
+    p, q, _, n_acc, n_rej, status = rk45_coeffs(
         _wave_generator, k_squared, None, x_start, stops, p0, q0, tol, hmax,
         hmin, 0.0, out_p, out_q)
     return p, q, n_acc, n_rej, status

@@ -1,6 +1,6 @@
 """Chebyshev-Lobatto panels, the one bisection loop that refines them, the
-one antiderivative built on them and the one evaluator of their
-interpolants.
+one panel integral and the antiderivative built on it, and the one
+evaluator of their interpolants.
 
 A panel [a, b] with half-width h carries PANEL_NODES Chebyshev-Lobatto
 points x = a + h (t + 1), t in [-1, 1].  S maps values at the points to
@@ -15,7 +15,10 @@ panel's error estimate.
 The oracle (psi'' = -k^2 psi), the bound integral (theta) and the gauge
 antiderivatives (antiderivative: phi = int phi', Delta = int Delta') all
 start from a window cut at its breakpoints into panels, and hand bisect()
-a function that solves one batch of panels.  bisect() accepts a panel
+a function that solves one batch of panels.  The bound integral and the
+antiderivatives share that function through integrals(), which samples
+the integrand on the panels' Lobatto points and returns h S f; the
+oracle solves its own second-kind systems.  bisect() accepts a panel
 when its error estimate is at most max(tol (b - a) / span,
 ROUNDING_FLOOR), bisects the others and solves them again together, and
 raises NonConvergence past MAX_PANELS panels or when a half would be no
@@ -137,27 +140,40 @@ def evaluate(a: np.ndarray, h: np.ndarray, coef: np.ndarray, x):
     return chebval((x - a[i]) / h[i] - 1.0, coef[i].T, tensor=False)
 
 
-def antiderivative(fn, edges):
-    """The antiderivative of fn that vanishes at edges[0], over the window
-    [edges[0], edges[-1]], as a callable of x; real or complex as fn is.
+def integrals(fn, edges, tol: float, width: float = np.inf) -> list:
+    """The integrals of fn from each panel's left end, on panels of the
+    window [edges[0], edges[-1]] that bisect() refines to tol.
 
-    fn may jump at the interior edges, which are sampled one-sided.  The
-    panels start one per piece and are bisected with the bound integral's
-    rule (error estimate h max|TAIL f|) to a summed estimate of
-    ANTIDERIVATIVE_TOL.  Each panel holds h S f, the integral from its
-    left end, offset by the sum of the earlier panels' end values."""
+    The window is cut at the edges into panels no wider than width.  fn
+    may jump at the interior edges, which are sampled one-sided.  A
+    panel's error estimate is h max|TAIL f| and its integrals are h S f,
+    one per Lobatto point.  Returns bisect's [a, b, err, integrals];
+    raises NonConvergence when fn is not finite on the panel points."""
     edges = np.asarray(edges, dtype=float)
     breaks = edges[1:-1]
 
     def solve(a, b):
         h = 0.5 * (b - a)
         x = nudged(points(a, h), a, b, breaks)
-        vals = np.asarray(fn(x.ravel())).reshape(x.shape)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            vals = np.asarray(fn(x.ravel())).reshape(x.shape)
+        if not np.all(np.isfinite(vals)):
+            raise NonConvergence("integrand is not finite on the window")
         err = h * np.max(np.abs(vals @ TAIL.T), axis=1)
         return err, h[:, None] * (vals @ S.T)
 
-    a, b, _, parts = bisect(solve, edges[:-1], edges[1:],
-                            edges[-1] - edges[0], ANTIDERIVATIVE_TOL)
+    a, b = subdivide(edges[:-1], edges[1:], width)
+    return bisect(solve, a, b, edges[-1] - edges[0], tol)
+
+
+def antiderivative(fn, edges):
+    """The antiderivative of fn that vanishes at edges[0], over the window
+    [edges[0], edges[-1]], as a callable of x; real or complex as fn is.
+
+    The panels start one per piece and are refined by integrals() to
+    ANTIDERIVATIVE_TOL.  Each panel holds its integrals from its left
+    end, offset by the sum of the earlier panels' end values."""
+    a, b, _, parts = integrals(fn, edges, ANTIDERIVATIVE_TOL)
     offsets = np.concatenate(([0.0], np.cumsum(parts[:-1, -1])))
     coef = (offsets[:, None] + parts) @ TO_COEF.T
     # Trailing coefficients below rounding only cost evaluation time.

@@ -10,11 +10,12 @@ truncated domain bounds the asymptotic coefficients (|alpha| <= cosh J,
 |beta| <= sinh J) and hence T >= sech^2 J, R <= tanh^2 J, for every real
 admissible gauge.  Minimizing J over a gauge family tightens the bound.
 
-J is integrated on the Chebyshev panels the oracle also uses (_panels):
-Clenshaw-Curtis sums on panels split at theta's breakpoints, bisected
-until each panel's trailing-coefficient estimate meets its share of the
-tolerance.  The optimizer scans the family, then refines the best member
-by golden section, keeping the gauge and J of the best member evaluated.
+J is integrated by _panels.integrals, the panel integral the gauge
+antiderivatives also use: Clenshaw-Curtis sums on Chebyshev panels split
+at theta's breakpoints, bisected until each panel's trailing-coefficient
+estimate meets its share of the tolerance.  The optimizer scans the
+family, then refines the best member by golden section, keeping the
+gauge and J of the best member evaluated.
 """
 
 import math
@@ -22,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._panels import S, TAIL, bisect, nudged, points, subdivide
+from ._panels import integrals
 from .errors import (BoundViolation, ComplexGaugeRejected, EmptyFamily,
                      GaugeDegenerate, NonConvergence, TurningPoint)
 from .gauges import GaugeTriple, gauge_interpolated, rho_pair
@@ -92,40 +93,24 @@ def theta_field(g: GaugeTriple, w) -> ThetaField:
 def theta_integral(t: ThetaField, grid: DomainGrid, tol: float) -> float:
     """Integral of theta over the truncated domain on Chebyshev panels.
 
-    The window is cut at theta's breakpoints into panels no wider than
-    GRID_DIVISIONS grid steps, the length truncate_domain divides into
-    steps.  Each panel's integral is its Clenshaw-Curtis sum h S[-1] theta
-    and its error estimate h times its largest trailing Chebyshev
-    coefficient; _panels.bisect halves the panels that miss their share
-    of tol.  theta is evaluated once per bisection level, on every open
-    panel's points, with a panel end on a breakpoint nudged inward so a
-    jump is sampled from the panel's own side.  Raises NonConvergence when
-    theta is not finite, when the panels run out, or when the summed
-    estimate exceeds tol.
+    _panels.integrals cuts the window at theta's breakpoints into panels
+    no wider than GRID_DIVISIONS grid steps, the length truncate_domain
+    divides into steps, and refines them to tol.  J is the sum of the
+    panels' Clenshaw-Curtis sums h S[-1] theta.  Raises NonConvergence
+    when theta is not finite, when the panels run out, or when the summed
+    error estimate exceeds tol.
     """
     if tol <= 0:
         raise ValueError("tol must be > 0")
-    edges = np.array(window_edges(grid.x_min, grid.x_max, t.breakpoints))
-    breaks = edges[1:-1]
-
-    def solve(a, b):
-        h = 0.5 * (b - a)
-        x = nudged(points(a, h), a, b, breaks)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            vals = np.asarray(t.theta(x.ravel())).reshape(x.shape)
-        if not np.all(np.isfinite(vals)):
-            raise NonConvergence("theta is not finite on the window")
-        err = h * np.max(np.abs(vals @ TAIL.T), axis=1)
-        return err, h * (vals @ S[-1])
-
-    a, b = subdivide(edges[:-1], edges[1:], GRID_DIVISIONS * grid.max_step)
-    _, _, err, parts = bisect(solve, a, b, grid.span, tol)
+    _, _, err, parts = integrals(
+        t.theta, window_edges(grid.x_min, grid.x_max, t.breakpoints), tol,
+        GRID_DIVISIONS * grid.max_step)
     err_total = float(np.sum(err))
     if err_total > tol:
         raise NonConvergence(
             f"theta quadrature error estimate {err_total:g} exceeds "
             f"tol={tol:g}")
-    return float(np.sum(parts))
+    return float(np.sum(parts[:, -1]))
 
 
 def _report(theta: float, gauge_id: str) -> BoundReport:

@@ -144,33 +144,34 @@ def _build_potential(section: dict):
     for key in rules["required"]:
         if key not in section:
             raise ValidationError(f"potential.{key}", "missing")
-    if kind == "square_barrier":
-        return pot_mod.square_barrier(
-            _get_float(section, "potential", "v0"),
-            _get_float(section, "potential", "width"),
-            _get_float(section, "potential", "center", 0.0))
-    if kind == "gaussian":
-        return pot_mod.gaussian(
-            _get_float(section, "potential", "v0"),
-            _get_float(section, "potential", "sigma"),
-            _get_float(section, "potential", "center", 0.0))
-    if kind == "poschl_teller":
-        ell = _get_float(section, "potential", "ell")
-        if ell != int(ell) or ell < 1:
-            raise ValidationError("potential.ell",
-                                  "must be a positive integer")
-        return pot_mod.poschl_teller(int(ell),
-                                     _get_float(section, "potential",
-                                                "scale", 1.0))
-    v_left = (_get_float(section, "potential", "v_left")
-              if "v_left" in section else None)
-    v_right = (_get_float(section, "potential", "v_right")
-               if "v_right" in section else None)
+    # The constructors reject out-of-range parameters with ValueError.
     try:
+        if kind == "square_barrier":
+            return pot_mod.square_barrier(
+                _get_float(section, "potential", "v0"),
+                _get_float(section, "potential", "width"),
+                _get_float(section, "potential", "center", 0.0))
+        if kind == "gaussian":
+            return pot_mod.gaussian(
+                _get_float(section, "potential", "v0"),
+                _get_float(section, "potential", "sigma"),
+                _get_float(section, "potential", "center", 0.0))
+        if kind == "poschl_teller":
+            ell = _get_float(section, "potential", "ell")
+            if ell != int(ell) or ell < 1:
+                raise ValidationError("potential.ell",
+                                      "must be a positive integer")
+            return pot_mod.poschl_teller(
+                int(ell), _get_float(section, "potential", "scale", 1.0))
+        v_left = (_get_float(section, "potential", "v_left")
+                  if "v_left" in section else None)
+        v_right = (_get_float(section, "potential", "v_right")
+                   if "v_right" in section else None)
         return pot_mod.tabulated_from_file(section["file"], v_left=v_left,
                                            v_right=v_right)
     except (OSError, ValueError) as exc:
-        raise ValidationError("potential.file", str(exc)) from exc
+        where = "potential.file" if kind == "tabulated" else "potential"
+        raise ValidationError(where, str(exc)) from exc
 
 
 def _build_energies(section: dict) -> tuple:
@@ -432,10 +433,6 @@ def main(argv=None) -> int:
         if args.mode or args.out:
             config = replace(config, mode=args.mode or config.mode,
                              csv_path=args.out or config.csv_path)
-    except (ParseError, ValidationError) as exc:
-        print(f"sz-scatter: configuration error: {exc}", file=sys.stderr)
-        return 2
-    try:
         return run(config)
     except (ParseError, ValidationError) as exc:
         print(f"sz-scatter: configuration error: {exc}", file=sys.stderr)

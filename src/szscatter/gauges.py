@@ -2,13 +2,14 @@
 
 A gauge triple parameterizes the two-wave decomposition of the
 wavefunction.  rho_pair is the one place the pair rho1 = phi'' + 2 chi
-phi', rho2 = k^2 + chi^2 + chi' - phi'^2 is written: the evolution
-generator, the bound integrand theta (bounds.theta_field) and the
-diagonal-killing Delta' = rho2 / (2 phi') all read it.  Presets cover the
-useful special cases: constant phase slope, the family phi' = (1-s)
-k_left + s k(x) whose s = 1 member is the local-wavenumber (WKB-like)
-gauge, the diagonal-killing Delta choice, and the phase-killing Delta =
--phi choice.  The antiderivatives phi = int phi' of the family and Delta
+phi', rho2 = k^2 + chi^2 + chi' - phi'^2 is written and the gauge's and
+the potential's breakpoints are joined: the evolution generator, the
+bound integrand theta (bounds.theta_field) and the diagonal-killing
+Delta' = rho2 / (2 phi') all read it.  Presets cover the useful special
+cases: constant phase slope, the family phi' = (1-s) k_left + s k(x)
+whose s = 1 member is the local-wavenumber (WKB-like) gauge, the
+diagonal-killing Delta choice, and the phase-killing Delta = -phi
+choice.  The antiderivatives phi = int phi' of the family and Delta
 = int Delta' of the diagonal-killing gauge are Chebyshev panel
 interpolants (_panels.antiderivative), split at the breakpoints.
 Arbitrary tabulated gauges are accepted through gauge_from_tables.
@@ -183,12 +184,11 @@ def gauge_special_delta(base: GaugeTriple, w: WaveNumberField,
     has an identically zero diagonal."""
     if not base.delta_is_zero:
         raise ValueError("base gauge must have Delta identically zero")
-    edges = window_edges(grid.x_min, grid.x_max,
-                         (*base.breakpoints, *w.breakpoints))
-    rho2 = rho_pair(base, w).rho2
+    r = rho_pair(base, w)
+    edges = window_edges(grid.x_min, grid.x_max, r.breakpoints)
 
     def raw_dprime(xv):
-        return np.asarray(rho2(xv)) / (2.0 * np.asarray(base.phi_prime(xv)))
+        return np.asarray(r.rho2(xv)) / (2.0 * np.asarray(base.phi_prime(xv)))
 
     probe = np.linspace(grid.x_min, grid.x_max, 4097)
     ppr_abs = np.abs(np.asarray(base.phi_prime(probe)))
@@ -201,7 +201,7 @@ def gauge_special_delta(base: GaugeTriple, w: WaveNumberField,
         delta=scalarize(antiderivative(raw_dprime, edges), cast),
         delta_prime=scalarize(raw_dprime, cast),
         label=f"special_delta[{base.label}]",
-        breakpoints=tuple(sorted(set(base.breakpoints) | set(w.breakpoints))),
+        breakpoints=r.breakpoints,
         delta_is_zero=False,
         diag_vanishes=True,
         grid=grid,

@@ -272,12 +272,8 @@ class WaveNumberField:
     k_left: float = 0.0
     k_right: float = 0.0
     breakpoints: tuple = ()
-    c1: float = 1.0
-    energy: float = 0.0
-    profile: PotentialProfile = None
     k: object = field(repr=False, default=None)
     k_prime: object = field(repr=False, default=None)
-    k_squared_prime: object = field(repr=False, default=None)
 
 
 def wavenumber_field(p: PotentialProfile, e: EnergySpec) -> WaveNumberField:
@@ -296,23 +292,16 @@ def wavenumber_field(p: PotentialProfile, e: EnergySpec) -> WaveNumberField:
     def raw_k(xv):
         return np.sqrt(raw_k2(xv))
 
-    def raw_k2p(xv):
-        return -c1 * p.deriv(xv)
-
     def raw_kp(xv):
-        return raw_k2p(xv) / (2.0 * raw_k(xv))
+        return -c1 * p.deriv(xv) / (2.0 * raw_k(xv))
 
     return WaveNumberField(
         k_squared=scalarize(raw_k2),
         k_left=float(np.sqrt(kl2)),
         k_right=float(np.sqrt(kr2)),
         breakpoints=p.discontinuities,
-        c1=c1,
-        energy=en,
-        profile=p,
         k=scalarize(raw_k),
         k_prime=scalarize(raw_kp),
-        k_squared_prime=scalarize(raw_k2p),
     )
 
 

@@ -7,7 +7,9 @@ exponential, and adaptive embedded Runge-Kutta stepping of the
 coefficient pair (evolve).  Both evaluate the one generator, _generator,
 straight from the gauge and rho callables: the product at its Gauss
 points, the Runge-Kutta route at its stage positions.  Neither builds a
-table.  scattering_amplitudes goes through the product.
+table.  scattering_amplitudes goes through the product and, in every
+gauge, reads the amplitudes off (psi, psi') with the plane-wave matcher
+the oracle also uses (_plane_wave_pair).
 
 Discontinuities in the potential or gauge split the domain into smooth
 segments.  Steps never straddle a split; where the gauge representation
@@ -76,9 +78,11 @@ class WavefunctionSample:
 class ScatteringAmplitudes:
     """Asymptotic coefficients and the derived probabilities.
 
-    alpha and beta belong to the solution that is a pure transmitted
-    wave on the left; the familiar left-incidence amplitudes follow from
-    the standard transfer-matrix relations t = 1/alpha*, r = -beta/alpha*.
+    The solution that is the pure right-moving wave e^{ikx}/sqrt(k) on
+    the left is (alpha e^{ikx} + beta e^{-ikx})/sqrt(k) on the right.
+    alpha and beta are matched from (psi, psi'), so they do not depend on
+    the gauge; the familiar left-incidence amplitudes follow from the
+    standard transfer-matrix relations t = 1/alpha*, r = -beta/alpha*.
     """
 
     alpha: complex
@@ -210,10 +214,10 @@ def _junction(g: GaugeTriple, x: float) -> np.ndarray:
 
 
 def _segments(g: GaugeTriple, r: RhoPair, lo: float, hi: float) -> tuple:
-    """Split [lo, hi] at the breakpoints into smooth segments and check
-    |phi'| on each.  Returns (edges, junctions), with junctions[i] the
-    projection at edges[i + 1]."""
-    edges = window_edges(lo, hi, (*g.breakpoints, *r.breakpoints))
+    """Split [lo, hi] at r's breakpoints (the gauge's and the potential's)
+    into smooth segments and check |phi'| on each.  Returns (edges,
+    junctions), with junctions[i] the projection at edges[i + 1]."""
+    edges = window_edges(lo, hi, r.breakpoints)
     for a, b in zip(edges[:-1], edges[1:]):
         eps = 1e-12 * max(1.0, abs(a), abs(b))
         probe = np.linspace(a + eps, b - eps, 513)
@@ -417,47 +421,24 @@ def scattering_amplitudes(p: PotentialProfile, e: EnergySpec,
                           grid: DomainGrid = None) -> ScatteringAmplitudes:
     """Transmission and reflection for a wave incident from the left.
 
-    The coefficient pair starts as (1, 0) at the left edge (a pure
-    transmitted wave) and is carried to the right edge by the
-    path-ordered exponential transfer_matrix, where (alpha, beta) are
-    read off; tol is that product's entrywise tolerance.  When the gauge
-    is plane-wave compatible at both edges (real, phi' matching the
-    asymptotic wavenumbers, chi vanishing there), T = 1/|alpha|^2 and
-    R = |beta/alpha|^2 directly; otherwise the amplitudes are extracted
-    by matching (psi, psi') onto normalized plane waves at the edges,
-    which defines T and R through current ratios.
+    The incident plane wave e^{i k_left x}/sqrt(k_left) is projected onto
+    the gauge's coefficient pair at the left edge, carried to the right
+    edge by the path-ordered exponential transfer_matrix (tol is its
+    entrywise tolerance), turned back into (psi, psi') and matched onto
+    normalized plane waves there, which gives (alpha, beta) and T and R
+    as current ratios.  Only (psi, psi') enters the read-out, so the
+    amplitudes do not depend on the gauge.
     """
     w = wavenumber_field(p, e)
     if grid is None:
         grid = g.grid if g.grid is not None else truncate_domain(p, e)
-    r = rho_pair(g, w)
-    matched = _edges_plane_wave_compatible(g, w, grid)
-    if matched:
-        s0 = CoefficientState(grid.x_min, 1.0 + 0.0j, 0.0 + 0.0j)
-    else:
-        u = cmath.exp(1j * w.k_left * grid.x_min) / math.sqrt(w.k_left)
-        s0 = project_wavefunction(g, grid.x_min, u, 1j * w.k_left * u)
-    final = transfer_matrix(g, r, grid.x_min, grid.x_max, tol=tol,
-                            grid=grid).apply(s0)
-    if matched:
-        alpha, beta = final.a, final.b
-    else:
-        sample = reconstruct_psi(g, final)
-        alpha, beta = _plane_wave_pair(sample, w.k_right)
+    u = cmath.exp(1j * w.k_left * grid.x_min) / math.sqrt(w.k_left)
+    s0 = project_wavefunction(g, grid.x_min, u, 1j * w.k_left * u)
+    final = transfer_matrix(g, rho_pair(g, w), grid.x_min, grid.x_max,
+                            tol=tol, grid=grid).apply(s0)
+    alpha, beta = _plane_wave_pair(reconstruct_psi(g, final), w.k_right)
     return ScatteringAmplitudes(complex(alpha), complex(beta),
                                 *_probabilities(alpha, beta))
-
-
-def _edges_plane_wave_compatible(g: GaugeTriple, w, grid: DomainGrid) -> bool:
-    if not g.is_real:
-        return False
-    for x, k_edge in ((grid.x_min, w.k_left), (grid.x_max, w.k_right)):
-        ppr = complex(g.phi_prime(x))
-        if abs(ppr - k_edge) > 1e-9 * max(1.0, k_edge):
-            return False
-        if abs(complex(g.chi(x))) > 1e-9:
-            return False
-    return True
 
 
 def _probabilities(fwd: complex, bwd: complex) -> tuple:

@@ -87,7 +87,7 @@ def test_criterion_2_oracle_equivalence(suite):
 
 
 def test_criterion_3_gauge_independence(suite):
-    with criterion(3, "T, R to 1e-9 and pointwise psi to rel 1e-7 "
+    with criterion(3, "T, R, t, r to 1e-9 and pointwise psi to rel 1e-7 "
                       "across gauges"):
         for case in suite:
             grid = case.grid
@@ -108,13 +108,16 @@ def test_criterion_3_gauge_independence(suite):
                                         ODE_TOL, grid=grid)
                 psis = np.array([reconstruct_psi(g, s).psi
                                  for s in states[:-1]])
-                results[name] = (amp.transmission, amp.reflection, psis)
+                results[name] = (amp.transmission, amp.reflection,
+                                 amp.transmitted_amplitude,
+                                 amp.reflected_amplitude, psis)
 
-            t_ref, r_ref, psi_ref = results["constant"]
+            *ref, psi_ref = results["constant"]
             scale = float(np.max(np.abs(psi_ref)))
-            for name, (t, r, psis) in results.items():
-                assert abs(t - t_ref) < 1e-9, (case.name, name)
-                assert abs(r - r_ref) < 1e-9, (case.name, name)
+            for name, (*vals, psis) in results.items():
+                # T, R and the complex amplitudes t, r, phases included.
+                for val, val_ref in zip(vals, ref):
+                    assert abs(val - val_ref) < 1e-9, (case.name, name)
                 assert np.max(np.abs(psis - psi_ref)) < 1e-7 * scale, \
                     (case.name, name)
 

@@ -353,6 +353,25 @@ def test_malformed_potential_file_is_a_configuration_error(tmp_path, table):
     assert not csv.exists()
 
 
+@pytest.mark.parametrize("potential", [
+    "kind = gaussian\nv0 = 1.0\nsigma = -1\n",
+    "kind = square_barrier\nv0 = 1.0\nwidth = -2\n",
+    "kind = poschl_teller\nell = 1\nscale = 0\n",
+], ids=["sigma", "width", "scale"])
+def test_out_of_range_potential_parameter_is_a_configuration_error(
+        tmp_path, potential):
+    csv = tmp_path / "out.csv"
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("[run]\nmode = scatter\n[potential]\n" + potential
+                   + "[energies]\nvalues = 1.0\n"
+                   f"[outputs]\ncsv_path = {csv}\n")
+    with pytest.raises(ValidationError) as err:
+        parse_config(cfg.read_text())
+    assert err.value.field == "potential"
+    assert main(["--config", str(cfg)]) == 2
+    assert not csv.exists()
+
+
 def test_run_exit_four_on_violation(monkeypatch, tmp_path):
     import szscatter.cli as cli_mod
 

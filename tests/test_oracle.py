@@ -172,6 +172,16 @@ def test_antiderivative_samples_jumps_one_sided():
                                [0.0, -0.5, -1.0, 0.0, 1.0], atol=1e-14)
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("fn", [
+    lambda x: 1.0 / x,                          # infinite at the left end
+    lambda x: np.where(x > 0.5, np.nan, 1.0),   # NaN on one piece
+], ids=["inf", "nan"])
+def test_antiderivative_rejects_non_finite_integrand(fn):
+    with pytest.raises(NonConvergence, match="not finite"):
+        _panels.antiderivative(fn, [0.0, 0.5, 1.0])
+
+
 def _rk45_wave_transmission(p, e, grid, tol):
     """T from the retained Runge-Kutta route: rk45_wave on k^2 over the
     window (smooth potentials only), matched at the right edge."""

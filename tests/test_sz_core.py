@@ -425,15 +425,20 @@ def test_scattering_reflectionless():
     assert amp.reflection < 1e-7
 
 
-def test_left_incidence_amplitudes_against_third_route():
+@pytest.mark.parametrize("gauge",
+                         ["constant", "wkb", "special_delta", "antiphase"])
+def test_left_incidence_amplitudes_against_third_route(suite, gauge):
     # t = 1/alpha*, r = -beta/alpha*.  Build the left-incidence solution
     # from the claimed t by integrating backward with an unrelated
     # integrator (scipy RK45) and read the incident/reflected pair off
-    # the left edge.
+    # the left edge.  The amplitudes are physical, so every gauge must
+    # pass, phases included.
     from scipy.integrate import solve_ivp
 
-    p, e, grid, w, g, _ = _barrier_setup(2.0)
-    amp = scattering_amplitudes(p, e, g, 1e-12, grid=grid)
+    case = next(c for c in suite if c.name == "barrier-E2")
+    grid, w = case.grid, case.w
+    amp = scattering_amplitudes(case.potential, case.e, case.gauges[gauge],
+                                1e-12, grid=grid)
     t_amp = amp.transmitted_amplitude
     r_amp = amp.reflected_amplitude
     assert abs(t_amp) ** 2 == pytest.approx(amp.transmission, abs=1e-12)
@@ -456,6 +461,21 @@ def test_left_incidence_amplitudes_against_third_route():
     reflected = 0.5 * root / em * (psi0 - dpsi0 / (1j * k))
     assert incident == pytest.approx(1.0, abs=1e-7)
     assert reflected == pytest.approx(r_amp, abs=1e-7)
+
+
+@pytest.mark.parametrize("energy", [1.5, 2.0])
+def test_wkb_transmission_matches_oracle_on_gaussian(energy):
+    # In the truncated tail phi' = k(x_max) is not exactly k_right, so
+    # (alpha, beta) taken straight from (a, b) would miss the oracle by
+    # about 3e-12 here; they must come from (psi, psi') matched onto
+    # plane waves.
+    p = gaussian(1.0, 1.0)
+    e = EnergySpec(energy)
+    grid = truncate_domain(p, e)
+    g = gauge_wkb(wavenumber_field(p, e), grid)
+    amp = scattering_amplitudes(p, e, g, 1e-12, grid=grid)
+    ref = direct_integrate(p, e, grid, 1e-12)
+    assert abs(amp.transmission - ref.transmission) < 1e-12
 
 
 def test_evolve_without_grid_argument():
