@@ -20,8 +20,8 @@ from .errors import (AsymptoticallyClosedChannel, BoundViolation,
                      SzScatterError, TurningPoint, ValidationError)
 from .gauges import (GaugeTriple, RhoPair, constant_field, gauge_antiphase,
                      gauge_constant, gauge_from_files, gauge_from_tables,
-                     gauge_interpolated, gauge_special_delta, gauge_wkb,
-                     rho_pair, with_constant_chi, with_tabulated_chi)
+                     gauge_special_delta, gauge_wkb, rho_pair,
+                     with_constant_chi, with_tabulated_chi)
 from .oracle import (OracleResult, analytic_reflectionless,
                      analytic_square_barrier, direct_integrate)
 from .potentials import (DomainGrid, EnergySpec, PotentialProfile,

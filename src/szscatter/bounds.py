@@ -4,29 +4,31 @@ The nonnegative field
 
     theta(x) = sqrt(rho1^2 + rho2^2) / (2 |phi'|),
 
-built from gauges.rho_pair and equal to |M12| of the evolution generator,
-depends on phi and chi but not on Delta.  Its line integral J over the
-truncated domain bounds the asymptotic coefficients (|alpha| <= cosh J,
-|beta| <= sinh J) and hence T >= sech^2 J, R <= tanh^2 J, for every real
-admissible gauge.  Minimizing J over a gauge family tightens the bound.
+built from one call of the gauges.rho_pair fields and equal to |M12| of
+the evolution generator, depends on phi' and chi but not on phi or
+Delta.  Its line integral J over the truncated domain bounds the
+asymptotic coefficients (|alpha| <= cosh J, |beta| <= sinh J) and hence
+T >= sech^2 J, R <= tanh^2 J, for every real admissible gauge.
+Minimizing J over a gauge family tightens the bound.
 
 J is integrated by _panels.integrals, the panel integral the gauge
 antiderivatives also use: Clenshaw-Curtis sums on Chebyshev panels split
 at theta's breakpoints, bisected until each panel's trailing-coefficient
 estimate meets its share of the tolerance.  The optimizer scans the
-family, then refines the best member by golden section, keeping the
-gauge and J of the best member evaluated.
+family, whose members blend the constant gauge with one wkb gauge, then
+refines the best member by golden section, keeping the gauge and J of
+the best member evaluated.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from ._panels import integrals
 from .errors import (BoundViolation, ComplexGaugeRejected, EmptyFamily,
                      GaugeDegenerate, NonConvergence, TurningPoint)
-from .gauges import GaugeTriple, gauge_interpolated, rho_pair
+from .gauges import GaugeTriple, gauge_constant, gauge_wkb, rho_pair
 from .potentials import (GRID_DIVISIONS, DomainGrid, EnergySpec,
                          PotentialProfile, scalarize, truncate_domain,
                          wavenumber_field, window_edges)
@@ -81,10 +83,8 @@ def theta_field(g: GaugeTriple, w) -> ThetaField:
     r = rho_pair(g, w)
 
     def raw(xv):
-        r1 = np.asarray(r.rho1(xv))
-        r2 = np.asarray(r.rho2(xv))
-        return (np.sqrt(r1 * r1 + r2 * r2)
-                / (2.0 * np.abs(np.asarray(g.phi_prime(xv)))))
+        ppr, r1, r2 = r.fields(xv)
+        return np.sqrt(r1 * r1 + r2 * r2) / (2.0 * np.abs(ppr))
 
     return ThetaField(theta=scalarize(raw), gauge_id=g.label,
                       breakpoints=r.breakpoints)
@@ -177,15 +177,36 @@ def phi_prime_family(p: PotentialProfile, e: EnergySpec,
                      grid: DomainGrid = None) -> GaugeFamily:
     """Family phi'(x) = (1-s) k_left + s k(x), chi = Delta = 0.
 
-    The s = 0 baseline is always admissible; members with s > 0 require
-    an open channel everywhere (k^2 > 0 on the grid).
+    The s = 0 baseline is the constant gauge.  A member with s > 0 is
+    the blend (1-s) constant + s wkb of phi, phi' and phi'' on the
+    family's one wkb gauge, and like it needs k^2 > 0 on the grid.
     """
     w = wavenumber_field(p, e)
     if grid is None:
         grid = truncate_domain(p, e)
+    k_ref = w.k_left
+    try:
+        wkb = gauge_wkb(w, grid)
+    except TurningPoint as exc:
+        wkb = exc
 
     def build(s):
-        return gauge_interpolated(w, grid, float(s))
+        if not 0.0 <= s <= 1.0:
+            raise ValueError("s must lie in [0, 1]")
+        if s == 0.0:
+            return gauge_constant(k_ref)
+        if isinstance(wkb, TurningPoint):
+            raise wkb.with_traceback(None)
+        return replace(
+            wkb,
+            phi=scalarize(lambda xv: (1.0 - s) * k_ref * xv + s * wkb.phi(xv)),
+            phi_prime=scalarize(
+                lambda xv: (1.0 - s) * k_ref + s * wkb.phi_prime(xv)),
+            phi_double_prime=scalarize(
+                lambda xv: s * wkb.phi_double_prime(xv)),
+            label=f"family(s={s:.6g})",
+            phi_prime_scale=(1.0 - s) * k_ref + s * wkb.phi_prime_scale,
+        )
 
     return GaugeFamily(name="phi_prime_interpolation", builder=build)
 

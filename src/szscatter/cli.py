@@ -8,6 +8,7 @@ error, 3 numerical failure, 4 bound violation.
 
 import argparse
 import math
+import os
 import sys
 import time
 from dataclasses import dataclass, replace
@@ -396,6 +397,11 @@ def run(config: RunConfig) -> int:
     """Execute the configured sweep; returns the process exit status."""
     if config.csv_path is None:
         raise ValidationError("outputs.csv_path", "missing")
+    for key in ("csv_path", "plot_data_path"):
+        folder = os.path.dirname(getattr(config, key) or "")
+        if folder and not os.path.isdir(folder):
+            raise ValidationError(f"outputs.{key}",
+                                  f"no directory {folder!r}")
     rows = []
     violations = 0
     for energy in sorted(config.energies):
@@ -424,16 +430,14 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         with open(args.config, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    except OSError as exc:
-        print(f"sz-scatter: {exc}", file=sys.stderr)
-        return 2
-    try:
-        config = parse_config(text)
+            config = parse_config(fh.read())
         if args.mode or args.out:
             config = replace(config, mode=args.mode or config.mode,
                              csv_path=args.out or config.csv_path)
         return run(config)
+    except OSError as exc:  # reading the config or writing an output
+        print(f"sz-scatter: {exc}", file=sys.stderr)
+        return 2
     except (ParseError, ValidationError) as exc:
         print(f"sz-scatter: configuration error: {exc}", file=sys.stderr)
         return 2

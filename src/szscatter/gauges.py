@@ -3,16 +3,16 @@
 A gauge triple parameterizes the two-wave decomposition of the
 wavefunction.  rho_pair is the one place the pair rho1 = phi'' + 2 chi
 phi', rho2 = k^2 + chi^2 + chi' - phi'^2 is written and the gauge's and
-the potential's breakpoints are joined: the evolution generator, the
-bound integrand theta (bounds.theta_field) and the diagonal-killing
-Delta' = rho2 / (2 phi') all read it.  Presets cover the useful special
-cases: constant phase slope, the family phi' = (1-s) k_left + s k(x)
-whose s = 1 member is the local-wavenumber (WKB-like) gauge, the
-diagonal-killing Delta choice, and the phase-killing Delta = -phi
-choice.  The antiderivatives phi = int phi' of the family and Delta
-= int Delta' of the diagonal-killing gauge are Chebyshev panel
-interpolants (_panels.antiderivative), split at the breakpoints.
-Arbitrary tabulated gauges are accepted through gauge_from_tables.
+the potential's breakpoints are joined; its fields(x) reads phi' and chi
+once for phi', rho1 and rho2.  The evolution generator, the bound
+integrand theta and Delta' = rho2 / (2 phi') all read it.  Presets:
+constant phase slope, the local-wavenumber (WKB-like) slope phi' = k(x),
+whose blends with the constant gauge make the optimizer's family
+(bounds.phi_prime_family), the diagonal-killing Delta choice, and the
+phase-killing Delta = -phi choice.  The antiderivatives phi = int k of
+the wkb gauge and Delta = int Delta' of the diagonal-killing gauge are
+Chebyshev panel interpolants (_panels.antiderivative), split at the
+breakpoints.  Arbitrary tabulated gauges come from gauge_from_tables.
 """
 
 import numpy as np
@@ -70,33 +70,26 @@ class GaugeTriple:
 
 @dataclass(frozen=True, eq=False)
 class RhoPair:
-    """The two gauge-derived fields populating the evolution generator:
+    """The gauge-derived fields populating the evolution generator:
+    fields(x) gives (phi', rho1, rho2) on an array, with
     rho1 = phi'' + 2 chi phi', rho2 = k^2 + chi^2 + chi' - (phi')^2."""
 
-    rho1: object = field(repr=False)
-    rho2: object = field(repr=False)
+    fields: object = field(repr=False)
     breakpoints: tuple = ()
-    is_real: bool = True
 
 
 def rho_pair(g: GaugeTriple, w: WaveNumberField) -> RhoPair:
-    """Pointwise evaluation of both rho definitions."""
-    cast = float if g.is_real else complex
+    """Both rho definitions, evaluating phi' and chi once per call."""
 
-    def raw_rho1(xv):
-        return g.phi_double_prime(xv) + 2.0 * g.chi(xv) * g.phi_prime(xv)
-
-    def raw_rho2(xv):
-        return (w.k_squared(xv) + g.chi(xv) ** 2 + g.chi_prime(xv)
-                - g.phi_prime(xv) ** 2)
+    def fields(xv):
+        ppr = np.asarray(g.phi_prime(xv))
+        chi = np.asarray(g.chi(xv))
+        rho1 = g.phi_double_prime(xv) + 2.0 * chi * ppr
+        rho2 = w.k_squared(xv) + chi ** 2 + g.chi_prime(xv) - ppr ** 2
+        return ppr, rho1, rho2
 
     breaks = tuple(sorted(set(g.breakpoints) | set(w.breakpoints)))
-    return RhoPair(
-        rho1=scalarize(raw_rho1, cast),
-        rho2=scalarize(raw_rho2, cast),
-        breakpoints=breaks,
-        is_real=g.is_real,
-    )
+    return RhoPair(fields=fields, breakpoints=breaks)
 
 
 def gauge_constant(k_ref: float, chi: float = 0.0) -> GaugeTriple:
@@ -128,48 +121,28 @@ def gauge_constant(k_ref: float, chi: float = 0.0) -> GaugeTriple:
 
 
 def gauge_wkb(w: WaveNumberField, grid: DomainGrid) -> GaugeTriple:
-    """Local-wavenumber gauge phi' = k(x), valid above the barrier only:
-    the s = 1 member of gauge_interpolated."""
-    return replace(gauge_interpolated(w, grid, 1.0), label="wkb")
-
-
-def gauge_interpolated(w: WaveNumberField, grid: DomainGrid,
-                       s: float) -> GaugeTriple:
-    """Blend between the constant and local-wavenumber slopes:
-    phi'(x) = (1-s) k_left + s k(x), chi = Delta = 0.
-
-    s = 0 reproduces the constant gauge up to an irrelevant additive
-    phase constant; s = 1 is the WKB-like gauge (gauge_wkb).  Members
-    with s > 0 require k^2 > 0 on the grid, and their phi' jumps wherever
-    k does at a breakpoint inside the grid.
-    """
-    if not 0.0 <= s <= 1.0:
-        raise ValueError("s must lie in [0, 1]")
-    k_ref = w.k_left
-    if s == 0.0:
-        return gauge_constant(k_ref)
+    """Local-wavenumber gauge phi' = k(x), chi = Delta = 0, phi = int k
+    from the left edge.  It needs k^2 > 0 on the grid (TurningPoint
+    otherwise), and its phi' jumps wherever k does at a breakpoint inside
+    the grid."""
     edges = window_edges(grid.x_min, grid.x_max, w.breakpoints)
     for lo, hi in zip(edges[:-1], edges[1:]):
         eps = 1e-12 * max(1.0, abs(lo), abs(hi))
         if np.min(w.k_squared(np.linspace(lo + eps, hi - eps, 4097))) <= 0.0:
-            raise TurningPoint(
-                f"family member s={s:g} needs k^2 > 0 on the grid")
-
-    slope = scalarize(lambda xv: (1.0 - s) * k_ref + s * np.asarray(w.k(xv)))
-    curv = scalarize(lambda xv: s * np.asarray(w.k_prime(xv)))
+            raise TurningPoint("the wkb gauge needs k^2 > 0 on the grid")
 
     def k_jump(b):
         eps = 1e-9 * max(1.0, abs(b))
         return abs(float(w.k(b - eps)) - float(w.k(b + eps)))
 
-    scale = float(np.max(slope(np.linspace(grid.x_min, grid.x_max, 2049))))
+    scale = float(np.max(w.k(np.linspace(grid.x_min, grid.x_max, 2049))))
     inside = tuple(b for b in w.breakpoints if grid.x_min < b < grid.x_max)
     return replace(
-        gauge_constant(k_ref),
-        phi=scalarize(antiderivative(slope, edges)),
-        phi_prime=slope,
-        phi_double_prime=curv,
-        label=f"family(s={s:.6g})",
+        gauge_constant(w.k_left),
+        phi=scalarize(antiderivative(w.k, edges)),
+        phi_prime=w.k,
+        phi_double_prime=w.k_prime,
+        label="wkb",
         breakpoints=inside,
         phi_prime_scale=scale,
         phi_prime_jumps=any(k_jump(b) > 1e-9 for b in inside),
@@ -188,7 +161,8 @@ def gauge_special_delta(base: GaugeTriple, w: WaveNumberField,
     edges = window_edges(grid.x_min, grid.x_max, r.breakpoints)
 
     def raw_dprime(xv):
-        return np.asarray(r.rho2(xv)) / (2.0 * np.asarray(base.phi_prime(xv)))
+        ppr, _, rho2 = r.fields(xv)
+        return rho2 / (2.0 * ppr)
 
     probe = np.linspace(grid.x_min, grid.x_max, 4097)
     ppr_abs = np.abs(np.asarray(base.phi_prime(probe)))

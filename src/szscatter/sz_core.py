@@ -5,11 +5,11 @@ oracles: ordered products of sixth-order Magnus step exponentials
 (transfer_matrix), the discrete realization of the path-ordered
 exponential, and adaptive embedded Runge-Kutta stepping of the
 coefficient pair (evolve).  Both evaluate the one generator, _generator,
-straight from the gauge and rho callables: the product at its Gauss
-points, the Runge-Kutta route at its stage positions.  Neither builds a
-table.  scattering_amplitudes goes through the product and, in every
-gauge, reads the amplitudes off (psi, psi') with the plane-wave matcher
-the oracle also uses (_plane_wave_pair).
+straight from the gauge and one call of the rho fields: the product at
+its Gauss points, the Runge-Kutta route at its stage positions.  Neither
+builds a table.  scattering_amplitudes goes through the product and, in
+every gauge, reads the amplitudes off (psi, psi') with the plane-wave
+matcher the oracle also uses (_plane_wave_pair).
 
 Discontinuities in the potential or gauge split the domain into smooth
 segments.  Steps never straddle a split; where the gauge representation
@@ -114,12 +114,10 @@ def _check_phi_prime(g: GaugeTriple, value: complex) -> complex:
 
 def _generator(g: GaugeTriple, r: RhoPair, x: np.ndarray) -> tuple:
     """Evolution-generator entries (g11, g12, g21) at an array of
-    positions, evaluated from the gauge and rho callables; g22 = -g11
-    since the generator is traceless."""
-    ppr = np.asarray(g.phi_prime(x))
+    positions, evaluated from the gauge callables and one call of the
+    rho fields; g22 = -g11 since the generator is traceless."""
+    ppr, r1, r2 = r.fields(x)
     _check_phi_prime(g, np.min(np.abs(ppr)))
-    r1 = np.asarray(r.rho1(x))
-    r2 = np.asarray(r.rho2(x))
     if g.diag_vanishes:
         dia = 0.0
     else:
@@ -388,7 +386,7 @@ def transfer_matrix(g: GaugeTriple, r: RhoPair, x_from: float, x_to: float,
     Ordered product of sixth-order Magnus step exponentials (three Gauss
     points per step plus nested commutators; Blanes, Casas and Ros, BIT
     40 (2000) 434), with the generator evaluated directly from the gauge
-    and rho callables.  Each segment piece the path crosses is refined as
+    and rho fields.  Each segment piece the path crosses is refined as
     a whole until the Cauchy difference |E_2n - E_n| drops below its
     share of tol: the first pair (n, 2n) predicts the step count from the
     sixth-order rate, and refinement jumps there and then doubles.  Later

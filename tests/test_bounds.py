@@ -392,3 +392,48 @@ def test_golden_section_reuses_one_interior_point(monkeypatch):
     assert len(calls) <= 58
     assert rep.theta_integral == theta_integral(theta_field(gauge, w), grid,
                                                 1e-10)
+
+
+@pytest.mark.parametrize("build,energy,n_antiderivatives", [
+    (lambda: gaussian(1.0, 1.0), 2.0, 1),
+    (lambda: square_barrier(1.0, 1.0), 0.5, 0)], ids=["gauss", "barrier"])
+def test_family_builds_one_wkb_gauge(monkeypatch, build, energy,
+                                     n_antiderivatives):
+    # phi' is linear in s, so every member with s > 0 is a blend of the
+    # constant gauge and one wkb gauge, built once per family: its
+    # antiderivative phi = int k is the only one the optimizer computes.
+    # Under the barrier the wkb gauge raises TurningPoint, once.
+    from szscatter import gauges
+
+    built, integrated = [], []
+    real_wkb, real_antiderivative = gauges.gauge_wkb, gauges.antiderivative
+    monkeypatch.setattr(bounds, "gauge_wkb",
+                        lambda *a: built.append(a) or real_wkb(*a))
+    monkeypatch.setattr(gauges, "antiderivative",
+                        lambda *a: integrated.append(a)
+                        or real_antiderivative(*a))
+    p = build()
+    e, grid, _ = _setup(p, energy)
+    optimize_gauge(p, e, phi_prime_family(p, e, grid), 1e-10, grid=grid)
+    assert len(built) == 1
+    assert len(integrated) == n_antiderivatives
+
+
+@pytest.mark.parametrize("s", [0.25, 0.5, 0.75])
+@pytest.mark.parametrize("build", [lambda: gaussian(1.0, 1.0),
+                                   lambda: poschl_teller(2)],
+                         ids=["gauss", "pt2"])
+def test_blended_member_phase_and_transmission(build, s):
+    # A member's phi = (1-s) k_left x + s int k is an antiderivative of
+    # its phi', and its ordered product gives the oracle's T.
+    p = build()
+    e, grid, w = _setup(p, 2.0)
+    g = phi_prime_family(p, e, grid).builder(s)
+    xs = np.linspace(grid.x_min, grid.x_max, 41)
+    ref = [quad(g.phi_prime, grid.x_min, x, epsabs=1e-14, epsrel=1e-13,
+                limit=200)[0] for x in xs]
+    np.testing.assert_allclose(np.asarray(g.phi(xs)) - g.phi(grid.x_min),
+                               ref, rtol=0.0, atol=1e-11)
+    amp = sz_core.scattering_amplitudes(p, e, g, 1e-12, grid=grid)
+    exact = direct_integrate(p, e, grid, 1e-12)
+    assert abs(amp.transmission - exact.transmission) < 1e-9

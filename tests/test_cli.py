@@ -372,6 +372,46 @@ def test_out_of_range_potential_parameter_is_a_configuration_error(
     assert not csv.exists()
 
 
+def test_csv_path_in_missing_directory_exits_before_the_sweep(
+        monkeypatch, tmp_path):
+    import szscatter.cli as cli_mod
+
+    calls = []
+    real = cli_mod._rows_for_energy
+    monkeypatch.setattr(cli_mod, "_rows_for_energy",
+                        lambda *args: calls.append(args) or real(*args))
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(MINIMAL.format(csv=tmp_path / "missing" / "out.csv"))
+    with pytest.raises(ValidationError) as err:
+        run(parse_config(cfg.read_text()))
+    assert err.value.field == "outputs.csv_path"
+    assert main(["--config", str(cfg)]) == 2
+    assert calls == []
+
+
+def test_plot_data_path_in_missing_directory_exits_before_the_sweep(
+        tmp_path):
+    csv = tmp_path / "out.csv"
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(MINIMAL.format(csv=csv) + "plot_data_path = "
+                   f"{tmp_path / 'missing' / 'out.dat'}\n")
+    with pytest.raises(ValidationError) as err:
+        run(parse_config(cfg.read_text()))
+    assert err.value.field == "outputs.plot_data_path"
+    assert main(["--config", str(cfg)]) == 2
+    assert not csv.exists()
+
+
+def test_unwritable_csv_path_exits_two(tmp_path, capsys):
+    # The directory exists, but the path is itself a directory.
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(MINIMAL.format(csv=tmp_path))
+    assert main(["--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("sz-scatter: [Errno")
+    assert err.count("\n") == 1
+
+
 def test_run_exit_four_on_violation(monkeypatch, tmp_path):
     import szscatter.cli as cli_mod
 

@@ -9,11 +9,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
+from szscatter.bounds import phi_prime_family
 from szscatter.errors import TurningPoint
 from szscatter.gauges import (gauge_antiphase, gauge_constant,
-                              gauge_from_tables, gauge_interpolated,
-                              gauge_special_delta, gauge_wkb, rho_pair,
-                              with_constant_chi)
+                              gauge_from_tables, gauge_special_delta,
+                              gauge_wkb, rho_pair, with_constant_chi)
 from szscatter.potentials import (EnergySpec, gaussian, poschl_teller,
                                   square_barrier, tabulated, truncate_domain,
                                   wavenumber_field, window_edges)
@@ -42,15 +42,15 @@ def test_constant_gauge_rho_free():
     w = wavenumber_field(p, EnergySpec(1.0))
     r = rho_pair(gauge_constant(1.0), w)
     for x in (-2.0, 0.0, 3.0):
-        assert r.rho1(x) == 0.0
-        assert r.rho2(x) == pytest.approx(0.0, abs=1e-15)
+        assert r.fields(x)[1] == 0.0
+        assert r.fields(x)[2] == pytest.approx(0.0, abs=1e-15)
 
 
 def test_constant_gauge_rho_barrier():
     _, _, _, w = _barrier_setup(2.0)
     r = rho_pair(gauge_constant(SQRT2), w)
-    assert r.rho2(0.0) == pytest.approx(-1.0, abs=1e-14)
-    assert r.rho2(2.0) == pytest.approx(0.0, abs=1e-14)
+    assert r.fields(0.0)[2] == pytest.approx(-1.0, abs=1e-14)
+    assert r.fields(2.0)[2] == pytest.approx(0.0, abs=1e-14)
 
 
 @given(st.floats(0.2, 3.0), st.floats(-1.0, 1.0), st.floats(-3.0, 3.0),
@@ -62,9 +62,9 @@ def test_rho_with_constant_chi(k_ref, chi, x, energy):
     w = wavenumber_field(p, EnergySpec(energy))
     g = with_constant_chi(gauge_constant(k_ref), chi)
     r = rho_pair(g, w)
-    assert r.rho1(x) == pytest.approx(2.0 * chi * k_ref, abs=1e-13)
+    assert r.fields(x)[1] == pytest.approx(2.0 * chi * k_ref, abs=1e-13)
     expected = w.k_squared(x) + chi**2 - k_ref**2
-    assert r.rho2(x) == pytest.approx(expected, abs=1e-12)
+    assert r.fields(x)[2] == pytest.approx(expected, abs=1e-12)
 
 
 @pytest.mark.parametrize("maker", ["constant", "wkb", "special_delta",
@@ -111,8 +111,8 @@ def test_wkb_rho_vanishes_where_smooth():
     g = gauge_wkb(w, grid)
     r = rho_pair(g, w)
     xs = np.linspace(-3.0, 3.0, 11)
-    np.testing.assert_allclose(np.asarray(r.rho2(xs)), 0.0, atol=1e-12)
-    np.testing.assert_allclose(np.asarray(r.rho1(xs)),
+    np.testing.assert_allclose(np.asarray(r.fields(xs)[2]), 0.0, atol=1e-12)
+    np.testing.assert_allclose(np.asarray(r.fields(xs)[1]),
                                np.asarray(w.k_prime(xs)), atol=1e-12)
 
 
@@ -135,7 +135,7 @@ def test_special_delta_identity():
     g = gauge_special_delta(base, w, grid)
     r = rho_pair(g, w)
     for x in np.linspace(grid.x_min, grid.x_max, 23):
-        lhs = 2.0 * g.phi_prime(x) * g.delta_prime(x) - r.rho2(x)
+        lhs = 2.0 * g.phi_prime(x) * g.delta_prime(x) - r.fields(x)[2]
         assert abs(lhs) < 1e-13
 
 
@@ -235,10 +235,11 @@ def test_antiphase_offdiagonal_magnitude():
     g = gauge_antiphase(gauge_constant(SQRT2))
     r = rho_pair(g, w)
     m = rhs_matrix(g, r, 0.0)
-    expected = abs(complex(r.rho1(0.0), r.rho2(0.0))) / (2.0 * SQRT2)
+    _, rho1, rho2 = r.fields(0.0)
+    expected = abs(complex(rho1, rho2)) / (2.0 * SQRT2)
     assert abs(m[0, 1]) == pytest.approx(expected, abs=1e-14)
     # no oscillatory factor: the entry is exactly (rho1 + i rho2)/(2 phi')
-    assert m[0, 1] == pytest.approx(1j * r.rho2(0.0) / (2 * SQRT2), abs=1e-14)
+    assert m[0, 1] == pytest.approx(1j * rho2 / (2 * SQRT2), abs=1e-14)
 
 
 def test_real_gauges_give_real_rho(suite):
@@ -247,8 +248,30 @@ def test_real_gauges_give_real_rho(suite):
             assert g.is_real
             r = case.rho(name)
             xs = np.linspace(case.grid.x_min, case.grid.x_max, 7)
-            assert np.all(np.isreal(np.asarray(r.rho1(xs))))
-            assert np.all(np.isreal(np.asarray(r.rho2(xs))))
+            assert np.all(np.isreal(np.asarray(r.fields(xs)[1])))
+            assert np.all(np.isreal(np.asarray(r.fields(xs)[2])))
+
+
+def test_fields_read_phi_prime_once_per_evaluation():
+    # theta's integrand and the generator take phi', rho1 and rho2 from
+    # one call of the fused rho fields, which reads phi' once.
+    from dataclasses import replace
+
+    from szscatter.bounds import theta_field
+    from szscatter.sz_core import _generator
+
+    p = gaussian(1.0, 1.0)
+    e = EnergySpec(2.0)
+    w = wavenumber_field(p, e)
+    base = gauge_constant(w.k_left)
+    calls = []
+    g = replace(base, phi_prime=lambda x: calls.append(x) or base.phi_prime(x))
+    xs = np.linspace(-3.0, 3.0, 7)
+    theta_field(g, w).theta(xs)
+    assert len(calls) == 1
+    calls.clear()
+    _generator(g, rho_pair(g, w), xs)
+    assert len(calls) == 1
 
 
 def test_interpolated_family_endpoints():
@@ -256,11 +279,12 @@ def test_interpolated_family_endpoints():
     e = EnergySpec(2.0)
     grid = truncate_domain(p, e)
     w = wavenumber_field(p, e)
-    g0 = gauge_interpolated(w, grid, 0.0)
+    build = phi_prime_family(p, e, grid).builder
+    g0 = build(0.0)
     assert g0.phi_prime(0.0) == pytest.approx(w.k_left)
-    g1 = gauge_interpolated(w, grid, 1.0)
+    g1 = build(1.0)
     assert g1.phi_prime(0.0) == pytest.approx(float(w.k(0.0)), abs=1e-12)
-    ghalf = gauge_interpolated(w, grid, 0.5)
+    ghalf = build(0.5)
     assert ghalf.phi_prime(0.0) == pytest.approx(
         0.5 * w.k_left + 0.5 * float(w.k(0.0)), abs=1e-12)
     # gauge_wkb is the s = 1 member, field for field and flag for flag.
@@ -275,9 +299,10 @@ def test_interpolated_family_endpoints():
         assert getattr(wkb, name) == getattr(g1, name), name
     assert wkb.label == "wkb"
     # On the barrier every member with s > 0 inherits k's jumps.
-    _, _, grid_b, w_b = _barrier_setup(2.0)
+    p_b, e_b, grid_b, _ = _barrier_setup(2.0)
+    build_b = phi_prime_family(p_b, e_b, grid_b).builder
     for s, jumps in ((0.0, False), (0.5, True), (1.0, True)):
-        assert gauge_interpolated(w_b, grid_b, s).phi_prime_jumps is jumps
+        assert build_b(s).phi_prime_jumps is jumps
 
 
 RAMP_KNOTS = np.linspace(-6.0, 6.0, 41)
