@@ -5,11 +5,14 @@ takes a generator gen(u, v, x), which returns the entries (g11, g12, g21)
 of the traceless 2x2 generator M at an array of positions x (g22 = -g11),
 u and v being handed to it unchanged.
 
-There is one Dormand-Prince 5(4) loop, rk45_coeffs, which evaluates the
-generator once per step attempt on its six stage positions.  sz_core.evolve
-drives it across segments on the coefficient pair; rk45_wave runs it on
-the pair psi, psi' of psi'' + k^2 psi = 0 with the generator
-(0, 1, -k^2).  The direct solver,
+There is one Dormand-Prince 5(4) loop, rk45_coeffs.  It steps in blocks
+of up to BLOCK trial steps that share one step size: the generator is
+evaluated once per block, on the six stage positions of every step, and
+each step's 2x2 propagator and error map are built for the whole block as
+one array program, since the system is linear.  Only the accept test runs
+step by step.  sz_core.evolve drives it across segments on the
+coefficient pair; rk45_wave runs it on the pair psi, psi' of
+psi'' + k^2 psi = 0 with the generator (0, 1, -k^2).  The direct solver,
 oracle.direct_integrate, uses neither: it integrates spectrally on
 Chebyshev panels.  rk45_wave is kept for the perfbench tracer, which
 looks it up by name, and for the test that cross-checks the spectral
@@ -34,23 +37,22 @@ def numba_active() -> bool:
     return False
 
 
-# Dormand-Prince 5(4) tableau.
-_C2, _C3, _C4, _C5 = 0.2, 0.3, 0.8, 8.0 / 9.0
-_A21 = 0.2
-_A31, _A32 = 3.0 / 40.0, 9.0 / 40.0
-_A41, _A42, _A43 = 44.0 / 45.0, -56.0 / 15.0, 32.0 / 9.0
-_A51, _A52, _A53, _A54 = (19372.0 / 6561.0, -25360.0 / 2187.0,
-                          64448.0 / 6561.0, -212.0 / 729.0)
-_A61, _A62, _A63, _A64, _A65 = (9017.0 / 3168.0, -355.0 / 33.0,
-                                46732.0 / 5247.0, 49.0 / 176.0,
-                                -5103.0 / 18656.0)
-_B1, _B3, _B4, _B5, _B6 = (35.0 / 384.0, 500.0 / 1113.0, 125.0 / 192.0,
-                           -2187.0 / 6784.0, 11.0 / 84.0)
-_E1, _E3, _E4, _E5, _E6, _E7 = (71.0 / 57600.0, -71.0 / 16695.0,
-                                71.0 / 1920.0, -17253.0 / 339200.0,
-                                22.0 / 525.0, -1.0 / 40.0)
-# Stage positions as fractions of the step.
-_STAGE_C = np.array([0.0, _C2, _C3, _C4, _C5, 1.0])
+# Dormand-Prince 5(4) tableau: stage positions as fractions of the step,
+# stage coefficients (row i holds a_i1 .. a_i,i-1) and the weights of the
+# error estimate (fifth minus fourth order).  The method is FSAL: row 6,
+# the seventh stage's coefficients, is also the weights of the new state,
+# and the seventh stage sits at the sixth stage's position.
+_STAGE_C = np.array([0.0, 0.2, 0.3, 0.8, 8.0 / 9.0, 1.0])
+_A = (None, np.array([0.2]), np.array([3.0 / 40.0, 9.0 / 40.0]),
+      np.array([44.0 / 45.0, -56.0 / 15.0, 32.0 / 9.0]),
+      np.array([19372.0 / 6561.0, -25360.0 / 2187.0, 64448.0 / 6561.0,
+                -212.0 / 729.0]),
+      np.array([9017.0 / 3168.0, -355.0 / 33.0, 46732.0 / 5247.0,
+                49.0 / 176.0, -5103.0 / 18656.0]),
+      np.array([35.0 / 384.0, 0.0, 500.0 / 1113.0, 125.0 / 192.0,
+                -2187.0 / 6784.0, 11.0 / 84.0]))
+_E = np.array([71.0 / 57600.0, 0.0, -71.0 / 16695.0, 71.0 / 1920.0,
+               -17253.0 / 339200.0, 22.0 / 525.0, -1.0 / 40.0])
 
 # RMS of two error ratios is sqrt(1/2) hypot(r1, r2); hypot cannot
 # overflow where the sum of squares would.
@@ -59,11 +61,40 @@ _SQRT_HALF = math.sqrt(0.5)
 STATUS_OK = 0
 STATUS_STEP_UNDERFLOW = 1
 
+# Trial steps per block of rk45_coeffs; the steps of a block share one h.
+BLOCK = 16
+_STEP_INDEX = np.arange(BLOCK + 1.0)
+_EYE = np.eye(2)[:, :, None]
 
-def _mul(m, a, b):
-    """The traceless generator m = (g11, g12, g21) applied to (a, b)."""
-    m11, m12, m21 = m
-    return m11 * a + m12 * b, m21 * a - m11 * b
+
+def _dp5_maps(gen, u, v, edges, lo, hi):
+    """Propagators P and error maps Q of the Dormand-Prince steps between
+    consecutive edges, as lists of entries (11, 12, 21, 22), one per step.
+
+    The system is linear and its stage positions do not depend on the
+    state, so stage i of a step is K_i (a, b) with K_i = M_i Y_i, Y_i =
+    I + h sum_l a_il K_l, M_i being the generator at the stage's position.
+    The step takes (a, b) to P (a, b), P = Y_7 = I + h sum_i b_i K_i, and
+    estimates its error as Q (a, b), Q = h sum_i e_i K_i.  Every step's
+    matrices are built at once, as 2x2 matrices batched along the last
+    axis; the generator is evaluated in one call on all six stage
+    positions of every step, clamped to [lo, hi].
+    """
+    hs = np.diff(edges)
+    n = hs.size
+    pos = np.clip(edges[:-1] + _STAGE_C[:, None] * hs, lo, hi)
+    g11, g12, g21 = np.reshape(gen(u, v, pos.ravel()), (3, 6, n)) * hs
+    # Columns of h M_i, so that (h M_i Y)[:, k] = col0 Y[0, k] + col1 Y[1, k].
+    col0 = np.stack((g11, g21), axis=1)[:, :, None]
+    col1 = np.stack((g12, -g11), axis=1)[:, :, None]
+    hk = np.empty((7, 2, 2, n), dtype=np.complex128)   # h K_i
+    hk[0] = col0[0] * _EYE[0] + col1[0] * _EYE[1]
+    for i in range(1, 7):
+        y = _EYE + (_A[i] @ hk[:i].reshape(i, -1)).reshape(2, 2, n)
+        j = min(i, 5)   # the seventh stage sits at the sixth's position
+        hk[i] = col0[j] * y[0] + col1[j] * y[1]
+    q = _E @ hk.reshape(7, -1)
+    return y.reshape(4, n).T.tolist(), q.reshape(4, n).T.tolist()
 
 
 def rk45_coeffs(gen, u, v, x_start, stops, a0, b0, tol, hmax, hmin, inv0,
@@ -71,100 +102,79 @@ def rk45_coeffs(gen, u, v, x_start, stops, a0, b0, tol, hmax, hmin, inv0,
     """Adaptive Dormand-Prince 5(4) integration of (a, b)' = M(x) (a, b),
     M = [[g11, g12], [g21, -g11]] with the entries from gen(u, v, x).
 
-    Each step attempt evaluates gen once, on its six stage positions.
-    They are clamped EDGE_NUDGE max(1, |x|) inside [x_start, stops[-1]],
-    so a generator that jumps at an end of that interval is sampled from
-    inside.  Integrates from x_start through every stop in order (the
-    final stop is the endpoint), storing the state at each stop.  Returns
-    (a, b, drift, n_accepted, n_rejected, status) where drift is the
-    largest observed deviation of |a|^2 - |b|^2 from inv0.
+    Steps in blocks of up to BLOCK trial steps that share one h, with one
+    gen call per block on all their stage positions (see _dp5_maps).
+    Stage positions are clamped EDGE_NUDGE max(1, |x|) inside [x_start,
+    stops[-1]], so a generator that jumps at an end of that interval is
+    sampled from inside.  A block never crosses the next stop: its last
+    step is clipped to it.  The steps are then accepted in order on the
+    usual RMS error test; the block ends at its first rejected step, and
+    the next h follows from the block's worst error.  Integrates from
+    x_start through every stop in order (the final stop is the endpoint),
+    storing the state at each stop.  Returns (a, b, drift, n_accepted,
+    n_rejected, status) where drift is the largest observed deviation of
+    |a|^2 - |b|^2 from inv0 at accepted steps.
     """
-    x = x_start
-    a = a0
-    b = b0
+    x = float(x_start)
+    stops = np.asarray(stops, dtype=float).tolist()
+    a = complex(a0)
+    b = complex(b0)
     end = stops[-1]
-    lo, hi = min(x_start, end), max(x_start, end)
+    lo, hi = min(x, end), max(x, end)
     lo += EDGE_NUDGE * max(1.0, abs(lo))
     hi -= EDGE_NUDGE * max(1.0, abs(hi))
-    dirn = 1.0 if end >= x_start else -1.0
-    span = abs(end - x_start)
+    dirn = 1.0 if end >= x else -1.0
+    span = abs(end - x)
     h = dirn * min(hmax, 0.02 * span + 64.0 * hmin)
     drift = 0.0
     n_acc = 0
     n_rej = 0
-    status = STATUS_OK
-    for k in range(stops.shape[0]):
-        xt = stops[k]
+    for k, xt in enumerate(stops):
         while dirn * (xt - x) > 0.0:
-            hs = h
-            if abs(hs) > abs(xt - x):
-                hs = xt - x
-            m = np.array(gen(u, v, np.clip(x + _STAGE_C * hs, lo, hi))
-                         ).T.tolist()
-            k1a, k1b = _mul(m[0], a, b)
-            ya = a + hs * (_A21 * k1a)
-            yb = b + hs * (_A21 * k1b)
-            k2a, k2b = _mul(m[1], ya, yb)
-            ya = a + hs * (_A31 * k1a + _A32 * k2a)
-            yb = b + hs * (_A31 * k1b + _A32 * k2b)
-            k3a, k3b = _mul(m[2], ya, yb)
-            ya = a + hs * (_A41 * k1a + _A42 * k2a + _A43 * k3a)
-            yb = b + hs * (_A41 * k1b + _A42 * k2b + _A43 * k3b)
-            k4a, k4b = _mul(m[3], ya, yb)
-            ya = a + hs * (_A51 * k1a + _A52 * k2a + _A53 * k3a + _A54 * k4a)
-            yb = b + hs * (_A51 * k1b + _A52 * k2b + _A53 * k3b + _A54 * k4b)
-            k5a, k5b = _mul(m[4], ya, yb)
-            ya = a + hs * (_A61 * k1a + _A62 * k2a + _A63 * k3a + _A64 * k4a
-                           + _A65 * k5a)
-            yb = b + hs * (_A61 * k1b + _A62 * k2b + _A63 * k3b + _A64 * k4b
-                           + _A65 * k5b)
-            k6a, k6b = _mul(m[5], ya, yb)
-            a_new = a + hs * (_B1 * k1a + _B3 * k3a + _B4 * k4a + _B5 * k5a
-                              + _B6 * k6a)
-            b_new = b + hs * (_B1 * k1b + _B3 * k3b + _B4 * k4b + _B5 * k5b
-                              + _B6 * k6b)
-            k7a, k7b = _mul(m[5], a_new, b_new)
-            err_a = hs * (_E1 * k1a + _E3 * k3a + _E4 * k4a + _E5 * k5a
-                          + _E6 * k6a + _E7 * k7a)
-            err_b = hs * (_E1 * k1b + _E3 * k3b + _E4 * k4b + _E5 * k5b
-                          + _E6 * k6b + _E7 * k7b)
-            sc_a = tol + tol * max(abs(a), abs(a_new))
-            sc_b = tol + tol * max(abs(b), abs(b_new))
-            ra = abs(err_a) / sc_a
-            rb = abs(err_b) / sc_b
-            err = _SQRT_HALF * math.hypot(ra, rb)
-            if err <= 1.0:
-                x = x + hs
+            edges = x + h * _STEP_INDEX
+            # Steps that start before the stop; the last one ends on it.
+            n = int(np.count_nonzero(dirn * (xt - edges[:-1]) > 0.0))
+            edges = edges[:n + 1]
+            if dirn * (xt - edges[n]) <= 0.0:
+                edges[n] = xt
+            # The step the controller rescales: h, clipped to the stop.
+            h_tried = min(abs(h), abs(xt - x))
+            p, q = _dp5_maps(gen, u, v, edges, lo, hi)
+            worst = 0.0
+            for (p11, p12, p21, p22), (q11, q12, q21, q22), xe in zip(
+                    p, q, edges[1:].tolist()):
+                a_new = p11 * a + p12 * b
+                b_new = p21 * a + p22 * b
+                sc_a = tol + tol * max(abs(a), abs(a_new))
+                sc_b = tol + tol * max(abs(b), abs(b_new))
+                err = _SQRT_HALF * math.hypot(abs(q11 * a + q12 * b) / sc_a,
+                                              abs(q21 * a + q22 * b) / sc_b)
+                if not err <= 1.0:
+                    worst = err
+                    n_rej += 1
+                    break
+                worst = max(worst, err)
+                x = xe
                 a = a_new
                 b = b_new
                 n_acc += 1
                 inv = (a.real * a.real + a.imag * a.imag) \
                     - (b.real * b.real + b.imag * b.imag)
-                dev = abs(inv - inv0)
-                if dev > drift:
-                    drift = dev
-            else:
-                n_rej += 1
-            if err < 1.0e-30:
+                drift = max(drift, abs(inv - inv0))
+            if worst < 1.0e-30:
                 fac = 5.0
             else:
-                fac = 0.9 * err ** (-0.2)
-                if fac > 5.0:
-                    fac = 5.0
-                elif fac < 0.2:
-                    fac = 0.2
-            h_mag = abs(hs) * fac
-            if h_mag > hmax:
-                h_mag = hmax
+                # A NaN error gives the smallest factor.
+                fac = min(5.0, max(0.2, 0.9 * worst ** (-0.2)))
+            h_mag = min(hmax, h_tried * fac)
             if h_mag < hmin:
-                if err > 1.0:
-                    status = STATUS_STEP_UNDERFLOW
-                    return a, b, drift, n_acc, n_rej, status
+                if not worst <= 1.0:
+                    return a, b, drift, n_acc, n_rej, STATUS_STEP_UNDERFLOW
                 h_mag = hmin
             h = dirn * h_mag
         out_a[k] = a
         out_b[k] = b
-    return a, b, drift, n_acc, n_rej, status
+    return a, b, drift, n_acc, n_rej, STATUS_OK
 
 
 def _wave_generator(k_squared, _, x):

@@ -321,7 +321,7 @@ def evolve_path(g: GaugeTriple, r: RhoPair, s0: CoefficientState,
                                                complex(out_a[idx]),
                                                complex(out_b[idx])))
         prev = j
-    return out_states, EvolveStats(acc, rej, drift)
+    return out_states, EvolveStats(acc, rej, float(drift))
 
 
 def evolve_diagnostics(g: GaugeTriple, r: RhoPair, s0: CoefficientState,

@@ -1,9 +1,106 @@
-"""Kernel checks: the Magnus step exponentials and their ordered product."""
+"""Kernel checks: the Dormand-Prince stepper, the Magnus step exponentials
+and their ordered product."""
+
+import cmath
 
 import numpy as np
 import pytest
 
-from szscatter import _kernels
+from szscatter import _kernels, sz_core
+from szscatter.gauges import gauge_constant, rho_pair
+from szscatter.potentials import (EnergySpec, gaussian, truncate_domain,
+                                  wavenumber_field)
+
+# A constant traceless generator (g11, g12, g21), and its exponential.
+_G = (0.3 + 0.4j, 1.1 - 0.2j, -0.7 + 0.5j)
+
+
+def _constant_generator(entries, _, x):
+    return tuple(np.full(x.shape, g) for g in entries)
+
+
+def _closed_form(dx, a, b):
+    """exp(M dx) (a, b) = cosh(z dx) (a, b) + sinh(z dx) / z M (a, b),
+    z^2 = g11^2 + g12 g21."""
+    g11, g12, g21 = _G
+    z = cmath.sqrt(g11 * g11 + g12 * g21)
+    ch, sh = cmath.cosh(z * dx), cmath.sinh(z * dx) / z
+    return (ch * a + sh * (g11 * a + g12 * b),
+            ch * b + sh * (g21 * a - g11 * b))
+
+
+def _run_constant(x_start, stops, tol):
+    stops = np.asarray(stops, dtype=float)
+    span = abs(stops[-1] - x_start)
+    out_a = np.empty(stops.size, dtype=np.complex128)
+    out_b = np.empty(stops.size, dtype=np.complex128)
+    a0, b0 = 1.0 + 0.5j, -0.25j
+    res = _kernels.rk45_coeffs(_constant_generator, _G, None, x_start,
+                               stops, a0, b0, tol, span, 1e-14 * span, 0.0,
+                               out_a, out_b)
+    want = [_closed_form(x - x_start, a0, b0) for x in stops]
+    err = max(max(abs(a - wa), abs(b - wb))
+              for a, b, (wa, wb) in zip(out_a, out_b, want))
+    return res, err
+
+
+@pytest.mark.parametrize("tol", [1e-10, 1e-12])
+@pytest.mark.parametrize("x_start, end", [(0.0, 2.0), (2.0, 0.0)])
+def test_rk45_coeffs_matches_constant_exponential(x_start, end, tol):
+    (_, _, _, n_acc, _, status), err = _run_constant(x_start, [end], tol)
+    assert status == _kernels.STATUS_OK
+    assert n_acc > 0
+    assert err <= 10.0 * tol
+
+
+@pytest.mark.parametrize("tol", [1e-10, 1e-12])
+def test_rk45_coeffs_stores_state_at_every_stop(tol):
+    # Stops closer together than any step the controller would take, a
+    # repeated stop, and stops further apart than a block of steps; walked
+    # forward from 0 and backward from 3.
+    stops = [0.05, 0.0500001, 0.06, 0.06, 0.7, 0.7000000001, 1.4, 3.0]
+    for x_start, walk in ((0.0, stops), (3.0, stops[-2::-1] + [0.0])):
+        (_, _, _, _, _, status), err = _run_constant(x_start, walk, tol)
+        assert status == _kernels.STATUS_OK
+        assert err <= 10.0 * tol
+
+
+def test_rk45_coeffs_stops_on_nan_generator():
+    # A NaN error estimate rejects the step and shrinks h until the
+    # underflow exit, instead of stepping on with a NaN step size.
+    def nan_past_one(_, __, x):
+        g = np.where(x > 1.0, np.nan, 0.5) + 0j
+        return g, g, g
+
+    out = np.empty(1, dtype=np.complex128)
+    *_, status = _kernels.rk45_coeffs(nan_past_one, None, None, 0.0,
+                                      np.array([2.0]), 1.0 + 0j, 0j, 1e-10,
+                                      2.0, 2e-14, 1.0, out, out.copy())
+    assert status == _kernels.STATUS_STEP_UNDERFLOW
+
+
+def test_rk45_coeffs_calls_generator_once_per_block():
+    # The transfer cross-check's Gaussian case: the generator is evaluated
+    # once per block of steps, not once per step attempt.
+    p = gaussian(1.0, 1.0)
+    e = EnergySpec(2.0)
+    grid = truncate_domain(p, e)
+    w = wavenumber_field(p, e)
+    g = gauge_constant(w.k_left)
+    calls = []
+
+    def counting(u, v, x):
+        calls.append(x)
+        return sz_core._generator(u, v, x)
+
+    out_a = np.empty(1, dtype=np.complex128)
+    out_b = np.empty(1, dtype=np.complex128)
+    _, _, _, n_acc, n_rej, status = _kernels.rk45_coeffs(
+        counting, g, rho_pair(g, w), grid.x_min, np.array([grid.x_max]),
+        1.0 + 0j, 0j, 1e-12, grid.max_step, 1e-14 * grid.span, 1.0, out_a,
+        out_b)
+    assert status == _kernels.STATUS_OK
+    assert len(calls) <= (n_acc + n_rej) / 4
 
 
 def _field_generator(fields, _, x):

@@ -331,6 +331,20 @@ def test_evolve_samples_jumps_one_sided():
     assert stats.n_rejected == 0
 
 
+def test_evolve_stats_are_python_numbers():
+    # truncate_domain gives numpy-scalar bounds for the Gaussian; the
+    # reported drift is a float all the same.
+    p = gaussian(1.0, 1.0)
+    e = EnergySpec(2.0)
+    grid = truncate_domain(p, e)
+    w = wavenumber_field(p, e)
+    g = gauge_constant(w.k_left)
+    s0 = CoefficientState(grid.x_min, 1.0 + 0j, 0j)
+    _, stats = evolve_diagnostics(g, rho_pair(g, w), s0, grid.x_max, 1e-10,
+                                  grid=grid)
+    assert type(stats.conservation_drift) is float
+
+
 def test_reconstruct_plane_waves():
     g = gauge_constant(SQRT2)
     x = 0.7
