@@ -114,8 +114,14 @@ def theta_integral(t: ThetaField, grid: DomainGrid, tol: float) -> float:
 
 
 def _report(theta: float, gauge_id: str) -> BoundReport:
-    """The four bounds that follow from a theta integral."""
-    ch = math.cosh(theta)
+    """The four bounds that follow from a theta integral.  Where cosh
+    overflows (theta above about 710) only T >= 0 and R <= 1 remain."""
+    try:
+        ch = math.cosh(theta)
+    except OverflowError:
+        return BoundReport(theta_integral=theta, alpha_bound=math.inf,
+                           beta_bound=math.inf, t_lower=0.0, r_upper=1.0,
+                           gauge_id=gauge_id)
     sech = 1.0 / ch
     th = math.tanh(theta)
     return BoundReport(

@@ -2,8 +2,12 @@
 
 Runs energy sweeps over a potential and a set of gauges, in one of four
 modes (scatter, bounds, optimize, verify), and writes a CSV table plus
-optional plot-ready data blocks.  Exit codes: 0 ok, 2 configuration
-error, 3 numerical failure, 4 bound violation.
+optional plot-ready data blocks.  Every mode runs one loop over the
+(gauge, bound report or None) pairs that _gauge_reports yields, and one
+row builder fills T and R, the bound cells when a report exists and the
+oracle cells when the oracle ran.  ResultRow's fields are the CSV
+columns.  Exit codes: 0 ok, 2 configuration error, 3 numerical failure,
+4 bound violation.
 """
 
 import argparse
@@ -11,7 +15,7 @@ import math
 import os
 import sys
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -24,27 +28,36 @@ from .gauges import gauge_antiphase, gauge_constant, gauge_special_delta, gauge_
 from .potentials import EnergySpec, truncate_domain, wavenumber_field
 from .sz_core import scattering_amplitudes
 
-CSV_HEADER = ("energy,gauge_id,transmission,reflection,theta_integral,"
-              "t_lower,r_upper,margin_t,oracle_t,runtime_ms")
-
 MODES = ("scatter", "bounds", "optimize", "verify")
-GAUGE_NAMES = ("constant", "wkb", "special_delta", "antiphase")
+
+# Gauge name -> builder(w, grid).  The presets are looked up at call time,
+# so a profiler that wraps this module's names sees every gauge build.
+_GAUGES = {
+    "constant": lambda w, grid: gauge_constant(w.k_left),
+    "wkb": lambda w, grid: gauge_wkb(w, grid),
+    "special_delta": lambda w, grid: gauge_special_delta(
+        gauge_constant(w.k_left), w, grid),
+    "antiphase": lambda w, grid: gauge_antiphase(gauge_constant(w.k_left)),
+}
+GAUGE_NAMES = tuple(_GAUGES)
+
+# kind -> (constructor, required keys in argument order, optional keywords)
+_POTENTIALS = {
+    "square_barrier": (pot_mod.square_barrier, ("v0", "width"), ("center",)),
+    "gaussian": (pot_mod.gaussian, ("v0", "sigma"), ("center",)),
+    "poschl_teller": (pot_mod.poschl_teller, ("ell",), ("scale",)),
+    "tabulated": (pot_mod.tabulated_from_file, ("file",),
+                  ("v_left", "v_right")),
+}
 
 _SECTION_KEYS = {
     "run": {"mode", "hbar", "mass"},
-    "potential": {"kind", "v0", "width", "center", "sigma", "ell", "scale",
-                  "file", "v_left", "v_right"},
+    "potential": {"kind"}.union(*(req + opt for _, req, opt
+                                  in _POTENTIALS.values())),
     "energies": {"values", "start", "stop", "count", "spacing"},
     "gauges": {"names"},
     "tolerances": {"ode_tol", "quad_tol", "tail_tol"},
     "outputs": {"csv_path", "plot_data_path"},
-}
-
-_POTENTIAL_PARAMS = {
-    "square_barrier": {"required": {"v0", "width"}, "optional": {"center"}},
-    "gaussian": {"required": {"v0", "sigma"}, "optional": {"center"}},
-    "poschl_teller": {"required": {"ell"}, "optional": {"scale"}},
-    "tabulated": {"required": {"file"}, "optional": {"v_left", "v_right"}},
 }
 
 
@@ -65,6 +78,8 @@ class RunConfig:
 
 @dataclass
 class ResultRow:
+    """One CSV row; the fields, in order, are the columns."""
+
     energy: float
     gauge_id: str
     transmission: float = None
@@ -75,6 +90,10 @@ class ResultRow:
     margin_t: float = None
     oracle_t: float = None
     runtime_ms: float = None
+
+
+_COLUMNS = tuple(f.name for f in fields(ResultRow))
+CSV_HEADER = ",".join(_COLUMNS)
 
 
 def _raw_sections(text: str) -> dict:
@@ -112,11 +131,9 @@ def _raw_sections(text: str) -> dict:
     return data
 
 
-def _get_float(section: dict, sec_name: str, key: str, default=None) -> float:
+def _get_float(section: dict, sec_name: str, key: str) -> float:
     if key not in section:
-        if default is None:
-            raise ValidationError(f"{sec_name}.{key}", "missing")
-        return default
+        raise ValidationError(f"{sec_name}.{key}", "missing")
     return _finite(section[key], f"{sec_name}.{key}")
 
 
@@ -130,46 +147,45 @@ def _finite(text: str, field: str) -> float:
     return value
 
 
+def _positive(section: dict, sec_name: str, key: str, default: float) -> float:
+    value = _get_float(section, sec_name, key) if key in section else default
+    if value <= 0:
+        raise ValidationError(f"{sec_name}.{key}", "must be > 0")
+    return value
+
+
+def _potential_arg(section: dict, key: str):
+    if key == "file":
+        return section[key]
+    value = _get_float(section, "potential", key)
+    if key == "ell":
+        if value != int(value) or value < 1:
+            raise ValidationError("potential.ell",
+                                  "must be a positive integer")
+        return int(value)
+    return value
+
+
 def _build_potential(section: dict):
     if "kind" not in section:
         raise ValidationError("potential.kind", "missing")
     kind = section["kind"]
-    if kind not in _POTENTIAL_PARAMS:
+    if kind not in _POTENTIALS:
         raise ValidationError("potential.kind", f"unknown kind {kind!r}")
-    rules = _POTENTIAL_PARAMS[kind]
-    allowed = rules["required"] | rules["optional"] | {"kind"}
+    build, required, optional = _POTENTIALS[kind]
     for key in section:
-        if key not in allowed:
+        if key != "kind" and key not in required + optional:
             raise ValidationError(f"potential.{key}",
                                   f"not accepted by kind {kind!r}")
-    for key in rules["required"]:
+    for key in required:
         if key not in section:
             raise ValidationError(f"potential.{key}", "missing")
+    args = [_potential_arg(section, key) for key in required]
+    kwargs = {key: _potential_arg(section, key)
+              for key in optional if key in section}
     # The constructors reject out-of-range parameters with ValueError.
     try:
-        if kind == "square_barrier":
-            return pot_mod.square_barrier(
-                _get_float(section, "potential", "v0"),
-                _get_float(section, "potential", "width"),
-                _get_float(section, "potential", "center", 0.0))
-        if kind == "gaussian":
-            return pot_mod.gaussian(
-                _get_float(section, "potential", "v0"),
-                _get_float(section, "potential", "sigma"),
-                _get_float(section, "potential", "center", 0.0))
-        if kind == "poschl_teller":
-            ell = _get_float(section, "potential", "ell")
-            if ell != int(ell) or ell < 1:
-                raise ValidationError("potential.ell",
-                                      "must be a positive integer")
-            return pot_mod.poschl_teller(
-                int(ell), _get_float(section, "potential", "scale", 1.0))
-        v_left = (_get_float(section, "potential", "v_left")
-                  if "v_left" in section else None)
-        v_right = (_get_float(section, "potential", "v_right")
-                   if "v_right" in section else None)
-        return pot_mod.tabulated_from_file(section["file"], v_left=v_left,
-                                           v_right=v_right)
+        return build(*args, **kwargs)
     except (OSError, ValueError) as exc:
         where = "potential.file" if kind == "tabulated" else "potential"
         raise ValidationError(where, str(exc)) from exc
@@ -222,12 +238,12 @@ def parse_config(text: str) -> RunConfig:
     mode = run_sec["mode"]
     if mode not in MODES:
         raise ValidationError("run.mode", f"unknown mode {mode!r}")
-    hbar = _get_float(run_sec, "run", "hbar", 1.0)
-    mass = _get_float(run_sec, "run", "mass", 0.5)
-    if hbar <= 0:
-        raise ValidationError("run.hbar", "must be > 0")
-    if mass <= 0:
-        raise ValidationError("run.mass", "must be > 0")
+    hbar = _positive(run_sec, "run", "hbar", 1.0)
+    mass = _positive(run_sec, "run", "mass", 0.5)
+    try:
+        EnergySpec(0.0, hbar=hbar, mass=mass)  # checks 2m/hbar^2
+    except ValueError as exc:
+        raise ValidationError("run.hbar", str(exc)) from exc
 
     if "potential" not in data:
         raise ValidationError("potential", "missing section")
@@ -237,33 +253,24 @@ def parse_config(text: str) -> RunConfig:
         raise ValidationError("energies", "missing section")
     energies = _build_energies(data["energies"])
 
-    gauges_sec = data.get("gauges", {})
-    names = tuple(gauges_sec.get("names", "constant").split())
+    names = tuple(data.get("gauges", {}).get("names", "constant").split())
     for name in names:
-        if name not in GAUGE_NAMES:
+        if name not in _GAUGES:
             raise ValidationError("gauges.names",
                                   f"unknown gauge {name!r}")
     if not names:
         raise ValidationError("gauges.names", "need at least one gauge")
 
     tol_sec = data.get("tolerances", {})
-    ode_tol = _get_float(tol_sec, "tolerances", "ode_tol", 1.0e-12)
-    quad_tol = _get_float(tol_sec, "tolerances", "quad_tol", 1.0e-10)
-    tail_tol = _get_float(tol_sec, "tolerances", "tail_tol", 1.0e-10)
-    for key, val in (("ode_tol", ode_tol), ("quad_tol", quad_tol),
-                     ("tail_tol", tail_tol)):
-        if val <= 0:
-            raise ValidationError(f"tolerances.{key}", "must be > 0")
-
     out_sec = data.get("outputs", {})
     return RunConfig(
         mode=mode,
         potential=potential,
         energies=energies,
         gauge_names=names,
-        ode_tol=ode_tol,
-        quad_tol=quad_tol,
-        tail_tol=tail_tol,
+        ode_tol=_positive(tol_sec, "tolerances", "ode_tol", 1.0e-12),
+        quad_tol=_positive(tol_sec, "tolerances", "quad_tol", 1.0e-10),
+        tail_tol=_positive(tol_sec, "tolerances", "tail_tol", 1.0e-10),
         csv_path=out_sec.get("csv_path"),
         plot_data_path=out_sec.get("plot_data_path"),
         hbar=hbar,
@@ -271,17 +278,28 @@ def parse_config(text: str) -> RunConfig:
     )
 
 
-def _build_gauge(name: str, w, grid):
-    base = gauge_constant(w.k_left)
-    if name == "constant":
-        return base
-    if name == "wkb":
-        return gauge_wkb(w, grid)
-    if name == "special_delta":
-        return gauge_special_delta(base, w, grid)
-    if name == "antiphase":
-        return gauge_antiphase(base)
-    raise ValueError(f"unknown gauge {name!r}")
+def _gauge_reports(config: RunConfig, e: EnergySpec, w, grid):
+    """(start time, gauge, bound report or None) per row at one energy: the
+    optimizer's gauge, or each named gauge without a turning point."""
+    p, tol = config.potential, config.quad_tol
+    if config.mode == "optimize":
+        start = time.perf_counter()
+        family = bounds_mod.phi_prime_family(p, e, grid)
+        yield (start, *bounds_mod.optimize_gauge(p, e, family, tol, grid))
+        return
+    for name in config.gauge_names:
+        start = time.perf_counter()
+        try:
+            gauge = _GAUGES[name](w, grid)
+        except TurningPoint:
+            continue
+        report = None
+        if config.mode != "scatter":
+            try:
+                report = bounds_mod.bound_report(p, e, gauge, tol, grid)
+            except GaugeDegenerate:
+                continue  # distributional phi''; no bound for this gauge
+        yield start, gauge, report
 
 
 def _rows_for_energy(config: RunConfig, energy: float) -> tuple:
@@ -289,85 +307,41 @@ def _rows_for_energy(config: RunConfig, energy: float) -> tuple:
     e = EnergySpec(energy, hbar=config.hbar, mass=config.mass)
     grid = truncate_domain(config.potential, e, config.tail_tol)
     w = wavenumber_field(config.potential, e)
-    rows = []
-    violations = 0
-
-    need_oracle = config.mode in ("verify", "optimize")
     oracle_t = None
-    if need_oracle:
+    if config.mode in ("verify", "optimize"):
         oracle_t = oracle_mod.direct_integrate(
             config.potential, e, grid, config.ode_tol).transmission
 
-    if config.mode == "optimize":
-        start = time.perf_counter()
-        family = bounds_mod.phi_prime_family(config.potential, e, grid)
-        gauge, report = bounds_mod.optimize_gauge(
-            config.potential, e, family, config.quad_tol, grid)
+    rows = []
+    for start, gauge, report in _gauge_reports(config, e, w, grid):
         amp = scattering_amplitudes(config.potential, e, gauge,
                                     config.ode_tol, grid)
-        margin = oracle_t - report.t_lower
-        if margin < -bounds_mod.BOUND_SLACK:
-            violations += 1
-        rows.append(ResultRow(
-            energy=energy, gauge_id=gauge.label,
-            transmission=amp.transmission, reflection=amp.reflection,
-            theta_integral=report.theta_integral, t_lower=report.t_lower,
-            r_upper=report.r_upper, margin_t=margin, oracle_t=oracle_t,
-            runtime_ms=1e3 * (time.perf_counter() - start)))
-        return rows, violations
-
-    for name in config.gauge_names:
-        start = time.perf_counter()
-        try:
-            gauge = _build_gauge(name, w, grid)
-        except TurningPoint:
-            continue  # inadmissible at this energy; skip the combination
-        amp = scattering_amplitudes(config.potential, e, gauge,
-                                    config.ode_tol, grid)
-        row = ResultRow(energy=energy, gauge_id=gauge.label,
-                        transmission=amp.transmission,
-                        reflection=amp.reflection)
-        if config.mode in ("bounds", "verify"):
-            try:
-                report = bounds_mod.bound_report(
-                    config.potential, e, gauge, config.quad_tol, grid)
-            except GaugeDegenerate:
-                continue  # distributional phi''; no bound for this gauge
+        row = ResultRow(energy, gauge.label, amp.transmission, amp.reflection)
+        if report is not None:
             row.theta_integral = report.theta_integral
             row.t_lower = report.t_lower
             row.r_upper = report.r_upper
-            if config.mode == "verify":
-                row.oracle_t = oracle_t
-                row.margin_t = oracle_t - report.t_lower
-                if row.margin_t < -bounds_mod.BOUND_SLACK:
-                    violations += 1
+        if oracle_t is not None:
+            row.oracle_t = oracle_t
+            row.margin_t = oracle_t - report.t_lower
         row.runtime_ms = 1e3 * (time.perf_counter() - start)
         rows.append(row)
+    violations = sum(r.margin_t < -bounds_mod.BOUND_SLACK
+                     for r in rows if r.margin_t is not None)
     return rows, violations
 
 
-def _format_cell(value) -> str:
+def _format_cell(column: str, value) -> str:
     if value is None:
         return ""
-    return f"{value:.17g}"
+    if column == "gauge_id":
+        return value
+    return f"{value:.3f}" if column == "runtime_ms" else f"{value:.17g}"
 
 
 def _rows_to_csv(rows) -> str:
-    lines = [CSV_HEADER]
-    for r in rows:
-        runtime = "" if r.runtime_ms is None else f"{r.runtime_ms:.3f}"
-        lines.append(",".join([
-            _format_cell(r.energy),
-            r.gauge_id,
-            _format_cell(r.transmission),
-            _format_cell(r.reflection),
-            _format_cell(r.theta_integral),
-            _format_cell(r.t_lower),
-            _format_cell(r.r_upper),
-            _format_cell(r.margin_t),
-            _format_cell(r.oracle_t),
-            runtime,
-        ]))
+    lines = [CSV_HEADER] + [",".join(_format_cell(c, getattr(r, c))
+                                     for c in _COLUMNS) for r in rows]
     return "\n".join(lines) + "\n"
 
 

@@ -92,29 +92,21 @@ def rho_pair(g: GaugeTriple, w: WaveNumberField) -> RhoPair:
     return RhoPair(fields=fields, breakpoints=breaks)
 
 
-def gauge_constant(k_ref: float, chi: float = 0.0) -> GaugeTriple:
-    """Simplest admissible gauge: phi = k_ref * x, Delta = 0.
-
-    An optional constant chi is accepted; chi = 0 is the plain preset.
-    """
+def gauge_constant(k_ref: float) -> GaugeTriple:
+    """Simplest admissible gauge: phi = k_ref * x, Delta = chi = 0.  For
+    a constant chi on top of it, use with_constant_chi."""
     if not np.isreal(k_ref) or k_ref <= 0:
         raise ValueError("k_ref must be a positive real number")
     k_ref = float(k_ref)
-    chi_c = complex(chi)
-    is_real = chi_c.imag == 0.0
-    label = f"constant(k={k_ref:.6g})"
-    if chi_c != 0:
-        label += f",chi={chi:.6g}"
     return GaugeTriple(
         phi=scalarize(lambda xv: k_ref * xv),
         phi_prime=constant_field(k_ref),
         phi_double_prime=constant_field(0.0),
         delta=constant_field(0.0),
         delta_prime=constant_field(0.0),
-        chi=constant_field(chi),
+        chi=constant_field(0.0),
         chi_prime=constant_field(0.0),
-        is_real=is_real,
-        label=label,
+        label=f"constant(k={k_ref:.6g})",
         phi_prime_scale=k_ref,
         delta_is_zero=True,
     )

@@ -257,11 +257,18 @@ class EnergySpec:
             raise ValueError("hbar must be > 0")
         if self.mass <= 0:
             raise ValueError("mass must be > 0")
+        try:
+            c1 = self.c1
+        except (OverflowError, ZeroDivisionError):
+            c1 = 0.0
+        if not (c1 > 0.0 and np.isfinite(c1)):
+            raise ValueError("2m/hbar^2 must be a finite positive float")
 
     @property
     def c1(self) -> float:
-        """2m/hbar^2, the factor multiplying E - V(x) in k^2."""
-        return 2.0 * self.mass / self.hbar**2
+        """2m/hbar^2, the factor multiplying E - V(x) in k^2, in Python
+        floats, whose overflow raises instead of warning."""
+        return 2.0 * float(self.mass) / float(self.hbar) ** 2
 
 
 @dataclass(frozen=True, eq=False)

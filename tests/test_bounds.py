@@ -168,6 +168,22 @@ def test_bound_trivial_when_theta_zero():
     assert rep.r_upper == pytest.approx(0.0, abs=1e-13)
 
 
+def test_bound_report_past_cosh_overflow():
+    # theta = 5000 on a tall barrier: cosh overflows, so the report keeps
+    # only T >= 0 and R <= 1, and the oracle's T ~ 2.2e-90 still passes.
+    p = square_barrier(1e4, 1.0)
+    e = EnergySpec(1.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rep = bound_report(p, e, gauge_constant(1.0), 1e-10)
+        exact = direct_integrate(p, e, truncate_domain(p, e), 1e-12)
+    assert rep.theta_integral == pytest.approx(5000.0, rel=1e-12)
+    assert rep.alpha_bound == math.inf and rep.beta_bound == math.inf
+    assert rep.t_lower == 0.0 and rep.r_upper == 1.0
+    assert 0.0 < exact.transmission < 1e-80
+    assert verify_bounds(rep, exact).margin_t == exact.transmission
+
+
 def test_verify_bounds_margin():
     p = square_barrier(1.0, 1.0)
     e, grid, _ = _setup(p, 2.0)

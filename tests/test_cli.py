@@ -184,6 +184,57 @@ def test_non_finite_number_is_a_configuration_error(tmp_path, section, key,
     assert not csv.exists()
 
 
+@pytest.mark.parametrize("hbar", ["1e-200", "1e200"])
+def test_units_whose_c1_is_not_a_float_are_a_configuration_error(tmp_path,
+                                                                 hbar):
+    csv = tmp_path / "out.csv"
+    text = MINIMAL.format(csv=csv).replace(
+        "mode = scatter", f"mode = scatter\nhbar = {hbar}")
+    with pytest.raises(ValidationError) as err:
+        parse_config(text)
+    assert err.value.field == "run.hbar"
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(text)
+    assert main(["--config", str(cfg)]) == 2
+    assert not csv.exists()
+
+
+# (energy, gauge) rows and filled cells on barrier(1, 1) with gauges
+# "constant wkb": wkb has a turning point at E = 0.5, and its phi' jumps at
+# the barrier edges, so it never gets a bound and the optimizer keeps its
+# s = 0 member, the constant gauge.
+_MODE_ROWS = {
+    "scatter": ([(0.5, "constant"), (2.0, "constant"), (2.0, "wkb")],
+                {"transmission", "reflection"}),
+    "bounds": ([(0.5, "constant"), (2.0, "constant")],
+               {"transmission", "reflection", "theta_integral", "t_lower",
+                "r_upper"}),
+    "verify": ([(0.5, "constant"), (2.0, "constant")], None),
+    "optimize": ([(0.5, "constant"), (2.0, "constant")], None),
+}
+
+
+@pytest.mark.parametrize("mode", sorted(_MODE_ROWS))
+def test_rows_and_filled_cells_per_mode(tmp_path, mode):
+    csv = tmp_path / "rows.csv"
+    text = BARRIER_BOUNDS.replace("mode = bounds", f"mode = {mode}").replace(
+        "values = 2.0", "values = 0.5 2.0").replace(
+        "names = constant", "names = constant wkb")
+    assert run(parse_config(text.format(csv=csv))) == 0
+    header, *lines = csv.read_text().splitlines()
+    columns = header.split(",")
+    expected_rows, filled = _MODE_ROWS[mode]
+    filled = set(columns[2:-1]) if filled is None else filled
+    got = []
+    for line in lines:
+        cells = dict(zip(columns, line.split(",")))
+        got.append((float(cells["energy"]),
+                    cells["gauge_id"].split("(")[0]))
+        assert {c for c in columns[2:-1] if cells[c]} == filled
+        assert float(cells["runtime_ms"]) >= 0.0
+    assert got == expected_rows
+
+
 def test_run_scatter_free(tmp_path):
     csv = tmp_path / "free.csv"
     config = parse_config(MINIMAL.format(csv=csv))

@@ -179,7 +179,7 @@ def test_special_delta_keeps_complex_chi():
     w = wavenumber_field(p, e)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        base = gauge_constant(w.k_left, chi=0.3 + 0.3j)
+        base = with_constant_chi(gauge_constant(w.k_left), 0.3 + 0.3j)
         g = gauge_special_delta(base, w, grid)
         parts = [quad(lambda x, f=f: f(g.delta_prime(x)), grid.x_min, 0.0,
                       epsabs=1e-14, epsrel=1e-14, limit=200)[0]

@@ -60,6 +60,13 @@ def test_wavenumber_barrier_signs():
     assert w2.k_right == pytest.approx(math.sqrt(0.5))
 
 
+@pytest.mark.parametrize("hbar", [1e-200, 1e200])
+def test_energy_spec_rejects_units_whose_c1_is_not_a_float(hbar):
+    # 2m/hbar^2 overflows at hbar = 1e-200 and underflows at 1e200.
+    with pytest.raises(ValueError):
+        EnergySpec(1.0, hbar=hbar)
+
+
 def test_closed_channel_raises():
     p = square_barrier(1.0, 1.0)
     with pytest.raises(AsymptoticallyClosedChannel):
