@@ -10,7 +10,8 @@ of up to BLOCK trial steps that share one step size: the generator is
 evaluated once per block, on the six stage positions of every step, and
 each step's 2x2 propagator and error map are built for the whole block as
 one array program, since the system is linear.  Only the accept test runs
-step by step.  sz_core.evolve drives it across segments on the
+step by step.  It returns the state at each stop as lists and raises
+StepUnderflow itself.  sz_core.evolve drives it across segments on the
 coefficient pair; rk45_wave runs it on the pair psi, psi' of
 psi'' + k^2 psi = 0 with the generator (0, 1, -k^2).  The direct solver,
 oracle.direct_integrate, uses neither: it integrates spectrally on
@@ -29,6 +30,7 @@ import math
 import numpy as np
 
 from ._panels import EDGE_NUDGE
+from .errors import StepUnderflow
 
 
 def numba_active() -> bool:
@@ -57,9 +59,6 @@ _E = np.array([71.0 / 57600.0, 0.0, -71.0 / 16695.0, 71.0 / 1920.0,
 # RMS of two error ratios is sqrt(1/2) hypot(r1, r2); hypot cannot
 # overflow where the sum of squares would.
 _SQRT_HALF = math.sqrt(0.5)
-
-STATUS_OK = 0
-STATUS_STEP_UNDERFLOW = 1
 
 # Trial steps per block of rk45_coeffs; the steps of a block share one h.
 BLOCK = 16
@@ -97,8 +96,7 @@ def _dp5_maps(gen, u, v, edges, lo, hi):
     return y.reshape(4, n).T.tolist(), q.reshape(4, n).T.tolist()
 
 
-def rk45_coeffs(gen, u, v, x_start, stops, a0, b0, tol, hmax, hmin, inv0,
-                out_a, out_b):
+def rk45_coeffs(gen, u, v, x_start, stops, a0, b0, tol, hmax, hmin, inv0):
     """Adaptive Dormand-Prince 5(4) integration of (a, b)' = M(x) (a, b),
     M = [[g11, g12], [g21, -g11]] with the entries from gen(u, v, x).
 
@@ -110,10 +108,11 @@ def rk45_coeffs(gen, u, v, x_start, stops, a0, b0, tol, hmax, hmin, inv0,
     step is clipped to it.  The steps are then accepted in order on the
     usual RMS error test; the block ends at its first rejected step, and
     the next h follows from the block's worst error.  Integrates from
-    x_start through every stop in order (the final stop is the endpoint),
-    storing the state at each stop.  Returns (a, b, drift, n_accepted,
-    n_rejected, status) where drift is the largest observed deviation of
-    |a|^2 - |b|^2 from inv0 at accepted steps.
+    x_start through every stop in order (the final stop is the endpoint).
+    Returns (a, b, drift, n_accepted, n_rejected): a and b are lists of
+    the state at each stop, and drift is the largest observed deviation of
+    |a|^2 - |b|^2 from inv0 at accepted steps.  Raises StepUnderflow when
+    a step below hmin would still fail the error test.
     """
     x = float(x_start)
     stops = np.asarray(stops, dtype=float).tolist()
@@ -129,7 +128,9 @@ def rk45_coeffs(gen, u, v, x_start, stops, a0, b0, tol, hmax, hmin, inv0,
     drift = 0.0
     n_acc = 0
     n_rej = 0
-    for k, xt in enumerate(stops):
+    out_a = []
+    out_b = []
+    for xt in stops:
         while dirn * (xt - x) > 0.0:
             edges = x + h * _STEP_INDEX
             # Steps that start before the stop; the last one ends on it.
@@ -169,12 +170,12 @@ def rk45_coeffs(gen, u, v, x_start, stops, a0, b0, tol, hmax, hmin, inv0,
             h_mag = min(hmax, h_tried * fac)
             if h_mag < hmin:
                 if not worst <= 1.0:
-                    return a, b, drift, n_acc, n_rej, STATUS_STEP_UNDERFLOW
+                    raise StepUnderflow(f"adaptive step fell below {hmin:g}")
                 h_mag = hmin
             h = dirn * h_mag
-        out_a[k] = a
-        out_b[k] = b
-    return a, b, drift, n_acc, n_rej, STATUS_OK
+        out_a.append(a)
+        out_b.append(b)
+    return out_a, out_b, drift, n_acc, n_rej
 
 
 def _wave_generator(k_squared, _, x):
@@ -183,16 +184,15 @@ def _wave_generator(k_squared, _, x):
     return np.zeros_like(k2), np.ones_like(k2), -k2
 
 
-def rk45_wave(k_squared, x_start, stops, p0, q0, tol, hmax, hmin,
-              out_p, out_q):
+def rk45_wave(k_squared, x_start, stops, p0, q0, tol, hmax, hmin):
     """rk45_coeffs on psi'' + k^2 psi = 0 as the pair (psi, psi').
     Independent of the gauge machinery by construction: the only field it
     reads is the callable k_squared.  Returns (psi, psi', n_accepted,
-    n_rejected, status)."""
-    p, q, _, n_acc, n_rej, status = rk45_coeffs(
+    n_rejected), psi and psi' being lists of the values at each stop."""
+    p, q, _, n_acc, n_rej = rk45_coeffs(
         _wave_generator, k_squared, None, x_start, stops, p0, q0, tol, hmax,
-        hmin, 0.0, out_p, out_q)
-    return p, q, n_acc, n_rej, status
+        hmin, 0.0)
+    return p, q, n_acc, n_rej
 
 
 # Gauss-Legendre nodes of one step, as fractions of h, and the weights
@@ -275,15 +275,18 @@ def ordered_product(gen, u, v, xa, xb, nsteps):
     array of positions x (g22 = -g11); u and v are handed to it
     unchanged.  Blocks of at most PRODUCT_BLOCK steps are reduced as
     trees and then multiplied in order.  Returns the entries (e11, e12,
-    e21, e22)."""
+    e21, e22).  Overflow is silent and leaves non-finite entries (steps
+    too coarse for a tall barrier do that), which the caller rejects."""
     h = (xb - xa) / nsteps
     e11, e12, e21, e22 = 1.0 + 0.0j, 0.0j, 0.0j, 1.0 + 0.0j
-    for first in range(0, nsteps, PRODUCT_BLOCK):
-        n = min(PRODUCT_BLOCK, nsteps - first)
-        b11, b12, b21, b22 = _tree_product(
-            *_magnus_steps(gen, u, v, xa + first * h, h, n))
-        e11, e12, e21, e22 = (b11 * e11 + b12 * e21, b11 * e12 + b12 * e22,
-                              b21 * e11 + b22 * e21, b21 * e12 + b22 * e22)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for first in range(0, nsteps, PRODUCT_BLOCK):
+            n = min(PRODUCT_BLOCK, nsteps - first)
+            b11, b12, b21, b22 = _tree_product(
+                *_magnus_steps(gen, u, v, xa + first * h, h, n))
+            e11, e12, e21, e22 = (
+                b11 * e11 + b12 * e21, b11 * e12 + b12 * e22,
+                b21 * e11 + b22 * e21, b21 * e12 + b22 * e22)
     return e11, e12, e21, e22
 
 

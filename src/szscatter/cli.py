@@ -22,8 +22,8 @@ import numpy as np
 from . import bounds as bounds_mod
 from . import oracle as oracle_mod
 from . import potentials as pot_mod
-from .errors import (BoundViolation, ParseError, SzScatterError,
-                     TurningPoint, GaugeDegenerate, ValidationError)
+from .errors import (ParseError, SzScatterError, TurningPoint,
+                     GaugeDegenerate, ValidationError)
 from .gauges import gauge_antiphase, gauge_constant, gauge_special_delta, gauge_wkb
 from .potentials import EnergySpec, truncate_domain, wavenumber_field
 from .sz_core import scattering_amplitudes
@@ -415,9 +415,6 @@ def main(argv=None) -> int:
     except (ParseError, ValidationError) as exc:
         print(f"sz-scatter: configuration error: {exc}", file=sys.stderr)
         return 2
-    except BoundViolation as exc:
-        print(f"sz-scatter: bound violation: {exc}", file=sys.stderr)
-        return 4
     except (SzScatterError, ValueError, FloatingPointError) as exc:
         print(f"sz-scatter: numerical failure: {exc}", file=sys.stderr)
         return 3

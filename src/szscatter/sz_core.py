@@ -7,7 +7,9 @@ exponential, and adaptive embedded Runge-Kutta stepping of the
 coefficient pair (evolve).  Both evaluate the one generator, _generator,
 straight from the gauge and one call of the rho fields: the product at
 its Gauss points, the Runge-Kutta route at its stage positions.  Neither
-builds a table.  scattering_amplitudes goes through the product and, in
+builds a table.  The product's refinement accepts only a finite pair of
+products, so steps too coarse for a tall barrier, which overflow, are
+refined past.  scattering_amplitudes goes through the product and, in
 every gauge, reads the amplitudes off (psi, psi') with the plane-wave
 matcher the oracle also uses (_plane_wave_pair).
 
@@ -24,10 +26,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._kernels import STATUS_STEP_UNDERFLOW, ordered_product, rk45_coeffs
+from ._kernels import ordered_product, rk45_coeffs
 from ._panels import EDGE_NUDGE
 from ._tables import segment_plan
-from .errors import GaugeDegenerate, NonConvergence, StepUnderflow
+from .errors import GaugeDegenerate, NonConvergence
 from .gauges import DEGENERACY_RTOL, GaugeTriple, RhoPair, rho_pair
 from .potentials import (DomainGrid, EnergySpec, PotentialProfile,
                          truncate_domain, wavenumber_field, window_edges)
@@ -272,7 +274,9 @@ def evolve_path(g: GaugeTriple, r: RhoPair, s0: CoefficientState,
 
     The last sample point is the endpoint.  rk45_coeffs steps each smooth
     segment on _generator, and the pair crosses the junction projections
-    between segments.  Returns (list of CoefficientState, EvolveStats).
+    between segments.  Returns (list of CoefficientState, EvolveStats);
+    rk45_coeffs raises StepUnderflow when a step below 1e-14 of the span
+    still fails its error test.
     """
     if tol <= 0:
         raise ValueError("tol must be > 0")
@@ -304,22 +308,14 @@ def evolve_path(g: GaugeTriple, r: RhoPair, s0: CoefficientState,
         if prev is not None:
             y = _cross(junctions, prev, j, np.array([a, b]))
             a, b = complex(y[0]), complex(y[1])
-        stop_arr = np.asarray(seg_stops, dtype=float)
-        out_a = np.empty(stop_arr.size, dtype=np.complex128)
-        out_b = np.empty(stop_arr.size, dtype=np.complex128)
-        a, b, d, na, nr, status = rk45_coeffs(
-            _generator, g, r, x, stop_arr, a, b, tol, max_step, hmin, inv0,
-            out_a, out_b)
-        if status == STATUS_STEP_UNDERFLOW:
-            raise StepUnderflow("adaptive step fell below 1e-14 of the "
-                                "domain width")
+        seg_a, seg_b, d, na, nr = rk45_coeffs(
+            _generator, g, r, x, seg_stops, a, b, tol, max_step, hmin, inv0)
+        a, b = seg_a[-1], seg_b[-1]
         drift = max(drift, d)
         acc += na
         rej += nr
-        for idx in range(n_taken):
-            out_states.append(CoefficientState(float(stop_arr[idx]),
-                                               complex(out_a[idx]),
-                                               complex(out_b[idx])))
+        out_states += map(CoefficientState, map(float, seg_stops[:n_taken]),
+                          seg_a, seg_b)
         prev = j
     return out_states, EvolveStats(acc, rej, float(drift))
 
@@ -352,6 +348,9 @@ def _refined_product(g: GaugeTriple, r: RhoPair, a: float, b: float,
         cur = ordered_product(_generator, g, r, a, b, 2 * n)
         diff = max(abs(cur[0] - prev[0]), abs(cur[1] - prev[1]),
                    abs(cur[2] - prev[2]), abs(cur[3] - prev[3]))
+        # max skips a NaN that is not first, and an overflowed product
+        # makes the floor infinite, so a non-finite pair is never accepted.
+        finite = math.isfinite(diff) and all(map(cmath.isfinite, cur + prev))
         # An m-step product carries O(m eps) rounding; once the Cauchy
         # difference reaches that scale, refinement only adds noise.
         floor = 4.0 * _EPS * (2 * n) * max(1.0, abs(cur[0]), abs(cur[1]),
@@ -359,15 +358,15 @@ def _refined_product(g: GaugeTriple, r: RhoPair, a: float, b: float,
         # The sixth-order error bound diff / 63 fails where the generator
         # is only C^1 (the knots of tabulated profiles), so accept on the
         # Cauchy difference itself.
-        if diff < tol or diff <= floor:
+        if finite and (diff < tol or diff <= floor):
             return np.array([[cur[0], cur[1]], [cur[2], cur[3]]],
                             dtype=np.complex128)
         # diff shrinks like n^-6, so the first pair predicts the step
         # count m with |E_2m - E_m| < tol; jump there once, then double.
         # A jump past MAX_PRODUCT_STEPS ends the loop before any product
-        # is computed.
+        # is computed.  A non-finite pair only doubles.
         grow = (diff / max(tol, floor)) ** (1.0 / 6.0)
-        if not predicted and 2.0 < grow < math.inf:
+        if finite and not predicted and 2.0 < grow < math.inf:
             n <<= math.ceil(math.log2(grow))
             prev = None
         else:

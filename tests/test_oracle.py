@@ -187,13 +187,9 @@ def _rk45_wave_transmission(p, e, grid, tol):
     window (smooth potentials only), matched at the right edge."""
     w = wavenumber_field(p, e)
     psi0 = np.exp(1j * w.k_left * grid.x_min) / math.sqrt(w.k_left)
-    out_p = np.empty(1, dtype=np.complex128)
-    out_q = np.empty(1, dtype=np.complex128)
-    psi, dpsi, _, _, status = rk45_wave(
+    (psi,), (dpsi,), _, _ = rk45_wave(
         w.k_squared, grid.x_min, np.array([grid.x_max]), psi0,
-        1j * w.k_left * psi0, tol, grid.max_step, 1e-14 * grid.span, out_p,
-        out_q)
-    assert status == 0
+        1j * w.k_left * psi0, tol, grid.max_step, 1e-14 * grid.span)
     fwd, _ = _plane_wave_pair(WavefunctionSample(grid.x_max, psi, dpsi),
                               w.k_right)
     return 1.0 / abs(fwd) ** 2
@@ -300,10 +296,9 @@ def test_samples_match_rk45_wave_route():
     xs = np.linspace(grid.x_min, grid.x_max, 37)
     res = direct_integrate(p, e, grid, 1e-12, n_samples=xs.size)
     psi0 = np.exp(1j * w.k_left * grid.x_min) / math.sqrt(w.k_left)
-    out_p = np.empty(xs.size, dtype=np.complex128)
-    out_q = np.empty(xs.size, dtype=np.complex128)
-    rk45_wave(w.k_squared, grid.x_min, xs, psi0, 1j * w.k_left * psi0,
-              1e-12, grid.max_step, 1e-14 * grid.span, out_p, out_q)
+    out_p, out_q, _, _ = rk45_wave(w.k_squared, grid.x_min, xs, psi0,
+                                   1j * w.k_left * psi0, 1e-12,
+                                   grid.max_step, 1e-14 * grid.span)
     assert [s.x for s in res.psi_samples] == list(xs)
     assert max(abs(s.psi - q) for s, q in zip(res.psi_samples, out_p)) < 1e-9
     assert max(abs(s.psi_prime - q)

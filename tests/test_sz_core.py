@@ -251,6 +251,52 @@ def test_refined_product_jump_respects_step_cap(monkeypatch):
     assert requested == [8, 16]
 
 
+@pytest.mark.parametrize("persistent", [False, True],
+                         ids=["at_16_steps", "from_16_steps_on"])
+@pytest.mark.parametrize("bad", [(math.inf, 0j, 0j, 1.0 + 0j),
+                                 (1.0 + 0j, complex(math.nan), 0j, 1.0 + 0j)],
+                         ids=["overflow", "nan_not_first"])
+def test_refined_product_rejects_non_finite_product(monkeypatch, bad,
+                                                     persistent):
+    # An overflowed product makes the rounding floor infinite, and max()
+    # skips a NaN that is not its first argument; neither may pass the
+    # Cauchy test.  Refinement steps past a non-finite product, and gives
+    # up if every finer product is non-finite too.
+    p = gaussian(1.0, 1.0)
+    e = EnergySpec(2.0)
+    grid = truncate_domain(p, e)
+    w = wavenumber_field(p, e)
+    g = gauge_constant(w.k_left)
+    real = sz_core.ordered_product
+
+    def product(gen, u, v, a, b, n):
+        if n == 16 or (persistent and n > 16):
+            return tuple(map(complex, bad))
+        return real(gen, u, v, a, b, n)
+
+    monkeypatch.setattr(sz_core, "ordered_product", product)
+    args = (g, rho_pair(g, w), grid.x_min, grid.x_max, 8, 1e-10)
+    if persistent:
+        with pytest.raises(NonConvergence):
+            sz_core._refined_product(*args)
+    else:
+        assert np.all(np.isfinite(sz_core._refined_product(*args)))
+
+
+def test_tall_barrier_product_raises_no_warning():
+    # Coarse steps over a barrier of height 1000 overflow; refinement
+    # rejects them without a RuntimeWarning (an error under this suite's
+    # warning filter) and lands on the closed form.
+    p = square_barrier(1000.0, 1.0)
+    e = EnergySpec(2.0)
+    grid = truncate_domain(p, e)
+    w = wavenumber_field(p, e)
+    g = gauge_special_delta(gauge_constant(w.k_left), w, grid)
+    amp = scattering_amplitudes(p, e, g, 1e-12)
+    exact = analytic_square_barrier(1000.0, 1.0, e).transmission
+    assert amp.transmission == pytest.approx(exact, rel=1e-9)
+
+
 def _gauge_with_flat_spot(k, half_width):
     """phi' = k max(|x| - half_width, 0): zero on [-half_width,
     half_width], so the gauge is degenerate inside any window around 0."""
