@@ -22,7 +22,10 @@ oracle against it.
 The ordered product is one numpy kernel: sixth-order Magnus step
 exponentials (Blanes, Casas and Ros, BIT 40 (2000) 434) built as arrays
 and multiplied as a pairwise tree, with the generator evaluated at every
-step's three Gauss points.
+step's three Gauss points.  ordered_product spaces its steps by an
+optional step density, equal when none is given.  product_probe computes
+a pair of products on n and 2n equal steps and what each of the n cells
+contributes to their difference, from which sz_core grades the density.
 """
 
 import math
@@ -215,10 +218,10 @@ def _comm(x, y):
                      2.0 * (r1 * p2 - p1 * r2)])
 
 
-def _magnus_steps(gen, u, v, x0, h, n):
-    """Entries of the n step exponentials exp(Omega) of [x0 + i h,
-    x0 + (i + 1) h] for the sixth-order Magnus step of Blanes, Casas and
-    Ros (BIT 40 (2000) 434):
+def _magnus_steps(gen, u, v, x, h):
+    """Entries of the step exponentials exp(Omega) of [x_i, x_i + h_i]
+    (arrays of step starts and widths) for the sixth-order Magnus step of
+    Blanes, Casas and Ros (BIT 40 (2000) 434):
 
         alpha1 = h A2,  alpha2 = (sqrt(15) h / 3)(A3 - A1),
         alpha3 = (10 h / 3)(A3 - 2 A2 + A1),
@@ -230,10 +233,10 @@ def _magnus_steps(gen, u, v, x0, h, n):
     points, evaluated in one call on all 3n points.  Omega is traceless,
     so exp(Omega) = cosh(z) I + (sinh(z)/z) Omega with z^2 = Omega11^2 +
     Omega12 Omega21."""
-    xs = x0 + np.arange(n) * h
-    nodes = np.concatenate([xs + c * h for c in _GAUSS_NODES])
+    nodes = np.concatenate([x + c * h for c in _GAUSS_NODES])
     # Axes: generator entry (g11, g12, g21), Gauss point, step.
-    a1, a2, a3 = np.moveaxis(np.reshape(gen(u, v, nodes), (3, 3, n)), 1, 0)
+    a1, a2, a3 = np.moveaxis(np.reshape(gen(u, v, nodes), (3, 3, x.size)),
+                             1, 0)
     alpha1 = h * a2
     alpha2 = _ALPHA2 * h * (a3 - a1)
     alpha3 = _ALPHA3 * h * (a3 - 2.0 * a2 + a1)
@@ -251,43 +254,110 @@ def _magnus_steps(gen, u, v, x0, h, n):
     return ch + s * o11, s * o12, s * o21, ch - s * o11
 
 
-def _tree_product(m11, m12, m21, m22):
+def _mul(b, a):
+    """Entries of B A for 2x2 matrices (or arrays of them) given as their
+    entries (11, 12, 21, 22)."""
+    b11, b12, b21, b22 = b
+    a11, a12, a21, a22 = a
+    return (b11 * a11 + b12 * a21, b11 * a12 + b12 * a22,
+            b21 * a11 + b22 * a21, b21 * a12 + b22 * a22)
+
+
+def _pairs(m):
+    """Products M_{2i+1} M_{2i} of neighbours in an even-length sequence."""
+    return _mul([e[1::2] for e in m], [e[0::2] for e in m])
+
+
+def _tree_product(*m):
     """Ordered product of a sequence of 2x2 matrices, later ones on the
-    left, by multiplying neighbours pairwise until one matrix is left."""
-    while m11.size > 1:
-        if m11.size % 2:
-            m11, m22 = (np.append(m, 1.0) for m in (m11, m22))
-            m12, m21 = (np.append(m, 0.0) for m in (m12, m21))
-        a11, b11 = m11[0::2], m11[1::2]
-        a12, b12 = m12[0::2], m12[1::2]
-        a21, b21 = m21[0::2], m21[1::2]
-        a22, b22 = m22[0::2], m22[1::2]
-        m11, m12, m21, m22 = (b11 * a11 + b12 * a21, b11 * a12 + b12 * a22,
-                              b21 * a11 + b22 * a21, b21 * a12 + b22 * a22)
-    return complex(m11[0]), complex(m12[0]), complex(m21[0]), complex(m22[0])
+    left, by multiplying neighbours pairwise until one matrix is left.  A
+    level of odd length sets its last matrix aside, and the set-aside
+    matrices multiply on the left at the end, the latest last."""
+    aside = []
+    while m[0].size > 1:
+        if m[0].size % 2:
+            aside.append([e[-1] for e in m])
+            m = [e[:-1] for e in m]
+        m = _pairs(m)
+    e = tuple(complex(x[0]) for x in m)
+    for top in reversed(aside):
+        e = _mul(top, e)
+    return e
 
 
-def ordered_product(gen, u, v, xa, xb, nsteps):
+_IDENTITY = (1.0 + 0.0j, 0.0j, 0.0j, 1.0 + 0.0j)
+
+
+def ordered_product(gen, u, v, xa, xb, nsteps, density=None):
     """Path-ordered exponential over [xa, xb] in nsteps sixth-order
     Magnus steps, later positions multiplying on the left.
 
     gen(u, v, x) returns the generator entries (g11, g12, g21) at an
     array of positions x (g22 = -g11); u and v are handed to it
-    unchanged.  Blocks of at most PRODUCT_BLOCK steps are reduced as
-    trees and then multiplied in order.  Returns the entries (e11, e12,
-    e21, e22).  Overflow is silent and leaves non-finite entries (steps
-    too coarse for a tall barrier do that), which the caller rejects."""
-    h = (xb - xa) / nsteps
-    e11, e12, e21, e22 = 1.0 + 0.0j, 0.0j, 0.0j, 1.0 + 0.0j
+    unchanged.  density, if given, is a positive step density on
+    len(density) equal cells of [xa, xb], constant on each: step k ends
+    where the density's integral from xa reaches k / nsteps of its total.
+    Without it the steps are equal.  Blocks of at most PRODUCT_BLOCK steps
+    are reduced as trees and then multiplied in order.  Returns the
+    entries (e11, e12, e21, e22).  Overflow is silent and leaves
+    non-finite entries (steps too coarse for a tall barrier do that),
+    which the caller rejects."""
+    if density is None:
+        density = np.ones(1)
+    cdf = np.concatenate(([0.0], np.cumsum(density)))
+    cdf /= cdf[-1]
+    cells = np.linspace(xa, xb, cdf.size)
+    e = _IDENTITY
     with np.errstate(over="ignore", invalid="ignore"):
         for first in range(0, nsteps, PRODUCT_BLOCK):
-            n = min(PRODUCT_BLOCK, nsteps - first)
-            b11, b12, b21, b22 = _tree_product(
-                *_magnus_steps(gen, u, v, xa + first * h, h, n))
-            e11, e12, e21, e22 = (
-                b11 * e11 + b12 * e21, b11 * e12 + b12 * e22,
-                b21 * e11 + b22 * e21, b21 * e12 + b22 * e22)
-    return e11, e12, e21, e22
+            k = np.arange(first, min(first + PRODUCT_BLOCK, nsteps) + 1)
+            x = np.interp(k / nsteps, cdf, cells)
+            e = _mul(_tree_product(*_magnus_steps(gen, u, v, x[:-1],
+                                                  np.diff(x))), e)
+    return e
+
+
+def _scan(m, left_first=False):
+    """Inclusive ordered products of a sequence of 2x2 matrices: M_i ...
+    M_0 for every i, or M_0 ... M_i when left_first, in log2(n) array
+    steps (Hillis and Steele, CACM 29 (1986) 1170)."""
+    m = [e.copy() for e in m]
+    s = 1
+    while s < m[0].size:
+        later, earlier = [e[s:] for e in m], [e[:-s] for e in m]
+        for e, x in zip(m, _mul(earlier, later) if left_first
+                        else _mul(later, earlier)):
+            e[s:] = x
+        s *= 2
+    return m
+
+
+def product_probe(gen, u, v, xa, xb, n):
+    """The products of n and of 2n equal sixth-order Magnus steps over
+    [xa, xb], and what each of the n cells contributes to their
+    difference.
+
+    Cell i's local error is its product of two half steps F_i less its
+    one step C_i.  Carried to the ends of [xa, xb] by the fine steps
+    after it and the coarse steps before it, the errors sum to the
+    difference exactly: F_n-1 ... F_0 - C_n-1 ... C_0 = sum_i F_n-1 ...
+    F_i+1 (F_i - C_i) C_i-1 ... C_0.  Returns (coarse, fine, parts): the
+    products as entries (e11, e12, e21, e22), and the contributions as
+    four arrays of n entries.  Overflow is silent as in ordered_product."""
+    x = xa + (xb - xa) * (np.arange(2 * n + 1) / (2 * n))
+    with np.errstate(over="ignore", invalid="ignore"):
+        one = _magnus_steps(gen, u, v, x[:-2:2], x[2::2] - x[:-2:2])
+        two = _pairs(_magnus_steps(gen, u, v, x[:-1], np.diff(x)))
+        before = _scan(one)
+        after = _scan([e[::-1] for e in two], left_first=True)
+        parts = _mul(_mul([np.append(e[-2::-1], i)
+                           for e, i in zip(after, _IDENTITY)],
+                          np.subtract(two, one)),
+                     [np.insert(e[:-1], 0, i)
+                      for e, i in zip(before, _IDENTITY)])
+    coarse = tuple(complex(e[-1]) for e in before)
+    fine = tuple(complex(e[-1]) for e in after)
+    return coarse, fine, parts
 
 
 def warm_up() -> None:

@@ -28,7 +28,7 @@ coefficients.
 """
 
 import numpy as np
-from numpy.polynomial.chebyshev import chebint, chebval, chebvander
+from numpy.polynomial.chebyshev import chebint, chebvander
 
 from .errors import NonConvergence
 
@@ -137,7 +137,15 @@ def evaluate(a: np.ndarray, h: np.ndarray, coef: np.ndarray, x):
     Chebyshev coefficients coef[i], at the positions x (a position on a
     panel end belongs to the panel before; the end panels extrapolate)."""
     i = np.clip(np.searchsorted(a, x, side="left") - 1, 0, a.size - 1)
-    return chebval((x - a[i]) / h[i] - 1.0, coef[i].T, tensor=False)
+    t = (x - a[i]) / h[i] - 1.0
+    # Clenshaw's recurrence, reading one contiguous row of coefficients
+    # per degree rather than gathering every point's whole row.
+    rows = np.ascontiguousarray(coef.T)
+    t2 = 2.0 * t
+    b1 = b2 = 0.0
+    for row in rows[:0:-1]:
+        b1, b2 = row[i] + t2 * b1 - b2, b1
+    return rows[0][i] + t * b1 - b2
 
 
 def integrals(fn, edges, tol: float, width: float = np.inf) -> list:

@@ -7,7 +7,9 @@ exponential, and adaptive embedded Runge-Kutta stepping of the
 coefficient pair (evolve).  Both evaluate the one generator, _generator,
 straight from the gauge and one call of the rho fields: the product at
 its Gauss points, the Runge-Kutta route at its stage positions.  Neither
-builds a table.  The product's refinement accepts only a finite pair of
+builds a table.  The product's steps are graded: a probe pair on equal
+steps measures where the error is, and the accepted pair puts its steps
+there (_graded_mesh).  The refinement accepts only a finite pair of
 products, so steps too coarse for a tall barrier, which overflow, are
 refined past.  scattering_amplitudes goes through the product and, in
 every gauge, reads the amplitudes off (psi, psi') with the plane-wave
@@ -26,7 +28,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._kernels import ordered_product, rk45_coeffs
+from ._kernels import (PRODUCT_BLOCK, ordered_product, product_probe,
+                       rk45_coeffs)
 from ._panels import EDGE_NUDGE
 from ._tables import segment_plan
 from .errors import GaugeDegenerate, NonConvergence
@@ -35,9 +38,13 @@ from .potentials import (DomainGrid, EnergySpec, PotentialProfile,
                          truncate_domain, wavenumber_field, window_edges)
 
 # Product steps over the whole path before refinement, shared among the
-# pieces by length, and the cap on any one piece's steps.
+# pieces by length, and the most steps any one product may take.
 MIN_PRODUCT_STEPS = 64
 MAX_PRODUCT_STEPS = 1 << 23
+# Least step density of a graded product, as a share of its mean, and
+# the share of tol that a graded pair's predicted difference aims at.
+DENSITY_FLOOR = 0.125
+GRADED_MARGIN = 0.5
 
 _IDENTITY2 = np.eye(2, dtype=np.complex128)
 
@@ -337,42 +344,72 @@ def evolve(g: GaugeTriple, r: RhoPair, s0: CoefficientState, x_to: float,
 _EPS = float(np.finfo(np.float64).eps)
 
 
+def _graded_mesh(parts: tuple, target: float) -> tuple:
+    """Step density and step count m of a graded pair (m, 2m) whose
+    Cauchy difference the probe predicts to be target.
+
+    parts holds each probe cell's signed contribution to the probe pair's
+    difference.  A sixth-order step's local error grows like its width^7,
+    so with q_i steps in cell i that cell contributes about parts_i
+    q_i^-6.  The density |parts|^(1/7), which equidistributes the error,
+    needs the fewest steps for a given sum; it is floored at
+    DENSITY_FLOOR of its mean, so cells where the probe saw next to no
+    error keep a share.  The contributions are summed with their signs:
+    they partly cancel, and how much depends on the grading (antiphase
+    gauge, Gaussian at E = 10: the probe pair's difference is 300 times
+    smaller than the sum of their sizes)."""
+    rho = np.max(np.abs(parts), axis=0) ** (1.0 / 7.0)
+    rho = np.maximum(rho, DENSITY_FLOOR * np.mean(rho))
+    # The pair's difference with one step in all (q_i = rho_i / sum rho).
+    unit = np.max(np.abs(np.asarray(parts) @ (rho / np.sum(rho)) ** -6.0))
+    m = math.ceil((unit / (GRADED_MARGIN * target)) ** (1.0 / 6.0))
+    return rho, max(1, m)
+
+
 def _refined_product(g: GaugeTriple, r: RhoPair, a: float, b: float,
                      n0: int, tol: float) -> np.ndarray:
     n = max(2, n0)
     prev = None
+    density = None
     predicted = False
-    while n <= MAX_PRODUCT_STEPS:
-        if prev is None:
-            prev = ordered_product(_generator, g, r, a, b, n)
-        cur = ordered_product(_generator, g, r, a, b, 2 * n)
+    while 2 * n <= MAX_PRODUCT_STEPS:
+        if not predicted:
+            prev, cur, parts = product_probe(_generator, g, r, a, b, n)
+        else:
+            if prev is None:
+                prev = ordered_product(_generator, g, r, a, b, n, density)
+            cur = ordered_product(_generator, g, r, a, b, 2 * n, density)
         diff = max(abs(cur[0] - prev[0]), abs(cur[1] - prev[1]),
                    abs(cur[2] - prev[2]), abs(cur[3] - prev[3]))
         # max skips a NaN that is not first, and an overflowed product
         # makes the floor infinite, so a non-finite pair is never accepted.
         finite = math.isfinite(diff) and all(map(cmath.isfinite, cur + prev))
+        scale = max(1.0, abs(cur[0]), abs(cur[1]), abs(cur[2]), abs(cur[3]))
         # An m-step product carries O(m eps) rounding; once the Cauchy
         # difference reaches that scale, refinement only adds noise.
-        floor = 4.0 * _EPS * (2 * n) * max(1.0, abs(cur[0]), abs(cur[1]),
-                                           abs(cur[2]), abs(cur[3]))
+        floor = 4.0 * _EPS * (2 * n) * scale
         # The sixth-order error bound diff / 63 fails where the generator
         # is only C^1 (the knots of tabulated profiles), so accept on the
         # Cauchy difference itself.
         if finite and (diff < tol or diff <= floor):
             return np.array([[cur[0], cur[1]], [cur[2], cur[3]]],
                             dtype=np.complex128)
-        # diff shrinks like n^-6, so the first pair predicts the step
-        # count m with |E_2m - E_m| < tol; jump there once, then double.
-        # A jump past MAX_PRODUCT_STEPS ends the loop before any product
-        # is computed.  A non-finite pair only doubles.
-        grow = (diff / max(tol, floor)) ** (1.0 / 6.0)
-        if finite and not predicted and 2.0 < grow < math.inf:
-            n <<= math.ceil(math.log2(grow))
+        # Once the probe pair agrees to its own size, its cells' errors
+        # predict a graded pair (m, 2m) that meets tol: jump there once,
+        # then double it.  A jump past MAX_PRODUCT_STEPS ends the loop
+        # before any product is computed.  Before that, and after a
+        # non-finite pair, the probe doubles; its arrays are not blocked,
+        # so past PRODUCT_BLOCK steps equal-step products double instead.
+        if not predicted and finite and diff <= scale:
+            density, n = _graded_mesh(parts, max(tol, floor))
             prev = None
+            predicted = True
+        elif not predicted and 4 * n <= PRODUCT_BLOCK:
+            n *= 2
         else:
             n *= 2
             prev = cur
-        predicted = True
+            predicted = True
     raise NonConvergence("ordered-product refinement stalled before "
                          f"reaching tol={tol:g}")
 
@@ -386,11 +423,13 @@ def transfer_matrix(g: GaugeTriple, r: RhoPair, x_from: float, x_to: float,
     points per step plus nested commutators; Blanes, Casas and Ros, BIT
     40 (2000) 434), with the generator evaluated directly from the gauge
     and rho fields.  Each segment piece the path crosses is refined as
-    a whole until the Cauchy difference |E_2n - E_n| drops below its
-    share of tol: the first pair (n, 2n) predicts the step count from the
-    sixth-order rate, and refinement jumps there and then doubles.  Later
-    positions multiply on the left.  No Runge-Kutta step is taken and no
-    table is built, so the result is an independent check on evolve.
+    a whole until the Cauchy difference |E_2m - E_m| drops below its
+    share of tol: a probe pair (n, 2n) on equal steps gives each cell's
+    error, from which the step density and the count m of a graded pair
+    (m, 2m) are predicted; refinement computes that pair and doubles it if
+    it misses.  Later positions multiply on the left.  No Runge-Kutta
+    step is taken and no table is built, so the result is an independent
+    check on evolve.
     """
     if x_from == x_to:
         return TransferMatrix(_IDENTITY2.copy(), x_from, x_to)

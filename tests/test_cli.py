@@ -489,6 +489,23 @@ def test_verify_exits_three_when_oracle_panels_run_out(monkeypatch, tmp_path):
     assert not csv.exists()
 
 
+def test_special_delta_stall_keeps_every_row(tmp_path):
+    # sech^2 l=3, scale 0.657 at E = 0.32: the special_delta product's
+    # refinement once stalled here, so the sweep exited 3 and wrote no CSV,
+    # losing the constant-gauge row too.
+    csv = tmp_path / "verify.csv"
+    cfg = tmp_path / "verify.cfg"
+    cfg.write_text("[run]\nmode = verify\n[potential]\nkind = poschl_teller\n"
+                   "ell = 3\nscale = 0.657\n[energies]\nvalues = 0.32\n"
+                   "[gauges]\nnames = constant special_delta\n[outputs]\n"
+                   f"csv_path = {csv}\n")
+    assert main(["--config", str(cfg)]) == 0
+    lines = csv.read_text().splitlines()
+    assert lines[0] == CSV_HEADER
+    assert [line.split(",")[1].split("[")[0] for line in lines[1:]] == [
+        "constant(k=0.565685)", "special_delta"]
+
+
 SCIPY_FREE_RUN = """\
 import sys
 import numpy as np

@@ -124,11 +124,12 @@ def _random_fields(seed):
 def test_tree_product_matches_sequential_product():
     # Same generator, same step exponentials: the pairwise tree reduction
     # must agree with plain sequential left-multiplication.  333 steps is
-    # odd, so the identity padding runs.
+    # odd, so odd levels set their last matrix aside.
     fields = _random_fields(3)
     n = 333
-    h = 2.0 / n
-    steps = _kernels._magnus_steps(_field_generator, fields, None, 0.0, h, n)
+    x = np.linspace(0.0, 2.0, n + 1)
+    steps = _kernels._magnus_steps(_field_generator, fields, None, x[:-1],
+                                   np.diff(x))
     e = np.eye(2, dtype=np.complex128)
     for m11, m12, m21, m22 in zip(*steps):
         e = np.array([[m11, m12], [m21, m22]]) @ e
@@ -152,16 +153,55 @@ def test_magnus_product_is_sixth_order():
     # A smooth cubic per field, so the generator is analytic over [0, 2]:
     # step doubling must shrink the Cauchy differences |E_2n - E_n| by
     # about 2^6.
-    coeffs = ([0.0, 0.05, 0.1, 1.0], [0.1, -0.2, 0.3, 0.5],
-              [0.0, 0.3, -0.4, 0.2], [-0.1, 0.0, 0.5, 0.7],
-              [0.0, 0.0, 1.0, 0.0])
-    fields = [lambda x, c=c: np.polyval(c, x) for c in coeffs]
+    fields = _cubic_fields()
     prods = [np.array(_kernels.ordered_product(_field_generator, fields, None,
                                                0.0, 2.0, n))
              for n in (8, 16, 32, 64, 128)]
     diffs = [np.max(np.abs(b - a)) for a, b in zip(prods, prods[1:])]
     for coarse, fine in zip(diffs, diffs[1:]):
         assert coarse / fine > 48.0
+
+
+def _cubic_fields():
+    coeffs = ([0.0, 0.05, 0.1, 1.0], [0.1, -0.2, 0.3, 0.5],
+              [0.0, 0.3, -0.4, 0.2], [-0.1, 0.0, 0.5, 0.7],
+              [0.0, 0.0, 1.0, 0.0])
+    return [lambda x, c=c: np.polyval(c, x) for c in coeffs]
+
+
+@pytest.mark.parametrize("n", [1, 2, 37, 64])
+def test_probe_pair_and_its_cells_contributions(n):
+    # The probe's pair is the equal-step products of n and 2n steps, and
+    # its cells' contributions sum to their difference exactly (the
+    # telescoping sum), up to rounding.
+    fields = _random_fields(5)
+    coarse, fine, parts = _kernels.product_probe(_field_generator, fields,
+                                                 None, 0.0, 2.0, n)
+    for got, steps in ((coarse, n), (fine, 2 * n)):
+        want = _kernels.ordered_product(_field_generator, fields, None,
+                                        0.0, 2.0, steps)
+        assert np.max(np.abs(np.subtract(got, want))) < 1e-13
+    assert np.shape(parts) == (4, n)
+    assert np.max(np.abs(np.sum(parts, axis=1)
+                         - np.subtract(fine, coarse))) < 1e-13
+
+
+def test_graded_product_is_sixth_order_and_converges_to_equal_steps():
+    # Steps spaced by a density that varies 6-fold across its cells still
+    # give a sixth-order product, with the same limit as equal steps.
+    fields = _cubic_fields()
+    density = np.array([1.0, 3.0, 0.5, 2.0])
+    prods = [np.array(_kernels.ordered_product(_field_generator, fields, None,
+                                               0.0, 2.0, n, density))
+             for n in (16, 32, 64, 128)]
+    diffs = [np.max(np.abs(b - a)) for a, b in zip(prods, prods[1:])]
+    for coarse, fine in zip(diffs, diffs[1:]):
+        assert coarse / fine > 48.0
+    # At sixth order the finest product is about 63 times closer to the
+    # limit than its Cauchy difference.
+    equal = _kernels.ordered_product(_field_generator, fields, None,
+                                     0.0, 2.0, 1024)
+    assert np.max(np.abs(prods[-1] - np.array(equal))) < diffs[-1] / 16.0
 
 
 def test_step_exponential_is_unimodular():

@@ -274,6 +274,30 @@ def test_loose_tolerance_needs_fewer_panels():
         t_tight, abs=1e-4)
 
 
+@pytest.mark.parametrize("dtype", [float, complex])
+@pytest.mark.parametrize("degree", [0, 1, 23])
+def test_panel_evaluation_matches_chebval(dtype, degree):
+    # Clenshaw over one coefficient row per degree against numpy's chebval
+    # on each point's gathered row: the same recurrence in another order,
+    # so equal to a few ulps of the coefficients' scale.
+    rng = np.random.default_rng(degree)
+    a = np.sort(rng.uniform(-6.0, 6.0, 64))
+    a[0] = -6.0
+    h = 0.5 * np.diff(np.append(a, 6.0))
+    coef = rng.normal(size=(64, degree + 1)).astype(dtype)
+    if dtype is complex:
+        coef += 1j * rng.normal(size=coef.shape)
+    x = np.concatenate((rng.uniform(-6.0, 6.0, 500), a, [6.0]))
+    i = np.clip(np.searchsorted(a, x, side="left") - 1, 0, a.size - 1)
+    want = np.polynomial.chebyshev.chebval((x - a[i]) / h[i] - 1.0,
+                                           coef[i].T, tensor=False)
+    got = _panels.evaluate(a, h, coef, x)
+    # On a panel |T_k| <= 1, so a row's absolute sum bounds its values.
+    scale = np.max(np.sum(np.abs(coef), axis=1))
+    assert np.max(np.abs(got - want)) <= 8 * (degree + 1) * np.finfo(
+        float).eps * scale
+
+
 def test_panel_cap_raises_nonconvergence(monkeypatch):
     p = gaussian(1.0, 1.0)
     e = EnergySpec(2.0)

@@ -205,9 +205,9 @@ def test_product_is_pseudo_unitary_for_real_gauges(suite, case_name,
 
 
 def test_prediction_bounds_product_calls(monkeypatch):
-    # The first pair (n, 2n) predicts the step count; refinement computes
-    # the predicted pair next, so an analytic profile needs at most four
-    # products per segment piece.
+    # The probe pair (n, 2n) predicts the graded pair (m, 2m); refinement
+    # computes that pair next, so an analytic profile needs at most four
+    # products per segment piece, the probe's two included.
     p = gaussian(1.0, 1.0)
     e = EnergySpec(2.0)
     grid = truncate_domain(p, e)
@@ -217,14 +217,16 @@ def test_prediction_bounds_product_calls(monkeypatch):
               gauge_antiphase(base)]
     calls = {"pieces": 0, "products": 0}
 
-    def counted(name, fn):
+    def counted(name, fn, products=1):
         def wrapper(*args):
-            calls[name] += 1
+            calls[name] += products
             return fn(*args)
         return wrapper
 
     monkeypatch.setattr(sz_core, "_refined_product",
                         counted("pieces", sz_core._refined_product))
+    monkeypatch.setattr(sz_core, "product_probe",
+                        counted("products", sz_core.product_probe, 2))
     monkeypatch.setattr(sz_core, "ordered_product",
                         counted("products", sz_core.ordered_product))
     for g in gauges:
@@ -234,21 +236,62 @@ def test_prediction_bounds_product_calls(monkeypatch):
     assert calls["products"] <= 4 * calls["pieces"]
 
 
+@pytest.mark.parametrize("energy", [0.1, 2.0, 10.0])
+def test_first_graded_pair_is_accepted(monkeypatch, energy):
+    # The probe's signed contributions predict the graded pair's Cauchy
+    # difference to within a few percent here, and the pair aims at half
+    # of tol, so no piece needs a doubling: exactly two products after the
+    # probe.  Summing the contributions' sizes instead (scaled to the
+    # probe's difference) misses by up to 13 times in the antiphase gauge
+    # at E = 10, where they largely cancel.
+    p = gaussian(1.0, 1.0)
+    e = EnergySpec(energy)
+    grid = truncate_domain(p, e)
+    w = wavenumber_field(p, e)
+    base = gauge_constant(w.k_left)
+    gauges = [base, gauge_special_delta(base, w, grid), gauge_antiphase(base)]
+    if energy > 1.0:
+        gauges.append(gauge_wkb(w, grid))
+    products = []
+    real = sz_core.ordered_product
+
+    def counted(*args):
+        products.append(args[5])
+        return real(*args)
+
+    monkeypatch.setattr(sz_core, "ordered_product", counted)
+    for g in gauges:
+        products.clear()
+        transfer_matrix(g, rho_pair(g, w), grid.x_min, grid.x_max,
+                        tol=1e-12, grid=grid)
+        assert len(products) == 2 and products[1] == 2 * products[0]
+
+
 def test_refined_product_jump_respects_step_cap(monkeypatch):
-    # A first Cauchy difference of 1e200 predicts far more steps than
-    # MAX_PRODUCT_STEPS: refinement gives up at once instead of computing
-    # the predicted products.
-    requested = []
+    # The probe pair agrees to its own size (difference 1e-3), so its
+    # contributions predict a graded pair: 8 cells of 1.25e-4 each give
+    # m = 132 steps at tol 1e-10, and 2m exceeds the patched cap of 128.
+    # Refinement gives up at once instead of computing that pair.
+    probed = []
+    products = []
 
-    def fake_product(gen, g, r, a, b, n):
-        requested.append(n)
-        first = 1e200 if len(requested) == 1 else 1.0
-        return complex(first), 0j, 0j, 1.0 + 0j
+    def fake_probe(gen, g, r, a, b, n):
+        probed.append(n)
+        parts = (np.full(n, 1e-3 / n, dtype=complex), *np.zeros((3, n)))
+        return (1.0 + 0j, 0j, 0j, 1.0 + 0j), (1.001 + 0j, 0j, 0j,
+                                              1.0 + 0j), parts
 
+    def fake_product(gen, g, r, a, b, n, density=None):
+        products.append(n)
+        return 1.0 + 0j, 0j, 0j, 1.0 + 0j
+
+    monkeypatch.setattr(sz_core, "MAX_PRODUCT_STEPS", 128)
+    monkeypatch.setattr(sz_core, "product_probe", fake_probe)
     monkeypatch.setattr(sz_core, "ordered_product", fake_product)
     with pytest.raises(NonConvergence):
         sz_core._refined_product(None, None, 0.0, 1.0, 8, 1e-10)
-    assert requested == [8, 16]
+    assert probed == [8]
+    assert products == []
 
 
 @pytest.mark.parametrize("persistent", [False, True],
@@ -261,19 +304,36 @@ def test_refined_product_rejects_non_finite_product(monkeypatch, bad,
     # An overflowed product makes the rounding floor infinite, and max()
     # skips a NaN that is not its first argument; neither may pass the
     # Cauchy test.  Refinement steps past a non-finite product, and gives
-    # up if every finer product is non-finite too.
+    # up if every finer product is non-finite too.  Products of 16 steps
+    # (and, when persistent, of more) come back bad, whether the probe
+    # pair or a graded pair holds them.
     p = gaussian(1.0, 1.0)
     e = EnergySpec(2.0)
     grid = truncate_domain(p, e)
     w = wavenumber_field(p, e)
     g = gauge_constant(w.k_left)
-    real = sz_core.ordered_product
+    real_probe, real_product = sz_core.product_probe, sz_core.ordered_product
 
-    def product(gen, u, v, a, b, n):
-        if n == 16 or (persistent and n > 16):
+    def spoilt(n):
+        return n == 16 or (persistent and n > 16)
+
+    def probe(gen, u, v, a, b, n):
+        if spoilt(n) and spoilt(2 * n):
+            return tuple(map(complex, bad)), tuple(map(complex, bad)), \
+                np.zeros((4, n), dtype=complex)
+        coarse, fine, parts = real_probe(gen, u, v, a, b, n)
+        if spoilt(n):
+            coarse = tuple(map(complex, bad))
+        if spoilt(2 * n):
+            fine = tuple(map(complex, bad))
+        return coarse, fine, parts
+
+    def product(gen, u, v, a, b, n, density=None):
+        if spoilt(n):
             return tuple(map(complex, bad))
-        return real(gen, u, v, a, b, n)
+        return real_product(gen, u, v, a, b, n, density)
 
+    monkeypatch.setattr(sz_core, "product_probe", probe)
     monkeypatch.setattr(sz_core, "ordered_product", product)
     args = (g, rho_pair(g, w), grid.x_min, grid.x_max, 8, 1e-10)
     if persistent:
@@ -281,6 +341,46 @@ def test_refined_product_rejects_non_finite_product(monkeypatch, bad,
             sz_core._refined_product(*args)
     else:
         assert np.all(np.isfinite(sz_core._refined_product(*args)))
+
+
+# Work cap for the special_delta cases below: product steps computed per
+# call, the probe's 3n included.  Each case takes 16,000-33,000 steps; a
+# refinement that jumps from a pre-asymptotic pair takes millions.
+SPECIAL_DELTA_STEP_CAP = 100_000
+
+
+@pytest.mark.parametrize("potential,energy", [
+    (poschl_teller(3, 0.657), 0.32), (gaussian(-10.4, 0.86), 0.018),
+    (gaussian(11.8, 1.54), 0.11), (poschl_teller(4, 0.75), 0.5)],
+    ids=["sech2-l3", "deep-well", "tall-barrier", "sech2-l4"])
+def test_special_delta_product_converges_on_deep_profiles(monkeypatch,
+                                                          potential, energy):
+    # At 64 coarse steps these products reach 1e17-1e23, so the first pair
+    # is far from the asymptotic regime; predicting from it once stalled
+    # (NonConvergence) or jumped to 8M steps (sech2 l=4, about 70 s).  The
+    # counter raises as soon as the cap is passed, so a stall fails fast.
+    steps = [0]
+
+    def capped(fn, per_call):
+        def wrapper(*args):
+            steps[0] += per_call * args[5]
+            assert steps[0] <= SPECIAL_DELTA_STEP_CAP
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(sz_core, "product_probe",
+                        capped(sz_core.product_probe, 3))
+    monkeypatch.setattr(sz_core, "ordered_product",
+                        capped(sz_core.ordered_product, 1))
+    e = EnergySpec(energy)
+    grid = truncate_domain(potential, e)
+    w = wavenumber_field(potential, e)
+    g = gauge_special_delta(gauge_constant(w.k_left), w, grid)
+    amp = scattering_amplitudes(potential, e, g, 1e-12)
+    ref = direct_integrate(potential, e, grid, 1e-12)
+    assert amp.transmission == pytest.approx(ref.transmission, rel=1e-9)
+    assert amp.reflection == pytest.approx(ref.reflection, rel=1e-9,
+                                           abs=1e-12)
 
 
 def test_tall_barrier_product_raises_no_warning():
