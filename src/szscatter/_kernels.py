@@ -23,9 +23,11 @@ The ordered product is one numpy kernel: sixth-order Magnus step
 exponentials (Blanes, Casas and Ros, BIT 40 (2000) 434) built as arrays
 and multiplied as a pairwise tree, with the generator evaluated at every
 step's three Gauss points.  ordered_product spaces its steps by an
-optional step density, equal when none is given.  product_probe computes
-a pair of products on n and 2n equal steps and what each of the n cells
-contributes to their difference, from which sz_core grades the density.
+optional step density, equal when none is given.  sz_core refines with
+pairs of products on n and 2n steps, each pair from one generator call
+per block: product_probe on equal steps, with what each of the n cells
+contributes to their difference, from which sz_core grades the density,
+and product_pair on the graded steps.
 """
 
 import math
@@ -219,9 +221,9 @@ def _comm(x, y):
 
 
 def _magnus_steps(gen, u, v, x, h):
-    """Entries of the step exponentials exp(Omega) of [x_i, x_i + h_i]
-    (arrays of step starts and widths) for the sixth-order Magnus step of
-    Blanes, Casas and Ros (BIT 40 (2000) 434):
+    """The step exponentials exp(Omega) of [x_i, x_i + h_i] (arrays of step
+    starts and widths), as an array of shape (2, 2, n), for the
+    sixth-order Magnus step of Blanes, Casas and Ros (BIT 40 (2000) 434):
 
         alpha1 = h A2,  alpha2 = (sqrt(15) h / 3)(A3 - A1),
         alpha3 = (10 h / 3)(A3 - 2 A2 + A1),
@@ -232,7 +234,8 @@ def _magnus_steps(gen, u, v, x, h):
     A1, A2 and A3 being the generator gen(u, v, x) at the three Gauss
     points, evaluated in one call on all 3n points.  Omega is traceless,
     so exp(Omega) = cosh(z) I + (sinh(z)/z) Omega with z^2 = Omega11^2 +
-    Omega12 Omega21."""
+    Omega12 Omega21; cosh and sinh of z = x + iy come from real functions
+    of x and y, which keep sinh(z)/z accurate relative to itself."""
     nodes = np.concatenate([x + c * h for c in _GAUSS_NODES])
     # Axes: generator entry (g11, g12, g21), Gauss point, step.
     a1, a2, a3 = np.moveaxis(np.reshape(gen(u, v, nodes), (3, 3, x.size)),
@@ -249,43 +252,50 @@ def _magnus_steps(gen, u, v, x, h):
     z = np.sqrt(z2)
     small = np.abs(z) < 1.0e-5
     zs = np.where(small, 1.0, z)
-    ch = np.where(small, 1.0 + z2 / 2.0 * (1.0 + z2 / 12.0), np.cosh(zs))
-    s = np.where(small, 1.0 + z2 / 6.0 * (1.0 + z2 / 20.0), np.sinh(zs) / zs)
-    return ch + s * o11, s * o12, s * o21, ch - s * o11
+    shx, chx = np.sinh(zs.real), np.cosh(zs.real)
+    cy, sy = np.cos(zs.imag), np.sin(zs.imag)
+    ch = np.where(small, 1.0 + z2 / 2.0 * (1.0 + z2 / 12.0),
+                  chx * cy + 1j * (shx * sy))
+    s = np.where(small, 1.0 + z2 / 6.0 * (1.0 + z2 / 20.0),
+                 (shx * cy + 1j * (chx * sy)) / zs)
+    return np.array([[ch + s * o11, s * o12], [s * o21, ch - s * o11]])
 
 
 def _mul(b, a):
-    """Entries of B A for 2x2 matrices (or arrays of them) given as their
-    entries (11, 12, 21, 22)."""
-    b11, b12, b21, b22 = b
-    a11, a12, a21, a22 = a
-    return (b11 * a11 + b12 * a21, b11 * a12 + b12 * a22,
-            b21 * a11 + b22 * a21, b21 * a12 + b22 * a22)
+    """B A for 2x2 matrices stored as arrays of shape (2, 2, ...), whose
+    trailing axes hold independent matrices."""
+    return b[:, :1] * a[0] + b[:, 1:] * a[1]
 
 
 def _pairs(m):
-    """Products M_{2i+1} M_{2i} of neighbours in an even-length sequence."""
-    return _mul([e[1::2] for e in m], [e[0::2] for e in m])
+    """Products M_{2i+1} M_{2i} of neighbours along the last axis."""
+    return _mul(m[..., 1::2], m[..., 0::2])
 
 
-def _tree_product(*m):
-    """Ordered product of a sequence of 2x2 matrices, later ones on the
-    left, by multiplying neighbours pairwise until one matrix is left.  A
+def _tree_product(m):
+    """Ordered product of the 2x2 matrices along the last axis, later ones
+    on the left, by multiplying neighbours pairwise until one is left.  A
     level of odd length sets its last matrix aside, and the set-aside
     matrices multiply on the left at the end, the latest last."""
     aside = []
-    while m[0].size > 1:
-        if m[0].size % 2:
-            aside.append([e[-1] for e in m])
-            m = [e[:-1] for e in m]
+    while m.shape[-1] > 1:
+        if m.shape[-1] % 2:
+            aside.append(m[..., -1])
+            m = m[..., :-1]
         m = _pairs(m)
-    e = tuple(complex(x[0]) for x in m)
+    e = m[..., 0]
     for top in reversed(aside):
         e = _mul(top, e)
     return e
 
 
-_IDENTITY = (1.0 + 0.0j, 0.0j, 0.0j, 1.0 + 0.0j)
+_IDENTITY = np.eye(2, dtype=np.complex128)
+
+
+def _step_ends(xa, xb, density, t):
+    """Step ends at the shares t of the density's total (ordered_product)."""
+    cdf = np.cumsum(np.append(0.0, 1.0 if density is None else density))
+    return np.interp(t, cdf / cdf[-1], np.linspace(xa, xb, cdf.size))
 
 
 def ordered_product(gen, u, v, xa, xb, nsteps, density=None):
@@ -302,34 +312,40 @@ def ordered_product(gen, u, v, xa, xb, nsteps, density=None):
     entries (e11, e12, e21, e22).  Overflow is silent and leaves
     non-finite entries (steps too coarse for a tall barrier do that),
     which the caller rejects."""
-    if density is None:
-        density = np.ones(1)
-    cdf = np.concatenate(([0.0], np.cumsum(density)))
-    cdf /= cdf[-1]
-    cells = np.linspace(xa, xb, cdf.size)
     e = _IDENTITY
     with np.errstate(over="ignore", invalid="ignore"):
         for first in range(0, nsteps, PRODUCT_BLOCK):
             k = np.arange(first, min(first + PRODUCT_BLOCK, nsteps) + 1)
-            x = np.interp(k / nsteps, cdf, cells)
-            e = _mul(_tree_product(*_magnus_steps(gen, u, v, x[:-1],
-                                                  np.diff(x))), e)
-    return e
+            x = _step_ends(xa, xb, density, k / nsteps)
+            e = _mul(_tree_product(_magnus_steps(gen, u, v, x[:-1],
+                                                 np.diff(x))), e)
+    return tuple(map(complex, e.ravel()))
 
 
-def _scan(m, left_first=False):
-    """Inclusive ordered products of a sequence of 2x2 matrices: M_i ...
-    M_0 for every i, or M_0 ... M_i when left_first, in log2(n) array
-    steps (Hillis and Steele, CACM 29 (1986) 1170)."""
-    m = [e.copy() for e in m]
-    s = 1
-    while s < m[0].size:
-        later, earlier = [e[s:] for e in m], [e[:-s] for e in m]
-        for e, x in zip(m, _mul(earlier, later) if left_first
-                        else _mul(later, earlier)):
-            e[s:] = x
-        s *= 2
-    return m
+def _pair_steps(gen, u, v, x):
+    """Coarse steps [x_2i, x_2i+2] (row 0) and the products of their two
+    fine steps (row 1) from one generator call on the fine nodes x."""
+    n = x.size // 2
+    e = _magnus_steps(gen, u, v, np.concatenate((x[:-2:2], x[:-1])),
+                      np.concatenate((x[2::2] - x[:-2:2], np.diff(x))))
+    return np.stack((e[..., :n], _pairs(e[..., n:])), 2)
+
+
+def product_pair(gen, u, v, xa, xb, n, density=None):
+    """The products (E_n, E_2n) of n and 2n steps spaced as in
+    ordered_product, with one generator call per block of PRODUCT_BLOCK // 3
+    coarse steps.  Fine node 2k is coarse node k bit for bit (k / n ==
+    2k / 2n), so the coarse steps and the pairs of fine steps line up and
+    are reduced as the two rows of one tree.  Overflow is silent."""
+    block = PRODUCT_BLOCK // 3
+    e = _IDENTITY[..., None]
+    with np.errstate(over="ignore", invalid="ignore"):
+        for first in range(0, n, block):
+            k = np.arange(2 * first, 2 * min(first + block, n) + 1)
+            x = _step_ends(xa, xb, density, k / (2 * n))
+            e = _mul(_tree_product(_pair_steps(gen, u, v, x)), e)
+    return tuple(map(complex, e[..., 0].ravel())), \
+        tuple(map(complex, e[..., 1].ravel()))
 
 
 def product_probe(gen, u, v, xa, xb, n):
@@ -341,23 +357,26 @@ def product_probe(gen, u, v, xa, xb, n):
     one step C_i.  Carried to the ends of [xa, xb] by the fine steps
     after it and the coarse steps before it, the errors sum to the
     difference exactly: F_n-1 ... F_0 - C_n-1 ... C_0 = sum_i F_n-1 ...
-    F_i+1 (F_i - C_i) C_i-1 ... C_0.  Returns (coarse, fine, parts): the
-    products as entries (e11, e12, e21, e22), and the contributions as
-    four arrays of n entries.  Overflow is silent as in ordered_product."""
+    F_i+1 (F_i - C_i) C_i-1 ... C_0.  All 3n steps take one generator
+    call; the prefix products of the C_i and, transposed, of the F_i^T
+    latest first are one scan (Hillis and Steele, CACM 29 (1986) 1170).
+    Returns (coarse, fine, parts): the products as entries (e11, e12, e21,
+    e22), and the contributions as four arrays of n entries."""
     x = xa + (xb - xa) * (np.arange(2 * n + 1) / (2 * n))
+    m = np.empty((2, 2, 2, n + 1), dtype=np.complex128)
+    m[..., 0] = _IDENTITY[..., None]
     with np.errstate(over="ignore", invalid="ignore"):
-        one = _magnus_steps(gen, u, v, x[:-2:2], x[2::2] - x[:-2:2])
-        two = _pairs(_magnus_steps(gen, u, v, x[:-1], np.diff(x)))
-        before = _scan(one)
-        after = _scan([e[::-1] for e in two], left_first=True)
-        parts = _mul(_mul([np.append(e[-2::-1], i)
-                           for e, i in zip(after, _IDENTITY)],
-                          np.subtract(two, one)),
-                     [np.insert(e[:-1], 0, i)
-                      for e, i in zip(before, _IDENTITY)])
-    coarse = tuple(complex(e[-1]) for e in before)
-    fine = tuple(complex(e[-1]) for e in after)
-    return coarse, fine, parts
+        c, f = np.moveaxis(_pair_steps(gen, u, v, x), 2, 0)
+        m[:, :, 0, 1:] = c
+        m[:, :, 1, 1:] = f[..., ::-1].swapaxes(0, 1)
+        s = 1
+        while s <= n:
+            m[..., s:] = _mul(m[..., s:], m[..., :-s])
+            s *= 2
+        before, after = m[:, :, 0], m[:, :, 1, ::-1].swapaxes(0, 1)
+        parts = _mul(_mul(after[..., 1:], f - c), before[..., :-1])
+    return tuple(map(complex, before[..., -1].ravel())), \
+        tuple(map(complex, after[..., 0].ravel())), parts.reshape(4, n)
 
 
 def warm_up() -> None:

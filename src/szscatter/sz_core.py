@@ -9,11 +9,12 @@ straight from the gauge and one call of the rho fields: the product at
 its Gauss points, the Runge-Kutta route at its stage positions.  Neither
 builds a table.  The product's steps are graded: a probe pair on equal
 steps measures where the error is, and the accepted pair puts its steps
-there (_graded_mesh).  The refinement accepts only a finite pair of
-products, so steps too coarse for a tall barrier, which overflow, are
-refined past.  scattering_amplitudes goes through the product and, in
-every gauge, reads the amplitudes off (psi, psi') with the plane-wave
-matcher the oracle also uses (_plane_wave_pair).
+there (_graded_mesh).  Each pair of products (n, 2n) takes one generator
+call.  The refinement accepts only a finite pair, so steps too coarse
+for a tall barrier, which overflow, are refined past.
+scattering_amplitudes goes through the product and, in every gauge,
+reads the amplitudes off (psi, psi') with the plane-wave matcher the
+oracle also uses (_plane_wave_pair).
 
 Discontinuities in the potential or gauge split the domain into smooth
 segments.  Steps never straddle a split; where the gauge representation
@@ -28,8 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._kernels import (PRODUCT_BLOCK, ordered_product, product_probe,
-                       rk45_coeffs)
+from ._kernels import PRODUCT_BLOCK, product_pair, product_probe, rk45_coeffs
 from ._panels import EDGE_NUDGE
 from ._tables import segment_plan
 from .errors import GaugeDegenerate, NonConvergence
@@ -362,23 +362,20 @@ def _graded_mesh(parts: tuple, target: float) -> tuple:
     rho = np.maximum(rho, DENSITY_FLOOR * np.mean(rho))
     # The pair's difference with one step in all (q_i = rho_i / sum rho).
     unit = np.max(np.abs(np.asarray(parts) @ (rho / np.sum(rho)) ** -6.0))
-    m = math.ceil((unit / (GRADED_MARGIN * target)) ** (1.0 / 6.0))
+    m = math.ceil((unit / target) ** (1.0 / 6.0))
     return rho, max(1, m)
 
 
 def _refined_product(g: GaugeTriple, r: RhoPair, a: float, b: float,
                      n0: int, tol: float) -> np.ndarray:
     n = max(2, n0)
-    prev = None
     density = None
-    predicted = False
+    probing = True
     while 2 * n <= MAX_PRODUCT_STEPS:
-        if not predicted:
+        if probing:
             prev, cur, parts = product_probe(_generator, g, r, a, b, n)
         else:
-            if prev is None:
-                prev = ordered_product(_generator, g, r, a, b, n, density)
-            cur = ordered_product(_generator, g, r, a, b, 2 * n, density)
+            prev, cur = product_pair(_generator, g, r, a, b, n, density)
         diff = max(abs(cur[0] - prev[0]), abs(cur[1] - prev[1]),
                    abs(cur[2] - prev[2]), abs(cur[3] - prev[3]))
         # max skips a NaN that is not first, and an overflowed product
@@ -394,22 +391,22 @@ def _refined_product(g: GaugeTriple, r: RhoPair, a: float, b: float,
         if finite and (diff < tol or diff <= floor):
             return np.array([[cur[0], cur[1]], [cur[2], cur[3]]],
                             dtype=np.complex128)
+        target = GRADED_MARGIN * max(tol, floor)
         # Once the probe pair agrees to its own size, its cells' errors
-        # predict a graded pair (m, 2m) that meets tol: jump there once,
-        # then double it.  A jump past MAX_PRODUCT_STEPS ends the loop
-        # before any product is computed.  Before that, and after a
-        # non-finite pair, the probe doubles; its arrays are not blocked,
-        # so past PRODUCT_BLOCK steps equal-step products double instead.
-        if not predicted and finite and diff <= scale:
-            density, n = _graded_mesh(parts, max(tol, floor))
-            prev = None
-            predicted = True
-        elif not predicted and 4 * n <= PRODUCT_BLOCK:
+        # predict a graded pair (m, 2m) that meets tol; a graded pair that
+        # misses predicts the next m from its own difference at sixth
+        # order (m grows by 2^(1/6) at least).  A jump past
+        # MAX_PRODUCT_STEPS ends the loop before any product.  Otherwise,
+        # and after a non-finite pair, n doubles; the probe is not
+        # blocked, so past PRODUCT_BLOCK steps equal-step pairs double.
+        if probing and finite and diff <= scale:
+            density, n = _graded_mesh(parts, target)
+            probing = False
+        elif probing or not finite:
             n *= 2
+            probing = probing and 3 * n <= PRODUCT_BLOCK
         else:
-            n *= 2
-            prev = cur
-            predicted = True
+            n = math.ceil(n * (diff / target) ** (1.0 / 6.0))
     raise NonConvergence("ordered-product refinement stalled before "
                          f"reaching tol={tol:g}")
 
@@ -426,10 +423,11 @@ def transfer_matrix(g: GaugeTriple, r: RhoPair, x_from: float, x_to: float,
     a whole until the Cauchy difference |E_2m - E_m| drops below its
     share of tol: a probe pair (n, 2n) on equal steps gives each cell's
     error, from which the step density and the count m of a graded pair
-    (m, 2m) are predicted; refinement computes that pair and doubles it if
-    it misses.  Later positions multiply on the left.  No Runge-Kutta
-    step is taken and no table is built, so the result is an independent
-    check on evolve.
+    (m, 2m) are predicted.  A graded pair that misses predicts the next m
+    from its own difference.  Each pair takes one generator call
+    (product_probe, product_pair).  Later positions multiply on the left.
+    No Runge-Kutta step is taken and no table is built, so the result is
+    an independent check on evolve.
     """
     if x_from == x_to:
         return TransferMatrix(_IDENTITY2.copy(), x_from, x_to)

@@ -2,6 +2,7 @@
 and their ordered product."""
 
 import cmath
+import warnings
 
 import numpy as np
 import pytest
@@ -131,8 +132,8 @@ def test_tree_product_matches_sequential_product():
     steps = _kernels._magnus_steps(_field_generator, fields, None, x[:-1],
                                    np.diff(x))
     e = np.eye(2, dtype=np.complex128)
-    for m11, m12, m21, m22 in zip(*steps):
-        e = np.array([[m11, m12], [m21, m22]]) @ e
+    for step in np.moveaxis(steps, -1, 0):
+        e = step @ e
     got = _kernels.ordered_product(_field_generator, fields, None, 0.0, 2.0, n)
     for u, v in zip(got, e.ravel()):
         assert complex(u) == pytest.approx(complex(v), abs=1e-13)
@@ -147,6 +148,91 @@ def test_product_blocks_match_single_tree(monkeypatch):
                                        0.0, 2.0, 333)
     for u, v in zip(whole, blocked):
         assert complex(u) == pytest.approx(complex(v), abs=1e-13)
+
+
+def _max_rel_diff(got, want):
+    return (np.max(np.abs(np.subtract(got, want)))
+            / np.max(np.abs(np.asarray(want))))
+
+
+@pytest.mark.parametrize("graded", [False, True], ids=["equal", "graded"])
+@pytest.mark.parametrize("n", [1, 37, 64])
+def test_product_pair_matches_two_products(n, graded):
+    # Fine node 2k is coarse node k, so the pair is the two single
+    # products, whether the steps are equal or spaced by a density.
+    fields = _random_fields(6)
+    density = np.array([1.0, 3.0, 0.5, 2.0]) if graded else None
+    coarse, fine = _kernels.product_pair(_field_generator, fields, None,
+                                         0.0, 2.0, n, density)
+    for got, steps in ((coarse, n), (fine, 2 * n)):
+        want = _kernels.ordered_product(_field_generator, fields, None,
+                                        0.0, 2.0, steps, density)
+        assert _max_rel_diff(got, want) <= 1e-14
+
+
+@pytest.mark.parametrize("graded", [False, True], ids=["equal", "graded"])
+def test_product_pair_blocks_match_single_products(monkeypatch, graded):
+    # 48 steps per generator call: blocks of 16 coarse steps, so 37 coarse
+    # steps take three blocks, the last one short.
+    fields = _random_fields(7)
+    density = np.array([1.0, 3.0, 0.5, 2.0]) if graded else None
+    want = [_kernels.ordered_product(_field_generator, fields, None,
+                                     0.0, 2.0, steps, density)
+            for steps in (37, 74)]
+    calls = []
+
+    def counted(u, v, x):
+        calls.append(x.size)
+        return _field_generator(u, v, x)
+
+    monkeypatch.setattr(_kernels, "PRODUCT_BLOCK", 48)
+    pair = _kernels.product_pair(counted, fields, None, 0.0, 2.0, 37, density)
+    assert [size // 3 for size in calls] == [48, 48, 15]
+    for got, ref in zip(pair, want):
+        assert _max_rel_diff(got, ref) <= 1e-14
+
+
+# (generator entries, step width, what |z| the step's exponent has).  The
+# last case is far from normal: its exponent's entries are about 1,000
+# times |z| = 2^-13, so sinh z / z must be accurate to rounding relative to
+# itself; taking sinh z as (e^z - e^-z) / 2 is off by about 1e-13 there.
+_STEP_CASES = [((0.0, 1.0, 0.0), 0.5, "zero"),
+               (_G, 1e-6, "below_1e-5"),
+               (_G, 1e-2, "small"),
+               (_G, 0.3, "moderate"),
+               (_G, 2.0, "large"),
+               ((1j, 1.0, 1.0 + 2.0 ** -20), 0.125, "non_normal")]
+
+
+@pytest.mark.parametrize("entries,h", [c[:2] for c in _STEP_CASES],
+                         ids=[c[2] for c in _STEP_CASES])
+def test_step_exponential_matches_cosh_sinh_form(entries, h):
+    # A constant generator A makes the Magnus exponent h A, whose
+    # exponential is cosh(z) I + (sinh(z) / z) h A with z^2 = -det(h A).
+    got = _kernels._magnus_steps(_constant_generator, entries, None,
+                                 np.zeros(1), np.full(1, h))
+    o11, o12, o21 = (h * complex(g) for g in entries)
+    z = cmath.sqrt(o11 * o11 + o12 * o21)
+    ch, s = (1.0, 1.0) if z == 0 else (cmath.cosh(z), cmath.sinh(z) / z)
+    want = (ch + s * o11, s * o12, s * o21, ch - s * o11)
+    assert _max_rel_diff(np.ravel(got), want) <= 8.0 * np.finfo(float).eps
+
+
+def test_overflowing_step_is_non_finite_without_warning():
+    # One step over a barrier of height 1e6: the exponent's real part is
+    # 1,000, past what a double holds.  Every product kernel returns
+    # non-finite entries for the caller to reject, and warns of nothing.
+    entries = (1e3 + 0j, 0j, 0j)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        single = _kernels.ordered_product(_constant_generator, entries, None,
+                                          0.0, 1.0, 1)
+        pair = _kernels.product_pair(_constant_generator, entries, None,
+                                     0.0, 1.0, 1)
+        probe = _kernels.product_probe(_constant_generator, entries, None,
+                                       0.0, 1.0, 1)[:2]
+    for e in (single, *pair, *probe):
+        assert not all(map(cmath.isfinite, e))
 
 
 def test_magnus_product_is_sixth_order():

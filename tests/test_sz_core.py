@@ -207,7 +207,8 @@ def test_product_is_pseudo_unitary_for_real_gauges(suite, case_name,
 def test_prediction_bounds_product_calls(monkeypatch):
     # The probe pair (n, 2n) predicts the graded pair (m, 2m); refinement
     # computes that pair next, so an analytic profile needs at most four
-    # products per segment piece, the probe's two included.
+    # products per segment piece, the probe's two included.  Both the probe
+    # and product_pair count as two products.
     p = gaussian(1.0, 1.0)
     e = EnergySpec(2.0)
     grid = truncate_domain(p, e)
@@ -227,8 +228,8 @@ def test_prediction_bounds_product_calls(monkeypatch):
                         counted("pieces", sz_core._refined_product))
     monkeypatch.setattr(sz_core, "product_probe",
                         counted("products", sz_core.product_probe, 2))
-    monkeypatch.setattr(sz_core, "ordered_product",
-                        counted("products", sz_core.ordered_product))
+    monkeypatch.setattr(sz_core, "product_pair",
+                        counted("products", sz_core.product_pair, 2))
     for g in gauges:
         transfer_matrix(g, rho_pair(g, w), grid.x_min, grid.x_max,
                         tol=1e-12, grid=grid)
@@ -236,14 +237,9 @@ def test_prediction_bounds_product_calls(monkeypatch):
     assert calls["products"] <= 4 * calls["pieces"]
 
 
-@pytest.mark.parametrize("energy", [0.1, 2.0, 10.0])
-def test_first_graded_pair_is_accepted(monkeypatch, energy):
-    # The probe's signed contributions predict the graded pair's Cauchy
-    # difference to within a few percent here, and the pair aims at half
-    # of tol, so no piece needs a doubling: exactly two products after the
-    # probe.  Summing the contributions' sizes instead (scaled to the
-    # probe's difference) misses by up to 13 times in the antiphase gauge
-    # at E = 10, where they largely cancel.
+def _gaussian_gauges(energy):
+    """Gaussian(1, 1) at energy: its grid, its wavenumber field and every
+    admissible gauge (wkb needs E above the barrier top)."""
     p = gaussian(1.0, 1.0)
     e = EnergySpec(energy)
     grid = truncate_domain(p, e)
@@ -252,19 +248,58 @@ def test_first_graded_pair_is_accepted(monkeypatch, energy):
     gauges = [base, gauge_special_delta(base, w, grid), gauge_antiphase(base)]
     if energy > 1.0:
         gauges.append(gauge_wkb(w, grid))
-    products = []
-    real = sz_core.ordered_product
+    return grid, w, gauges
+
+
+@pytest.mark.parametrize("energy", [0.1, 2.0, 10.0])
+def test_first_graded_pair_is_accepted(monkeypatch, energy):
+    # The probe's signed contributions predict the graded pair's Cauchy
+    # difference to within a few percent here, and the pair aims at half
+    # of tol, so no piece needs a second graded pair: exactly one pair
+    # after the probe.  Summing the contributions' sizes instead (scaled
+    # to the probe's difference) misses by up to 13 times in the
+    # antiphase gauge at E = 10, where they largely cancel.
+    grid, w, gauges = _gaussian_gauges(energy)
+    pairs = []
+    real = sz_core.product_pair
 
     def counted(*args):
-        products.append(args[5])
+        pairs.append(args[5])
         return real(*args)
 
-    monkeypatch.setattr(sz_core, "ordered_product", counted)
+    monkeypatch.setattr(sz_core, "product_pair", counted)
     for g in gauges:
-        products.clear()
+        pairs.clear()
         transfer_matrix(g, rho_pair(g, w), grid.x_min, grid.x_max,
                         tol=1e-12, grid=grid)
-        assert len(products) == 2 and products[1] == 2 * products[0]
+        assert len(pairs) == 1
+
+
+@pytest.mark.parametrize("energy", [0.1, 2.0, 10.0])
+def test_two_generator_calls_per_piece(monkeypatch, energy):
+    # A work count, not a wall time: the probe evaluates the generator on
+    # its n coarse and 2n fine steps in one call, and the graded pair on
+    # its m and 2m steps in one more, so each segment piece costs exactly
+    # two generator calls.  Computing each product apart costs four.
+    grid, w, gauges = _gaussian_gauges(energy)
+    calls = {"pieces": 0, "generator": 0}
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(sz_core, "_refined_product",
+                        counted("pieces", sz_core._refined_product))
+    monkeypatch.setattr(sz_core, "_generator",
+                        counted("generator", sz_core._generator))
+    for g in gauges:
+        calls.update(pieces=0, generator=0)
+        transfer_matrix(g, rho_pair(g, w), grid.x_min, grid.x_max,
+                        tol=1e-12, grid=grid)
+        assert calls["pieces"] >= 1
+        assert calls["generator"] == 2 * calls["pieces"]
 
 
 def test_refined_product_jump_respects_step_cap(monkeypatch):
@@ -273,7 +308,7 @@ def test_refined_product_jump_respects_step_cap(monkeypatch):
     # m = 132 steps at tol 1e-10, and 2m exceeds the patched cap of 128.
     # Refinement gives up at once instead of computing that pair.
     probed = []
-    products = []
+    pairs = []
 
     def fake_probe(gen, g, r, a, b, n):
         probed.append(n)
@@ -281,17 +316,41 @@ def test_refined_product_jump_respects_step_cap(monkeypatch):
         return (1.0 + 0j, 0j, 0j, 1.0 + 0j), (1.001 + 0j, 0j, 0j,
                                               1.0 + 0j), parts
 
-    def fake_product(gen, g, r, a, b, n, density=None):
-        products.append(n)
-        return 1.0 + 0j, 0j, 0j, 1.0 + 0j
+    def fake_pair(gen, g, r, a, b, n, density=None):
+        pairs.append(n)
+        unit = (1.0 + 0j, 0j, 0j, 1.0 + 0j)
+        return unit, unit
 
     monkeypatch.setattr(sz_core, "MAX_PRODUCT_STEPS", 128)
     monkeypatch.setattr(sz_core, "product_probe", fake_probe)
-    monkeypatch.setattr(sz_core, "ordered_product", fake_product)
+    monkeypatch.setattr(sz_core, "product_pair", fake_pair)
     with pytest.raises(NonConvergence):
         sz_core._refined_product(None, None, 0.0, 1.0, 8, 1e-10)
     assert probed == [8]
-    assert products == []
+    assert pairs == []
+
+
+def test_missed_graded_pair_re_predicts_from_its_difference(monkeypatch):
+    # The probe predicts m = 132 at tol 1e-10 (as in the step-cap test
+    # above).  That pair misses with a difference of 64 tol, so the next
+    # count comes from its own difference at sixth order, m' = ceil(m (d /
+    # (tol / 2))^(1/6)) = 297, computed afresh; doubling would give 264.
+    pairs = []
+    unit = (1.0 + 0j, 0j, 0j, 1.0 + 0j)
+
+    def fake_probe(gen, g, r, a, b, n):
+        parts = (np.full(n, 1e-3 / n, dtype=complex), *np.zeros((3, n)))
+        return unit, (1.001 + 0j, 0j, 0j, 1.0 + 0j), parts
+
+    def fake_pair(gen, g, r, a, b, n, density=None):
+        pairs.append(n)
+        miss = 64e-10 if len(pairs) == 1 else 0.0
+        return unit, (1.0 + miss + 0j, 0j, 0j, 1.0 + 0j)
+
+    monkeypatch.setattr(sz_core, "product_probe", fake_probe)
+    monkeypatch.setattr(sz_core, "product_pair", fake_pair)
+    sz_core._refined_product(None, None, 0.0, 1.0, 8, 1e-10)
+    assert pairs == [132, 297]
 
 
 @pytest.mark.parametrize("persistent", [False, True],
@@ -312,7 +371,7 @@ def test_refined_product_rejects_non_finite_product(monkeypatch, bad,
     grid = truncate_domain(p, e)
     w = wavenumber_field(p, e)
     g = gauge_constant(w.k_left)
-    real_probe, real_product = sz_core.product_probe, sz_core.ordered_product
+    real_probe, real_pair = sz_core.product_probe, sz_core.product_pair
 
     def spoilt(n):
         return n == 16 or (persistent and n > 16)
@@ -328,13 +387,18 @@ def test_refined_product_rejects_non_finite_product(monkeypatch, bad,
             fine = tuple(map(complex, bad))
         return coarse, fine, parts
 
-    def product(gen, u, v, a, b, n, density=None):
+    def pair(gen, u, v, a, b, n, density=None):
+        if spoilt(n) and spoilt(2 * n):
+            return tuple(map(complex, bad)), tuple(map(complex, bad))
+        coarse, fine = real_pair(gen, u, v, a, b, n, density)
         if spoilt(n):
-            return tuple(map(complex, bad))
-        return real_product(gen, u, v, a, b, n, density)
+            coarse = tuple(map(complex, bad))
+        if spoilt(2 * n):
+            fine = tuple(map(complex, bad))
+        return coarse, fine
 
     monkeypatch.setattr(sz_core, "product_probe", probe)
-    monkeypatch.setattr(sz_core, "ordered_product", product)
+    monkeypatch.setattr(sz_core, "product_pair", pair)
     args = (g, rho_pair(g, w), grid.x_min, grid.x_max, 8, 1e-10)
     if persistent:
         with pytest.raises(NonConvergence):
@@ -344,8 +408,9 @@ def test_refined_product_rejects_non_finite_product(monkeypatch, bad,
 
 
 # Work cap for the special_delta cases below: product steps computed per
-# call, the probe's 3n included.  Each case takes 16,000-33,000 steps; a
-# refinement that jumps from a pre-asymptotic pair takes millions.
+# call, 3n for each probe and each pair (n, 2n).  Each case takes
+# 16,000-33,000 steps; a refinement that jumps from a pre-asymptotic pair
+# takes millions.
 SPECIAL_DELTA_STEP_CAP = 100_000
 
 
@@ -370,8 +435,8 @@ def test_special_delta_product_converges_on_deep_profiles(monkeypatch,
 
     monkeypatch.setattr(sz_core, "product_probe",
                         capped(sz_core.product_probe, 3))
-    monkeypatch.setattr(sz_core, "ordered_product",
-                        capped(sz_core.ordered_product, 1))
+    monkeypatch.setattr(sz_core, "product_pair",
+                        capped(sz_core.product_pair, 3))
     e = EnergySpec(energy)
     grid = truncate_domain(potential, e)
     w = wavenumber_field(potential, e)
