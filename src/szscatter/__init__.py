@@ -4,7 +4,7 @@ reformulation, with rigorous transmission/reflection bounds.
 The wavefunction is written as a two-wave decomposition with
 position-dependent coefficients (a, b) controlled by three auxiliary
 functions (phi, Delta, chi).  The package evolves (a, b) by adaptive
-stepping and by ordered products of step exponentials, reconstructs exact
+stepping and by ordered products of Chebyshev panel maps, reconstructs exact
 wavefunctions, extracts transmission/reflection, and evaluates and
 optimizes the sech^2/tanh^2 bounds implied by the theta integral, all
 cross-checked against an independent direct solver.

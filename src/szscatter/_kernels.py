@@ -19,15 +19,11 @@ Chebyshev panels.  rk45_wave is kept for the perfbench tracer, which
 looks it up by name, and for the test that cross-checks the spectral
 oracle against it.
 
-The ordered product is one numpy kernel: sixth-order Magnus step
-exponentials (Blanes, Casas and Ros, BIT 40 (2000) 434) built as arrays
-and multiplied as a pairwise tree, with the generator evaluated at every
-step's three Gauss points.  ordered_product spaces its steps by an
-optional step density, equal when none is given.  sz_core refines with
-pairs of products on n and 2n steps, each pair from one generator call
-per block: product_probe on equal steps, with what each of the n cells
-contributes to their difference, from which sz_core grades the density,
-and product_pair on the graded steps.
+ordered_product, the path-ordered exponential in equal sixth-order
+Magnus steps (Blanes, Casas and Ros, BIT 40 (2000) 434) built as arrays
+and multiplied as a pairwise tree (_tree_product), is the tests'
+reference for sz_core's panel product, which multiplies its panel maps
+with the same tree.
 """
 
 import math
@@ -267,11 +263,6 @@ def _mul(b, a):
     return b[:, :1] * a[0] + b[:, 1:] * a[1]
 
 
-def _pairs(m):
-    """Products M_{2i+1} M_{2i} of neighbours along the last axis."""
-    return _mul(m[..., 1::2], m[..., 0::2])
-
-
 def _tree_product(m):
     """Ordered product of the 2x2 matrices along the last axis, later ones
     on the left, by multiplying neighbours pairwise until one is left.  A
@@ -282,7 +273,7 @@ def _tree_product(m):
         if m.shape[-1] % 2:
             aside.append(m[..., -1])
             m = m[..., :-1]
-        m = _pairs(m)
+        m = _mul(m[..., 1::2], m[..., 0::2])
     e = m[..., 0]
     for top in reversed(aside):
         e = _mul(top, e)
@@ -292,91 +283,24 @@ def _tree_product(m):
 _IDENTITY = np.eye(2, dtype=np.complex128)
 
 
-def _step_ends(xa, xb, density, t):
-    """Step ends at the shares t of the density's total (ordered_product)."""
-    cdf = np.cumsum(np.append(0.0, 1.0 if density is None else density))
-    return np.interp(t, cdf / cdf[-1], np.linspace(xa, xb, cdf.size))
-
-
-def ordered_product(gen, u, v, xa, xb, nsteps, density=None):
-    """Path-ordered exponential over [xa, xb] in nsteps sixth-order
+def ordered_product(gen, u, v, xa, xb, nsteps):
+    """Path-ordered exponential over [xa, xb] in nsteps equal sixth-order
     Magnus steps, later positions multiplying on the left.
 
     gen(u, v, x) returns the generator entries (g11, g12, g21) at an
     array of positions x (g22 = -g11); u and v are handed to it
-    unchanged.  density, if given, is a positive step density on
-    len(density) equal cells of [xa, xb], constant on each: step k ends
-    where the density's integral from xa reaches k / nsteps of its total.
-    Without it the steps are equal.  Blocks of at most PRODUCT_BLOCK steps
-    are reduced as trees and then multiplied in order.  Returns the
-    entries (e11, e12, e21, e22).  Overflow is silent and leaves
-    non-finite entries (steps too coarse for a tall barrier do that),
-    which the caller rejects."""
+    unchanged.  Blocks of at most PRODUCT_BLOCK steps are reduced as trees
+    and then multiplied in order.  Returns the entries (e11, e12, e21,
+    e22).  Overflow is silent and leaves non-finite entries (steps too
+    coarse for a tall barrier do that)."""
     e = _IDENTITY
     with np.errstate(over="ignore", invalid="ignore"):
         for first in range(0, nsteps, PRODUCT_BLOCK):
             k = np.arange(first, min(first + PRODUCT_BLOCK, nsteps) + 1)
-            x = _step_ends(xa, xb, density, k / nsteps)
+            x = xa + (xb - xa) * (k / nsteps)
             e = _mul(_tree_product(_magnus_steps(gen, u, v, x[:-1],
                                                  np.diff(x))), e)
     return tuple(map(complex, e.ravel()))
-
-
-def _pair_steps(gen, u, v, x):
-    """Coarse steps [x_2i, x_2i+2] (row 0) and the products of their two
-    fine steps (row 1) from one generator call on the fine nodes x."""
-    n = x.size // 2
-    e = _magnus_steps(gen, u, v, np.concatenate((x[:-2:2], x[:-1])),
-                      np.concatenate((x[2::2] - x[:-2:2], np.diff(x))))
-    return np.stack((e[..., :n], _pairs(e[..., n:])), 2)
-
-
-def product_pair(gen, u, v, xa, xb, n, density=None):
-    """The products (E_n, E_2n) of n and 2n steps spaced as in
-    ordered_product, with one generator call per block of PRODUCT_BLOCK // 3
-    coarse steps.  Fine node 2k is coarse node k bit for bit (k / n ==
-    2k / 2n), so the coarse steps and the pairs of fine steps line up and
-    are reduced as the two rows of one tree.  Overflow is silent."""
-    block = PRODUCT_BLOCK // 3
-    e = _IDENTITY[..., None]
-    with np.errstate(over="ignore", invalid="ignore"):
-        for first in range(0, n, block):
-            k = np.arange(2 * first, 2 * min(first + block, n) + 1)
-            x = _step_ends(xa, xb, density, k / (2 * n))
-            e = _mul(_tree_product(_pair_steps(gen, u, v, x)), e)
-    return tuple(map(complex, e[..., 0].ravel())), \
-        tuple(map(complex, e[..., 1].ravel()))
-
-
-def product_probe(gen, u, v, xa, xb, n):
-    """The products of n and of 2n equal sixth-order Magnus steps over
-    [xa, xb], and what each of the n cells contributes to their
-    difference.
-
-    Cell i's local error is its product of two half steps F_i less its
-    one step C_i.  Carried to the ends of [xa, xb] by the fine steps
-    after it and the coarse steps before it, the errors sum to the
-    difference exactly: F_n-1 ... F_0 - C_n-1 ... C_0 = sum_i F_n-1 ...
-    F_i+1 (F_i - C_i) C_i-1 ... C_0.  All 3n steps take one generator
-    call; the prefix products of the C_i and, transposed, of the F_i^T
-    latest first are one scan (Hillis and Steele, CACM 29 (1986) 1170).
-    Returns (coarse, fine, parts): the products as entries (e11, e12, e21,
-    e22), and the contributions as four arrays of n entries."""
-    x = xa + (xb - xa) * (np.arange(2 * n + 1) / (2 * n))
-    m = np.empty((2, 2, 2, n + 1), dtype=np.complex128)
-    m[..., 0] = _IDENTITY[..., None]
-    with np.errstate(over="ignore", invalid="ignore"):
-        c, f = np.moveaxis(_pair_steps(gen, u, v, x), 2, 0)
-        m[:, :, 0, 1:] = c
-        m[:, :, 1, 1:] = f[..., ::-1].swapaxes(0, 1)
-        s = 1
-        while s <= n:
-            m[..., s:] = _mul(m[..., s:], m[..., :-s])
-            s *= 2
-        before, after = m[:, :, 0], m[:, :, 1, ::-1].swapaxes(0, 1)
-        parts = _mul(_mul(after[..., 1:], f - c), before[..., :-1])
-    return tuple(map(complex, before[..., -1].ravel())), \
-        tuple(map(complex, after[..., 0].ravel())), parts.reshape(4, n)
 
 
 def warm_up() -> None:

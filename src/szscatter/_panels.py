@@ -12,19 +12,22 @@ TO_COEF maps values at the points to Chebyshev coefficients, and TAIL,
 its last N_TAIL rows, gives the trailing coefficients whose size is the
 panel's error estimate.
 
-The oracle (psi'' = -k^2 psi), the bound integral (theta) and the gauge
-antiderivatives (antiderivative: phi = int phi', Delta = int Delta') all
-start from a window cut at its breakpoints into panels, and hand bisect()
-a function that solves one batch of panels.  The bound integral and the
+The oracle (psi'' = -k^2 psi), the path-ordered exponential (Y' = M Y,
+sz_core), the bound integral (theta) and the gauge antiderivatives
+(antiderivative: phi = int phi', Delta = int Delta') all start from a
+window cut at its breakpoints into panels, and hand bisect() a function
+that solves one batch of panels.  The bound integral and the
 antiderivatives share that function through integrals(), which samples
 the integrand on the panels' Lobatto points and returns h S f; the
-oracle solves its own second-kind systems.  bisect() accepts a panel
-when its error estimate is at most max(tol (b - a) / span,
-ROUNDING_FLOOR), bisects the others and solves them again together, and
-raises NonConvergence past MAX_PANELS panels or when a half would be no
-wider than EDGE_NUDGE max(1, |x|).  evaluate() reads the oracle's
-wavefunction and the antiderivatives back from the panels' Chebyshev
-coefficients.
+oracle and the product solve their own second-kind systems, through
+solve_blocks().  bisect() accepts a panel when its error estimate is at
+most max(tol (b - a) / span, ROUNDING_FLOOR scale), the scale being the
+size the panel's rounding is relative to (1 for the integrals, the map's
+size for the product); it bisects the others and solves them again
+together, and raises NonConvergence past MAX_PANELS panels or when a
+half would be no wider than EDGE_NUDGE max(1, |x|).  evaluate() reads
+the oracle's wavefunction and the antiderivatives back from the panels'
+Chebyshev coefficients.
 """
 
 import numpy as np
@@ -46,6 +49,9 @@ N_TAIL = 3
 EDGE_NUDGE = 1.0e-13
 # Error estimates below this are rounding noise of one panel.
 ROUNDING_FLOOR = 64.0 * float(np.finfo(np.float64).eps)
+# Most bytes the systems of one batched solve may hold, which bounds its
+# temporaries.
+SOLVE_BYTES = 1 << 23
 # Summed error estimate an antiderivative is refined to.
 ANTIDERIVATIVE_TOL = 1.0e-12
 
@@ -106,17 +112,22 @@ def bisect(solve, a: np.ndarray, b: np.ndarray, span: float,
            tol: float) -> list:
     """Refine the panels [a_i, b_i] until each passes its share of tol.
 
-    solve(a, b) returns (err, *results) for a batch of panels, each an
-    array with one row per panel.  Panels with err <= max(tol (b - a) /
-    span, ROUNDING_FLOOR) are kept; the rest are halved and solved again
-    as one batch, until a half would be no wider than the nudge.  Returns
-    [a, b, err, *results] of the kept panels in ascending order of a."""
+    solve(a, b) returns (err, scale, *results) for a batch of panels: the
+    error estimates, the sizes their rounding is relative to (a scalar,
+    or one per panel) and the results, each an array with one row per
+    panel.  Panels with err <= max(tol (b - a) / span, ROUNDING_FLOOR
+    scale) are kept; the rest are halved and solved again as one batch,
+    until a half would be no wider than the nudge.  a must be ascending;
+    returns [a, b, err, *results] of the kept panels in ascending order of
+    a."""
     done = []
     n_done = 0
     while a.size:
         _too_many(n_done + a.size)
-        err, *results = solve(a, b)
-        ok = err <= np.maximum(tol * (b - a) / span, ROUNDING_FLOOR)
+        err, scale, *results = solve(a, b)
+        ok = err <= np.maximum(tol * (b - a) / span, ROUNDING_FLOOR * scale)
+        if not done and ok.all():
+            return [a, b, err, *results]
         done.append([a[ok], b[ok], err[ok], *(r[ok] for r in results)])
         n_done += int(np.count_nonzero(ok))
         a, b = a[~ok], b[~ok]
@@ -130,6 +141,20 @@ def bisect(solve, a: np.ndarray, b: np.ndarray, span: float,
     kept = [np.concatenate(parts) for parts in zip(*done)]
     order = np.argsort(kept[0])
     return [part[order] for part in kept]
+
+
+def solve_blocks(systems, rhs: np.ndarray) -> np.ndarray:
+    """The solutions of the panels' systems, systems(block) @ x = rhs[block],
+    solved in blocks of panels so that no block's systems hold more than
+    SOLVE_BYTES (as complex numbers).  systems(block) returns the matrices
+    of the panels rhs[block], of rhs's dtype."""
+    size = rhs.shape[1]
+    step = max(1, SOLVE_BYTES // (16 * size * size))
+    out = np.empty_like(rhs)
+    for lo in range(0, rhs.shape[0], step):
+        block = slice(lo, lo + step)
+        out[block] = np.linalg.solve(systems(block), rhs[block])
+    return out
 
 
 def evaluate(a: np.ndarray, h: np.ndarray, coef: np.ndarray, x):
@@ -168,7 +193,7 @@ def integrals(fn, edges, tol: float, width: float = np.inf) -> list:
         if not np.all(np.isfinite(vals)):
             raise NonConvergence("integrand is not finite on the window")
         err = h * np.max(np.abs(vals @ TAIL.T), axis=1)
-        return err, h[:, None] * (vals @ S.T)
+        return err, 1.0, h[:, None] * (vals @ S.T)
 
     a, b = subdivide(edges[:-1], edges[1:], width)
     return bisect(solve, a, b, edges[-1] - edges[0], tol)

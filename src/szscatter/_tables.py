@@ -4,7 +4,7 @@ segment_plan splits a walk at the edges of the smooth segments; evolve and
 transfer_matrix both walk with it.  Segments never straddle a
 discontinuity.
 
-No kernel reads a table: the Runge-Kutta loop and the ordered product
+No kernel reads a table: the Runge-Kutta loop and the panel product
 evaluate their generator directly, and the gauge antiderivatives live on
 the Chebyshev panels (_panels.antiderivative).  build_segment_table is a
 stub that raises.

@@ -35,8 +35,10 @@ class StepUnderflow(SzScatterError):
 
 
 class NonConvergence(SzScatterError):
-    """An iterative refinement (quadrature or product integration)
-    stalled before reaching the requested tolerance."""
+    """A panel refinement (the oracle, the product, the bound integral or
+    an antiderivative) needs more than _panels.MAX_PANELS panels or
+    narrower panels than it can sample, or its integrand or generator is
+    not finite, before reaching the requested tolerance."""
 
 
 class BoundViolation(SzScatterError):

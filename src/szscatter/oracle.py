@@ -35,14 +35,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._panels import (NODES, PANEL_NODES, S, S2, TAIL, TO_COEF, bisect,
-                      evaluate, nudged, points, subdivide)
+                      evaluate, nudged, points, solve_blocks,
+                      subdivide)
 from .errors import AsymptoticallyClosedChannel
 from .potentials import (DomainGrid, EnergySpec, PotentialProfile,
                          wavenumber_field, window_edges)
 from .sz_core import WavefunctionSample, _plane_wave_pair, _probabilities
-
-# Panels per batched solve, which bounds the (panels, n, n) systems.
-_SOLVE_BLOCK = 1024
 
 
 @dataclass(frozen=True)
@@ -62,19 +60,18 @@ _Panels = namedtuple("_Panels", "a h maps sigma")
 
 def _solve_panels(k_squared, a, b, jumps) -> tuple:
     """Both fundamental solutions on each panel [a_i, b_i].  Returns
-    (err, maps, sigma): each panel's error estimate, map entries of shape
-    (P, 4) and sigma of shape (P, n, 2)."""
+    (err, 1.0, maps, sigma) for _panels.bisect: each panel's error
+    estimate, its rounding scale, map entries of shape (P, 4) and sigma of
+    shape (P, n, 2)."""
     h = 0.5 * (b - a)
     x = points(a, h)
     xe = nudged(x, a, b, jumps)
     k2 = np.asarray(k_squared(xe.ravel())).reshape(xe.shape)
     rhs = -k2[:, :, None] * np.stack((np.ones_like(x), x - a[:, None]), -1)
-    sigma = np.empty_like(rhs)
-    for lo in range(0, a.size, _SOLVE_BLOCK):
-        blk = slice(lo, lo + _SOLVE_BLOCK)
-        hh = (h[blk] * h[blk])[:, None, None]
-        system = np.eye(PANEL_NODES) + k2[blk, :, None] * hh * S2
-        sigma[blk] = np.linalg.solve(system, rhs[blk])
+    hh = (h * h)[:, None, None]
+    sigma = solve_blocks(
+        lambda blk: np.eye(PANEL_NODES) + k2[blk, :, None] * hh[blk] * S2,
+        rhs)
     d_end = h[:, None] * (S[-1] @ sigma)
     p_end = (h * h)[:, None] * (S2[-1] @ sigma)
     maps = np.stack((1.0 + p_end[:, 0], 2.0 * h + p_end[:, 1],
@@ -83,7 +80,7 @@ def _solve_panels(k_squared, a, b, jumps) -> tuple:
     # its size and psi' of the second by about h times it.
     tail = np.max(np.abs(TAIL @ sigma), axis=1)
     err = np.maximum(h * h * tail[:, 0], h * tail[:, 1])
-    return err, maps, sigma
+    return err, 1.0, maps, sigma
 
 
 def _panels(k_squared, jumps, grid: DomainGrid, width: float,

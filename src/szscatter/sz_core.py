@@ -1,26 +1,26 @@
 """Coefficient-pair evolution, transfer matrices, and amplitude extraction.
 
 Two independent evolution routes are provided and serve as mutual
-oracles: ordered products of sixth-order Magnus step exponentials
-(transfer_matrix), the discrete realization of the path-ordered
-exponential, and adaptive embedded Runge-Kutta stepping of the
+oracles: the path-ordered exponential on Chebyshev panels
+(transfer_matrix) and adaptive embedded Runge-Kutta stepping of the
 coefficient pair (evolve).  Both evaluate the one generator, _generator,
 straight from the gauge and one call of the rho fields: the product at
-its Gauss points, the Runge-Kutta route at its stage positions.  Neither
-builds a table.  The product's steps are graded: a probe pair on equal
-steps measures where the error is, and the accepted pair puts its steps
-there (_graded_mesh).  Each pair of products (n, 2n) takes one generator
-call.  The refinement accepts only a finite pair, so steps too coarse
-for a tall barrier, which overflow, are refined past.
+its panels' Lobatto points, the Runge-Kutta route at its stage positions.
+Neither builds a table.  On each panel the product solves for Y' = M Y
+at the Lobatto points as one second-kind system (Greengard, SIAM J.
+Numer. Anal. 28 (1991) 1071), so each panel gives its map and an error
+estimate from its trailing Chebyshev coefficients; _panels.bisect, the
+loop the oracle, the bound integral and the gauge antiderivatives share,
+refines the panels, and the maps are multiplied in order.
 scattering_amplitudes goes through the product and, in every gauge,
 reads the amplitudes off (psi, psi') with the plane-wave matcher the
 oracle also uses (_plane_wave_pair).
 
 Discontinuities in the potential or gauge split the domain into smooth
-segments.  Steps never straddle a split; where the gauge representation
-itself jumps (e.g. a local-wavenumber gauge over a square barrier) the
-coefficient pair is re-projected through a junction matrix that keeps
-psi and psi' continuous.
+segments.  Panels and steps never straddle a split; where the gauge
+representation itself jumps (e.g. a local-wavenumber gauge over a square
+barrier) the coefficient pair is re-projected through a junction matrix
+that keeps psi and psi' continuous.
 """
 
 import cmath
@@ -29,22 +29,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._kernels import PRODUCT_BLOCK, product_pair, product_probe, rk45_coeffs
-from ._panels import EDGE_NUDGE
+from ._kernels import _tree_product, rk45_coeffs
+from ._panels import (EDGE_NUDGE, PANEL_NODES, S, TAIL, bisect, points,
+                      solve_blocks, subdivide)
 from ._tables import segment_plan
 from .errors import GaugeDegenerate, NonConvergence
 from .gauges import DEGENERACY_RTOL, GaugeTriple, RhoPair, rho_pair
 from .potentials import (DomainGrid, EnergySpec, PotentialProfile,
                          truncate_domain, wavenumber_field, window_edges)
-
-# Product steps over the whole path before refinement, shared among the
-# pieces by length, and the most steps any one product may take.
-MIN_PRODUCT_STEPS = 64
-MAX_PRODUCT_STEPS = 1 << 23
-# Least step density of a graded product, as a share of its mean, and
-# the share of tol that a graded pair's predicted difference aims at.
-DENSITY_FLOOR = 0.125
-GRADED_MARGIN = 0.5
 
 _IDENTITY2 = np.eye(2, dtype=np.complex128)
 
@@ -121,20 +113,26 @@ def _check_phi_prime(g: GaugeTriple, value: complex) -> complex:
     return value
 
 
-def _generator(g: GaugeTriple, r: RhoPair, x: np.ndarray) -> tuple:
-    """Evolution-generator entries (g11, g12, g21) at an array of
-    positions, evaluated from the gauge callables and one call of the
-    rho fields; g22 = -g11 since the generator is traceless."""
+def _entries(g: GaugeTriple, r: RhoPair, x: np.ndarray) -> tuple:
+    """_generator's entries and the phase phi + Delta they were built from."""
     ppr, r1, r2 = r.fields(x)
     _check_phi_prime(g, np.min(np.abs(ppr)))
     if g.diag_vanishes:
         dia = 0.0
     else:
         dia = r2 - 2.0 * ppr * np.asarray(g.delta_prime(x))
-    em = np.exp(-2j * (np.asarray(g.phi(x)) + np.asarray(g.delta(x))))
+    phase = np.asarray(g.phi(x)) + np.asarray(g.delta(x))
+    em = np.exp(-2j * phase)
     inv2 = 0.5 / ppr
     return (1j * dia * inv2, (r1 + 1j * r2) * em * inv2,
-            (r1 - 1j * r2) / em * inv2)
+            (r1 - 1j * r2) / em * inv2), phase
+
+
+def _generator(g: GaugeTriple, r: RhoPair, x: np.ndarray) -> tuple:
+    """Evolution-generator entries (g11, g12, g21) at an array of
+    positions, evaluated from the gauge callables and one call of the
+    rho fields; g22 = -g11 since the generator is traceless."""
+    return _entries(g, r, x)[0]
 
 
 def rhs_matrix(g: GaugeTriple, r: RhoPair, x: float) -> np.ndarray:
@@ -341,74 +339,73 @@ def evolve(g: GaugeTriple, r: RhoPair, s0: CoefficientState, x_to: float,
     return evolve_diagnostics(g, r, s0, x_to, tol, grid)[0]
 
 
-_EPS = float(np.finfo(np.float64).eps)
+# Size of a panel's system, -S as blocks (j, k, l) of it, and the rows
+# that read a panel's end value and trailing coefficients.
+_SIZE = 2 * PANEL_NODES
+_MINUS_S = -S[:, None, :]
+_READ = np.vstack((S[-1], TAIL))
 
 
-def _graded_mesh(parts: tuple, target: float) -> tuple:
-    """Step density and step count m of a graded pair (m, 2m) whose
-    Cauchy difference the probe predicts to be target.
+def _system(hm: np.ndarray) -> np.ndarray:
+    """I - h M S of each panel, with h M given as blocks (panel, i, point,
+    k): entry ((i, j), (k, l)) is delta - h M_ik(x_j) S_jl."""
+    a = np.multiply(hm[..., None], _MINUS_S, order="C")
+    a.reshape(-1, _SIZE * _SIZE)[:, ::_SIZE + 1] += 1.0
+    return a.reshape(-1, _SIZE, _SIZE)
 
-    parts holds each probe cell's signed contribution to the probe pair's
-    difference.  A sixth-order step's local error grows like its width^7,
-    so with q_i steps in cell i that cell contributes about parts_i
-    q_i^-6.  The density |parts|^(1/7), which equidistributes the error,
-    needs the fewest steps for a given sum; it is floored at
-    DENSITY_FLOOR of its mean, so cells where the probe saw next to no
-    error keep a share.  The contributions are summed with their signs:
-    they partly cancel, and how much depends on the grading (antiphase
-    gauge, Gaussian at E = 10: the probe pair's difference is 300 times
-    smaller than the sum of their sizes)."""
-    rho = np.max(np.abs(parts), axis=0) ** (1.0 / 7.0)
-    rho = np.maximum(rho, DENSITY_FLOOR * np.mean(rho))
-    # The pair's difference with one step in all (q_i = rho_i / sum rho).
-    unit = np.max(np.abs(np.asarray(parts) @ (rho / np.sum(rho)) ** -6.0))
-    m = math.ceil((unit / target) ** (1.0 / 6.0))
-    return rho, max(1, m)
+
+def _panel_maps(g: GaugeTriple, r: RhoPair, ends: tuple, a: np.ndarray,
+                b: np.ndarray) -> tuple:
+    """Each panel's map Y(b_i) of Y' = M Y, Y(a_i) = I, for _panels.bisect.
+
+    With W = h Y' at the panel's Lobatto points, Y = I + S W, so W = h M Y
+    is the second-kind system (I - h M S) W = h M: one 2n x 2n system with
+    two right-hand sides per panel (Greengard, SIAM J. Numer. Anal. 28
+    (1991) 1071).  The map is I + S[-1] W and the error estimate the
+    largest trailing Chebyshev coefficient of W.  Rounding is relative to
+    the map and to the generator's own rounding, which grows with the
+    phase phi + Delta that e^{-2i(phi+Delta)} is taken of.  The points are
+    clamped to ends, so a piece end on a breakpoint is sampled from
+    inside."""
+    h = 0.5 * (b - a)
+    x = np.minimum(np.maximum(points(a, h), ends[0]), ends[1])
+    (g11, g12, g21), phase = _entries(g, r, x.ravel())
+    m = np.reshape((g11, g12, g21, -g11), (2, 2) + x.shape)
+    if not np.isfinite(m).all():
+        raise NonConvergence("the generator is not finite on the piece")
+    # h M at the points, as blocks (panel, i, point, k).
+    hm = np.multiply(m.transpose(2, 0, 3, 1), h[:, None, None, None],
+                     order="C")
+    w = solve_blocks(lambda blk: _system(hm[blk]),
+                     hm.reshape(a.size, _SIZE, 2)).reshape(hm.shape)
+    read = _READ @ w
+    maps = _IDENTITY2 + read[:, :, 0]
+    err = np.abs(read[:, :, 1:]).max(axis=(1, 2, 3))
+    noise = 2.0 * np.abs(w).max(axis=(1, 2, 3)) \
+        * np.abs(phase).reshape(x.shape).max(axis=1)
+    return err, np.maximum(np.abs(maps).max(axis=(1, 2)), noise), maps
 
 
 def _refined_product(g: GaugeTriple, r: RhoPair, a: float, b: float,
-                     n0: int, tol: float) -> np.ndarray:
-    n = max(2, n0)
-    density = None
-    probing = True
-    while 2 * n <= MAX_PRODUCT_STEPS:
-        if probing:
-            prev, cur, parts = product_probe(_generator, g, r, a, b, n)
-        else:
-            prev, cur = product_pair(_generator, g, r, a, b, n, density)
-        diff = max(abs(cur[0] - prev[0]), abs(cur[1] - prev[1]),
-                   abs(cur[2] - prev[2]), abs(cur[3] - prev[3]))
-        # max skips a NaN that is not first, and an overflowed product
-        # makes the floor infinite, so a non-finite pair is never accepted.
-        finite = math.isfinite(diff) and all(map(cmath.isfinite, cur + prev))
-        scale = max(1.0, abs(cur[0]), abs(cur[1]), abs(cur[2]), abs(cur[3]))
-        # An m-step product carries O(m eps) rounding; once the Cauchy
-        # difference reaches that scale, refinement only adds noise.
-        floor = 4.0 * _EPS * (2 * n) * scale
-        # The sixth-order error bound diff / 63 fails where the generator
-        # is only C^1 (the knots of tabulated profiles), so accept on the
-        # Cauchy difference itself.
-        if finite and (diff < tol or diff <= floor):
-            return np.array([[cur[0], cur[1]], [cur[2], cur[3]]],
-                            dtype=np.complex128)
-        target = GRADED_MARGIN * max(tol, floor)
-        # Once the probe pair agrees to its own size, its cells' errors
-        # predict a graded pair (m, 2m) that meets tol; a graded pair that
-        # misses predicts the next m from its own difference at sixth
-        # order (m grows by 2^(1/6) at least).  A jump past
-        # MAX_PRODUCT_STEPS ends the loop before any product.  Otherwise,
-        # and after a non-finite pair, n doubles; the probe is not
-        # blocked, so past PRODUCT_BLOCK steps equal-step pairs double.
-        if probing and finite and diff <= scale:
-            density, n = _graded_mesh(parts, target)
-            probing = False
-        elif probing or not finite:
-            n *= 2
-            probing = probing and 3 * n <= PRODUCT_BLOCK
-        else:
-            n = math.ceil(n * (diff / target) ** (1.0 / 6.0))
-    raise NonConvergence("ordered-product refinement stalled before "
-                         f"reaching tol={tol:g}")
+                     tol: float) -> np.ndarray:
+    """The map E(b, a) of a piece of one smooth segment, to tol.
+
+    _panels.bisect refines the panels of [min(a, b), max(a, b)]
+    (_panel_maps) until each passes its share of tol, and their maps are
+    multiplied in order (_kernels._tree_product).  A piece end on a
+    breakpoint is sampled one-sided, from inside the piece.  A backward
+    piece is the inverse of the forward one."""
+    lo, hi = min(a, b), max(a, b)
+    ends = tuple(x + side * EDGE_NUDGE * max(1.0, abs(x))
+                 if x in r.breakpoints else x
+                 for x, side in ((lo, 1.0), (hi, -1.0)))
+    # Start panels span at most one period, pi / max|phi'|, of e^{-2i phi}.
+    starts = subdivide(np.array([lo]), np.array([hi]),
+                       math.pi / max(g.phi_prime_scale, 1e-300))
+    _, _, _, maps = bisect(lambda p, q: _panel_maps(g, r, ends, p, q),
+                           *starts, hi - lo, tol)
+    e = _tree_product(np.moveaxis(maps, 0, -1))
+    return e if a < b else np.linalg.inv(e)
 
 
 def transfer_matrix(g: GaugeTriple, r: RhoPair, x_from: float, x_to: float,
@@ -416,36 +413,30 @@ def transfer_matrix(g: GaugeTriple, r: RhoPair, x_from: float, x_to: float,
                     grid: DomainGrid = None) -> TransferMatrix:
     """Discrete path-ordered exponential E(x_to, x_from).
 
-    Ordered product of sixth-order Magnus step exponentials (three Gauss
-    points per step plus nested commutators; Blanes, Casas and Ros, BIT
-    40 (2000) 434), with the generator evaluated directly from the gauge
-    and rho fields.  Each segment piece the path crosses is refined as
-    a whole until the Cauchy difference |E_2m - E_m| drops below its
-    share of tol: a probe pair (n, 2n) on equal steps gives each cell's
-    error, from which the step density and the count m of a graded pair
-    (m, 2m) are predicted.  A graded pair that misses predicts the next m
-    from its own difference.  Each pair takes one generator call
-    (product_probe, product_pair).  Later positions multiply on the left.
-    No Runge-Kutta step is taken and no table is built, so the result is
-    an independent check on evolve.
+    Each smooth segment piece the path crosses is cut into Chebyshev
+    panels, and each panel's map solves one second-kind system for Y' at
+    its Lobatto points (Greengard's spectral integration, _panel_maps),
+    with the generator evaluated directly from the gauge and rho fields.
+    _panels.bisect refines the panels until each error estimate is below
+    its share of the piece's share of tol, or below its rounding floor.
+    The maps are multiplied in order, later positions on the left, and the
+    junction projections join the pieces.  Raises NonConvergence past
+    _panels.MAX_PANELS panels or where the generator is not finite.  No
+    Runge-Kutta step is taken and no table is built, so the result is an
+    independent check on evolve.
     """
     if x_from == x_to:
         return TransferMatrix(_IDENTITY2.copy(), x_from, x_to)
     lo, hi, _ = _resolve_window(x_from, x_to, grid)
     edges, junctions = _segments(g, r, lo, hi)
     pieces = list(segment_plan(edges, x_from, [x_to]))
-    total_len = abs(x_to - x_from)
     tol_piece = tol / len(pieces)
     result = _IDENTITY2.copy()
     prev = None
     for j, a, seg_stops, _ in pieces:
-        b = seg_stops[-1]
         if prev is not None:
             result = _cross(junctions, prev, j, result)
-        n0 = max(8, int(math.ceil(MIN_PRODUCT_STEPS * abs(b - a)
-                                  / total_len)))
-        block = _refined_product(g, r, a, b, n0, tol_piece)
-        result = block @ result
+        result = _refined_product(g, r, a, seg_stops[-1], tol_piece) @ result
         prev = j
     return TransferMatrix(result, x_from, x_to)
 

@@ -1,5 +1,5 @@
 """Kernel checks: the Dormand-Prince stepper, the Magnus step exponentials
-and their ordered product."""
+and their ordered product (the reference for sz_core's panel product)."""
 
 import cmath
 import warnings
@@ -155,43 +155,6 @@ def _max_rel_diff(got, want):
             / np.max(np.abs(np.asarray(want))))
 
 
-@pytest.mark.parametrize("graded", [False, True], ids=["equal", "graded"])
-@pytest.mark.parametrize("n", [1, 37, 64])
-def test_product_pair_matches_two_products(n, graded):
-    # Fine node 2k is coarse node k, so the pair is the two single
-    # products, whether the steps are equal or spaced by a density.
-    fields = _random_fields(6)
-    density = np.array([1.0, 3.0, 0.5, 2.0]) if graded else None
-    coarse, fine = _kernels.product_pair(_field_generator, fields, None,
-                                         0.0, 2.0, n, density)
-    for got, steps in ((coarse, n), (fine, 2 * n)):
-        want = _kernels.ordered_product(_field_generator, fields, None,
-                                        0.0, 2.0, steps, density)
-        assert _max_rel_diff(got, want) <= 1e-14
-
-
-@pytest.mark.parametrize("graded", [False, True], ids=["equal", "graded"])
-def test_product_pair_blocks_match_single_products(monkeypatch, graded):
-    # 48 steps per generator call: blocks of 16 coarse steps, so 37 coarse
-    # steps take three blocks, the last one short.
-    fields = _random_fields(7)
-    density = np.array([1.0, 3.0, 0.5, 2.0]) if graded else None
-    want = [_kernels.ordered_product(_field_generator, fields, None,
-                                     0.0, 2.0, steps, density)
-            for steps in (37, 74)]
-    calls = []
-
-    def counted(u, v, x):
-        calls.append(x.size)
-        return _field_generator(u, v, x)
-
-    monkeypatch.setattr(_kernels, "PRODUCT_BLOCK", 48)
-    pair = _kernels.product_pair(counted, fields, None, 0.0, 2.0, 37, density)
-    assert [size // 3 for size in calls] == [48, 48, 15]
-    for got, ref in zip(pair, want):
-        assert _max_rel_diff(got, ref) <= 1e-14
-
-
 # (generator entries, step width, what |z| the step's exponent has).  The
 # last case is far from normal: its exponent's entries are about 1,000
 # times |z| = 2^-13, so sinh z / z must be accurate to rounding relative to
@@ -220,19 +183,14 @@ def test_step_exponential_matches_cosh_sinh_form(entries, h):
 
 def test_overflowing_step_is_non_finite_without_warning():
     # One step over a barrier of height 1e6: the exponent's real part is
-    # 1,000, past what a double holds.  Every product kernel returns
-    # non-finite entries for the caller to reject, and warns of nothing.
+    # 1,000, past what a double holds.  The product returns non-finite
+    # entries and warns of nothing.
     entries = (1e3 + 0j, 0j, 0j)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         single = _kernels.ordered_product(_constant_generator, entries, None,
                                           0.0, 1.0, 1)
-        pair = _kernels.product_pair(_constant_generator, entries, None,
-                                     0.0, 1.0, 1)
-        probe = _kernels.product_probe(_constant_generator, entries, None,
-                                       0.0, 1.0, 1)[:2]
-    for e in (single, *pair, *probe):
-        assert not all(map(cmath.isfinite, e))
+    assert not all(map(cmath.isfinite, single))
 
 
 def test_magnus_product_is_sixth_order():
@@ -253,41 +211,6 @@ def _cubic_fields():
               [0.0, 0.3, -0.4, 0.2], [-0.1, 0.0, 0.5, 0.7],
               [0.0, 0.0, 1.0, 0.0])
     return [lambda x, c=c: np.polyval(c, x) for c in coeffs]
-
-
-@pytest.mark.parametrize("n", [1, 2, 37, 64])
-def test_probe_pair_and_its_cells_contributions(n):
-    # The probe's pair is the equal-step products of n and 2n steps, and
-    # its cells' contributions sum to their difference exactly (the
-    # telescoping sum), up to rounding.
-    fields = _random_fields(5)
-    coarse, fine, parts = _kernels.product_probe(_field_generator, fields,
-                                                 None, 0.0, 2.0, n)
-    for got, steps in ((coarse, n), (fine, 2 * n)):
-        want = _kernels.ordered_product(_field_generator, fields, None,
-                                        0.0, 2.0, steps)
-        assert np.max(np.abs(np.subtract(got, want))) < 1e-13
-    assert np.shape(parts) == (4, n)
-    assert np.max(np.abs(np.sum(parts, axis=1)
-                         - np.subtract(fine, coarse))) < 1e-13
-
-
-def test_graded_product_is_sixth_order_and_converges_to_equal_steps():
-    # Steps spaced by a density that varies 6-fold across its cells still
-    # give a sixth-order product, with the same limit as equal steps.
-    fields = _cubic_fields()
-    density = np.array([1.0, 3.0, 0.5, 2.0])
-    prods = [np.array(_kernels.ordered_product(_field_generator, fields, None,
-                                               0.0, 2.0, n, density))
-             for n in (16, 32, 64, 128)]
-    diffs = [np.max(np.abs(b - a)) for a, b in zip(prods, prods[1:])]
-    for coarse, fine in zip(diffs, diffs[1:]):
-        assert coarse / fine > 48.0
-    # At sixth order the finest product is about 63 times closer to the
-    # limit than its Cauchy difference.
-    equal = _kernels.ordered_product(_field_generator, fields, None,
-                                     0.0, 2.0, 1024)
-    assert np.max(np.abs(prods[-1] - np.array(equal))) < diffs[-1] / 16.0
 
 
 def test_step_exponential_is_unimodular():

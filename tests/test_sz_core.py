@@ -8,7 +8,7 @@ import warnings
 import numpy as np
 import pytest
 
-from szscatter import _tables, sz_core
+from szscatter import _panels, _tables, sz_core
 from szscatter._kernels import ordered_product
 from szscatter.errors import GaugeDegenerate, NonConvergence
 from szscatter.gauges import (GaugeTriple, constant_field, gauge_antiphase,
@@ -158,14 +158,13 @@ def _ramp_profile(n_knots):
 
 
 @pytest.mark.parametrize("energy", [0.5, 2.0])
-@pytest.mark.parametrize("gauge_name", ["constant", "special_delta"])
+@pytest.mark.parametrize("gauge_name", ["constant", "special_delta", "wkb"])
 def test_refined_product_within_tol_on_tabulated_ramp(energy, gauge_name):
-    # V'' jumps at the PCHIP knots, so the generator is only C^1 there and
-    # the product converges more slowly than its sixth order near them: an
-    # acceptance test that assumes the order (|E_2n - E_n| / 63, or / 15
-    # for fourth order) misses tol here.  The reference is a brute-force
-    # product of 2^14 steps per unit length; halving or doubling that
-    # count moves it by at most 6e-13, far below the smallest tol.
+    # V'' jumps at the PCHIP knots, so the generator is only C^1 there (C^0
+    # in wkb, whose rho1 = k'), and the panels converge more slowly near
+    # them.  The reference is a brute-force Magnus product of 2^14 steps
+    # per unit length; halving or doubling that count moves it by at most
+    # 6e-13 (2e-12 in wkb), below the smallest tol.
     p = _ramp_profile(41)
     e = EnergySpec(energy)
     grid = truncate_domain(p, e)
@@ -173,6 +172,8 @@ def test_refined_product_within_tol_on_tabulated_ramp(energy, gauge_name):
     g = gauge_constant(w.k_left)
     if gauge_name == "special_delta":
         g = gauge_special_delta(g, w, grid)
+    elif gauge_name == "wkb":
+        g = gauge_wkb(w, grid)
     r = rho_pair(g, w)
     n_ref = int((grid.x_max - grid.x_min) * (1 << 14))
     ref = np.array(ordered_product(sz_core._generator, g, r, grid.x_min,
@@ -204,214 +205,66 @@ def test_product_is_pseudo_unitary_for_real_gauges(suite, case_name,
         assert abs(E.det - 1.0) <= 1e-12
 
 
-def test_prediction_bounds_product_calls(monkeypatch):
-    # The probe pair (n, 2n) predicts the graded pair (m, 2m); refinement
-    # computes that pair next, so an analytic profile needs at most four
-    # products per segment piece, the probe's two included.  Both the probe
-    # and product_pair count as two products.
-    p = gaussian(1.0, 1.0)
-    e = EnergySpec(2.0)
-    grid = truncate_domain(p, e)
-    w = wavenumber_field(p, e)
-    base = gauge_constant(w.k_left)
-    gauges = [base, gauge_special_delta(base, w, grid), gauge_wkb(w, grid),
-              gauge_antiphase(base)]
-    calls = {"pieces": 0, "products": 0}
-
-    def counted(name, fn, products=1):
-        def wrapper(*args):
-            calls[name] += products
-            return fn(*args)
-        return wrapper
-
-    monkeypatch.setattr(sz_core, "_refined_product",
-                        counted("pieces", sz_core._refined_product))
-    monkeypatch.setattr(sz_core, "product_probe",
-                        counted("products", sz_core.product_probe, 2))
-    monkeypatch.setattr(sz_core, "product_pair",
-                        counted("products", sz_core.product_pair, 2))
-    for g in gauges:
-        transfer_matrix(g, rho_pair(g, w), grid.x_min, grid.x_max,
-                        tol=1e-12, grid=grid)
-    assert calls["pieces"] >= len(gauges)
-    assert calls["products"] <= 4 * calls["pieces"]
+@pytest.mark.parametrize("case_name", ["pt2-E0.5", "gauss-E2", "barrier-E2"])
+@pytest.mark.parametrize("gauge_name", ["constant", "special_delta", "wkb",
+                                        "antiphase"])
+def test_panel_product_matches_fine_magnus_product(suite, case_name,
+                                                   gauge_name):
+    # Each smooth piece's panel product against an independent one: the
+    # sixth-order Magnus product of 512 equal steps per unit length.  Its
+    # Cauchy difference to 256 steps is at most 2.5e-12 on these cases, so
+    # at sixth order it is within about 4e-14 of its limit.
+    case = next(c for c in suite if c.name == case_name)
+    g, r, grid = case.gauges[gauge_name], case.rho(gauge_name), case.grid
+    edges, _ = sz_core._segments(g, r, grid.x_min, grid.x_max)
+    for a, b in zip(edges[:-1], edges[1:]):
+        got = sz_core._refined_product(g, r, a, b, 1e-12)
+        ref = ordered_product(sz_core._generator, g, r, a, b,
+                              int(np.ceil(512 * (b - a))))
+        assert np.max(np.abs(got - np.reshape(ref, (2, 2)))) < 1e-12
 
 
-def _gaussian_gauges(energy):
-    """Gaussian(1, 1) at energy: its grid, its wavenumber field and every
-    admissible gauge (wkb needs E above the barrier top)."""
-    p = gaussian(1.0, 1.0)
-    e = EnergySpec(energy)
-    grid = truncate_domain(p, e)
-    w = wavenumber_field(p, e)
-    base = gauge_constant(w.k_left)
-    gauges = [base, gauge_special_delta(base, w, grid), gauge_antiphase(base)]
-    if energy > 1.0:
-        gauges.append(gauge_wkb(w, grid))
-    return grid, w, gauges
-
-
-@pytest.mark.parametrize("energy", [0.1, 2.0, 10.0])
-def test_first_graded_pair_is_accepted(monkeypatch, energy):
-    # The probe's signed contributions predict the graded pair's Cauchy
-    # difference to within a few percent here, and the pair aims at half
-    # of tol, so no piece needs a second graded pair: exactly one pair
-    # after the probe.  Summing the contributions' sizes instead (scaled
-    # to the probe's difference) misses by up to 13 times in the
-    # antiphase gauge at E = 10, where they largely cancel.
-    grid, w, gauges = _gaussian_gauges(energy)
-    pairs = []
-    real = sz_core.product_pair
-
-    def counted(*args):
-        pairs.append(args[5])
-        return real(*args)
-
-    monkeypatch.setattr(sz_core, "product_pair", counted)
-    for g in gauges:
-        pairs.clear()
-        transfer_matrix(g, rho_pair(g, w), grid.x_min, grid.x_max,
-                        tol=1e-12, grid=grid)
-        assert len(pairs) == 1
-
-
-@pytest.mark.parametrize("energy", [0.1, 2.0, 10.0])
-def test_two_generator_calls_per_piece(monkeypatch, energy):
-    # A work count, not a wall time: the probe evaluates the generator on
-    # its n coarse and 2n fine steps in one call, and the graded pair on
-    # its m and 2m steps in one more, so each segment piece costs exactly
-    # two generator calls.  Computing each product apart costs four.
-    grid, w, gauges = _gaussian_gauges(energy)
-    calls = {"pieces": 0, "generator": 0}
-
-    def counted(name, fn):
-        def wrapper(*args):
-            calls[name] += 1
-            return fn(*args)
-        return wrapper
-
-    monkeypatch.setattr(sz_core, "_refined_product",
-                        counted("pieces", sz_core._refined_product))
-    monkeypatch.setattr(sz_core, "_generator",
-                        counted("generator", sz_core._generator))
-    for g in gauges:
-        calls.update(pieces=0, generator=0)
-        transfer_matrix(g, rho_pair(g, w), grid.x_min, grid.x_max,
-                        tol=1e-12, grid=grid)
-        assert calls["pieces"] >= 1
-        assert calls["generator"] == 2 * calls["pieces"]
-
-
-def test_refined_product_jump_respects_step_cap(monkeypatch):
-    # The probe pair agrees to its own size (difference 1e-3), so its
-    # contributions predict a graded pair: 8 cells of 1.25e-4 each give
-    # m = 132 steps at tol 1e-10, and 2m exceeds the patched cap of 128.
-    # Refinement gives up at once instead of computing that pair.
-    probed = []
-    pairs = []
-
-    def fake_probe(gen, g, r, a, b, n):
-        probed.append(n)
-        parts = (np.full(n, 1e-3 / n, dtype=complex), *np.zeros((3, n)))
-        return (1.0 + 0j, 0j, 0j, 1.0 + 0j), (1.001 + 0j, 0j, 0j,
-                                              1.0 + 0j), parts
-
-    def fake_pair(gen, g, r, a, b, n, density=None):
-        pairs.append(n)
-        unit = (1.0 + 0j, 0j, 0j, 1.0 + 0j)
-        return unit, unit
-
-    monkeypatch.setattr(sz_core, "MAX_PRODUCT_STEPS", 128)
-    monkeypatch.setattr(sz_core, "product_probe", fake_probe)
-    monkeypatch.setattr(sz_core, "product_pair", fake_pair)
-    with pytest.raises(NonConvergence):
-        sz_core._refined_product(None, None, 0.0, 1.0, 8, 1e-10)
-    assert probed == [8]
-    assert pairs == []
-
-
-def test_missed_graded_pair_re_predicts_from_its_difference(monkeypatch):
-    # The probe predicts m = 132 at tol 1e-10 (as in the step-cap test
-    # above).  That pair misses with a difference of 64 tol, so the next
-    # count comes from its own difference at sixth order, m' = ceil(m (d /
-    # (tol / 2))^(1/6)) = 297, computed afresh; doubling would give 264.
-    pairs = []
-    unit = (1.0 + 0j, 0j, 0j, 1.0 + 0j)
-
-    def fake_probe(gen, g, r, a, b, n):
-        parts = (np.full(n, 1e-3 / n, dtype=complex), *np.zeros((3, n)))
-        return unit, (1.001 + 0j, 0j, 0j, 1.0 + 0j), parts
-
-    def fake_pair(gen, g, r, a, b, n, density=None):
-        pairs.append(n)
-        miss = 64e-10 if len(pairs) == 1 else 0.0
-        return unit, (1.0 + miss + 0j, 0j, 0j, 1.0 + 0j)
-
-    monkeypatch.setattr(sz_core, "product_probe", fake_probe)
-    monkeypatch.setattr(sz_core, "product_pair", fake_pair)
-    sz_core._refined_product(None, None, 0.0, 1.0, 8, 1e-10)
-    assert pairs == [132, 297]
-
-
-@pytest.mark.parametrize("persistent", [False, True],
-                         ids=["at_16_steps", "from_16_steps_on"])
-@pytest.mark.parametrize("bad", [(math.inf, 0j, 0j, 1.0 + 0j),
-                                 (1.0 + 0j, complex(math.nan), 0j, 1.0 + 0j)],
-                         ids=["overflow", "nan_not_first"])
-def test_refined_product_rejects_non_finite_product(monkeypatch, bad,
-                                                     persistent):
-    # An overflowed product makes the rounding floor infinite, and max()
-    # skips a NaN that is not its first argument; neither may pass the
-    # Cauchy test.  Refinement steps past a non-finite product, and gives
-    # up if every finer product is non-finite too.  Products of 16 steps
-    # (and, when persistent, of more) come back bad, whether the probe
-    # pair or a graded pair holds them.
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+@pytest.mark.parametrize("where", [lambda x: x > 0.0,
+                                   lambda x: x == np.min(x)],
+                         ids=["right_half", "one_point"])
+def test_refined_product_rejects_non_finite_generator(monkeypatch, bad,
+                                                      where):
+    # A generator that is not finite on part of the piece gives either
+    # NonConvergence or a finite map, and warns of nothing on the way.
     p = gaussian(1.0, 1.0)
     e = EnergySpec(2.0)
     grid = truncate_domain(p, e)
     w = wavenumber_field(p, e)
     g = gauge_constant(w.k_left)
-    real_probe, real_pair = sz_core.product_probe, sz_core.product_pair
+    real = sz_core._entries
 
-    def spoilt(n):
-        return n == 16 or (persistent and n > 16)
+    def spoilt(u, v, x):
+        entries, phase = real(u, v, x)
+        return tuple(np.where(where(x), bad, m) for m in entries), phase
 
-    def probe(gen, u, v, a, b, n):
-        if spoilt(n) and spoilt(2 * n):
-            return tuple(map(complex, bad)), tuple(map(complex, bad)), \
-                np.zeros((4, n), dtype=complex)
-        coarse, fine, parts = real_probe(gen, u, v, a, b, n)
-        if spoilt(n):
-            coarse = tuple(map(complex, bad))
-        if spoilt(2 * n):
-            fine = tuple(map(complex, bad))
-        return coarse, fine, parts
-
-    def pair(gen, u, v, a, b, n, density=None):
-        if spoilt(n) and spoilt(2 * n):
-            return tuple(map(complex, bad)), tuple(map(complex, bad))
-        coarse, fine = real_pair(gen, u, v, a, b, n, density)
-        if spoilt(n):
-            coarse = tuple(map(complex, bad))
-        if spoilt(2 * n):
-            fine = tuple(map(complex, bad))
-        return coarse, fine
-
-    monkeypatch.setattr(sz_core, "product_probe", probe)
-    monkeypatch.setattr(sz_core, "product_pair", pair)
-    args = (g, rho_pair(g, w), grid.x_min, grid.x_max, 8, 1e-10)
-    if persistent:
-        with pytest.raises(NonConvergence):
-            sz_core._refined_product(*args)
-    else:
-        assert np.all(np.isfinite(sz_core._refined_product(*args)))
+    monkeypatch.setattr(sz_core, "_entries", spoilt)
+    try:
+        e_map = sz_core._refined_product(g, rho_pair(g, w), grid.x_min,
+                                         grid.x_max, 1e-10)
+    except NonConvergence:
+        return
+    assert np.all(np.isfinite(e_map))
 
 
-# Work cap for the special_delta cases below: product steps computed per
-# call, 3n for each probe and each pair (n, 2n).  Each case takes
-# 16,000-33,000 steps; a refinement that jumps from a pre-asymptotic pair
-# takes millions.
-SPECIAL_DELTA_STEP_CAP = 100_000
+def _counting_panels(monkeypatch, cap):
+    """Fail as soon as _refined_product has solved more than cap panels,
+    so a stall fails fast."""
+    solved = [0]
+    real = sz_core._panel_maps
+
+    def counted(g, r, ends, a, b):
+        solved[0] += a.size
+        assert solved[0] <= cap
+        return real(g, r, ends, a, b)
+
+    monkeypatch.setattr(sz_core, "_panel_maps", counted)
 
 
 @pytest.mark.parametrize("potential,energy", [
@@ -420,23 +273,10 @@ SPECIAL_DELTA_STEP_CAP = 100_000
     ids=["sech2-l3", "deep-well", "tall-barrier", "sech2-l4"])
 def test_special_delta_product_converges_on_deep_profiles(monkeypatch,
                                                           potential, energy):
-    # At 64 coarse steps these products reach 1e17-1e23, so the first pair
-    # is far from the asymptotic regime; predicting from it once stalled
-    # (NonConvergence) or jumped to 8M steps (sech2 l=4, about 70 s).  The
-    # counter raises as soon as the cap is passed, so a stall fails fast.
-    steps = [0]
-
-    def capped(fn, per_call):
-        def wrapper(*args):
-            steps[0] += per_call * args[5]
-            assert steps[0] <= SPECIAL_DELTA_STEP_CAP
-            return fn(*args)
-        return wrapper
-
-    monkeypatch.setattr(sz_core, "product_probe",
-                        capped(sz_core.product_probe, 3))
-    monkeypatch.setattr(sz_core, "product_pair",
-                        capped(sz_core.product_pair, 3))
+    # These products reach 1e17-1e23 in special_delta, and once stalled
+    # (NonConvergence) or took minutes.  A work cap, not a wall time: each
+    # case takes 36-47 panels.
+    _counting_panels(monkeypatch, 250)
     e = EnergySpec(energy)
     grid = truncate_domain(potential, e)
     w = wavenumber_field(potential, e)
@@ -446,6 +286,54 @@ def test_special_delta_product_converges_on_deep_profiles(monkeypatch,
     assert amp.transmission == pytest.approx(ref.transmission, rel=1e-9)
     assert amp.reflection == pytest.approx(ref.reflection, rel=1e-9,
                                            abs=1e-12)
+
+
+@pytest.mark.parametrize("energy", [1.0, 2.0])
+def test_special_delta_product_converges_over_a_very_tall_barrier(
+        monkeypatch, energy):
+    # The map's entries reach about e^100 over this barrier and the phase
+    # phi + Delta thousands of radians, so the panels are accepted on a
+    # rounding floor relative to both.  About 1,100 panels are solved.
+    _counting_panels(monkeypatch, 5000)
+    p = square_barrier(1.0e4, 1.0)
+    e = EnergySpec(energy)
+    grid = truncate_domain(p, e)
+    w = wavenumber_field(p, e)
+    g = gauge_special_delta(gauge_constant(w.k_left), w, grid)
+    amp = scattering_amplitudes(p, e, g, 1e-12)
+    exact = analytic_square_barrier(1.0e4, 1.0, e).transmission
+    assert amp.transmission == pytest.approx(exact, rel=1e-9)
+
+
+def test_product_raises_nonconvergence_past_panel_cap(monkeypatch):
+    # square_barrier(1000, 1) in special_delta needs about 150 panels.
+    p = square_barrier(1000.0, 1.0)
+    e = EnergySpec(2.0)
+    grid = truncate_domain(p, e)
+    w = wavenumber_field(p, e)
+    g = gauge_special_delta(gauge_constant(w.k_left), w, grid)
+    monkeypatch.setattr(_panels, "MAX_PANELS", 64)
+    with pytest.raises(NonConvergence):
+        scattering_amplitudes(p, e, g, 1e-12)
+
+
+@pytest.mark.parametrize("case_name", ["pt2-E0.5", "gauss-E2", "barrier-E2"])
+@pytest.mark.parametrize("gauge_name", ["constant", "special_delta", "wkb",
+                                        "antiphase"])
+def test_backward_transfer_matrix_inverts_forward(suite, case_name,
+                                                  gauge_name):
+    # Walking from x_max to x_min crosses the pieces and junctions (wkb
+    # over the barrier) in reverse; the panels of each piece still run
+    # upward.
+    case = next(c for c in suite if c.name == case_name)
+    g, r, grid = case.gauges[gauge_name], case.rho(gauge_name), case.grid
+    forward = transfer_matrix(g, r, grid.x_min, grid.x_max, tol=1e-10,
+                              grid=grid)
+    backward = transfer_matrix(g, r, grid.x_max, grid.x_min, tol=1e-10,
+                               grid=grid)
+    assert (backward.x_from, backward.x_to) == (grid.x_max, grid.x_min)
+    assert np.max(np.abs(backward.entries
+                         - np.linalg.inv(forward.entries))) < 1e-9
 
 
 def test_tall_barrier_product_raises_no_warning():
