@@ -1,8 +1,8 @@
 """Segment walking.
 
-segment_plan splits a walk at the edges of the smooth segments; evolve and
-transfer_matrix both walk with it.  Segments never straddle a
-discontinuity.
+segment_plan splits a walk at the edges of the smooth segments; evolve
+walks with it.  Segments never straddle a discontinuity.  The panel
+product does not walk: it refines all segments of its path together.
 
 No kernel reads a table: the Runge-Kutta loop and the panel product
 evaluate their generator directly, and the gauge antiderivatives live on

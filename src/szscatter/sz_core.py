@@ -9,9 +9,10 @@ its panels' Lobatto points, the Runge-Kutta route at its stage positions.
 Neither builds a table.  On each panel the product solves for Y' = M Y
 at the Lobatto points as one second-kind system (Greengard, SIAM J.
 Numer. Anal. 28 (1991) 1071), so each panel gives its map and an error
-estimate from its trailing Chebyshev coefficients; _panels.bisect, the
-loop the oracle, the bound integral and the gauge antiderivatives share,
-refines the panels, and the maps are multiplied in order.
+estimate from its trailing Chebyshev coefficients; one _panels.bisect
+(the loop the oracle, the bound integral and the gauge antiderivatives
+share) refines the panels of the whole path, the maps are multiplied in
+order, and a backward path is the inverse of the forward one.
 scattering_amplitudes goes through the product and, in every gauge,
 reads the amplitudes off (psi, psi') with the plane-wave matcher the
 oracle also uses (_plane_wave_pair).
@@ -30,8 +31,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._kernels import _tree_product, rk45_coeffs
-from ._panels import (EDGE_NUDGE, PANEL_NODES, S, TAIL, bisect, points,
-                      solve_blocks, subdivide)
+from ._panels import (EDGE_NUDGE, PANEL_NODES, S, TAIL, bisect, nudged,
+                      points, solve_blocks, subdivide)
 from ._tables import segment_plan
 from .errors import GaugeDegenerate, NonConvergence
 from .gauges import DEGENERACY_RTOL, GaugeTriple, RhoPair, rho_pair
@@ -250,27 +251,18 @@ def _bundle_for(g: GaugeTriple, r: RhoPair, lo: float, hi: float,
     return _build_bundle(g, r, lo, hi, max_step)
 
 
-def _resolve_window(s0x: float, x_to: float, grid) -> tuple:
+def _resolve_window(s0x: float, x_to: float, grid) -> float:
+    """The step cap of a path, which must lie in the grid."""
     lo = min(s0x, x_to)
     hi = max(s0x, x_to)
     if grid is not None:
         if lo < grid.x_min - 1e-12 or hi > grid.x_max + 1e-12:
             raise ValueError("evolution interval lies outside the grid")
-        return grid.x_min, grid.x_max, grid.max_step
+        return grid.max_step
     span = hi - lo
     if span == 0.0:
         span = max(1.0, abs(lo))
-    return lo, hi, span / 64.0
-
-
-def _cross(junctions: list, j_from: int, j_to: int,
-           y: np.ndarray) -> np.ndarray:
-    """Carry a coefficient column, or a matrix of them, from segment j_from
-    into the neighbouring segment j_to through their junction projection."""
-    proj = junctions[min(j_from, j_to)]
-    if proj is _IDENTITY2:
-        return y
-    return proj @ y if j_to > j_from else np.linalg.solve(proj, y)
+    return span / 64.0
 
 
 def evolve_path(g: GaugeTriple, r: RhoPair, s0: CoefficientState,
@@ -293,11 +285,9 @@ def evolve_path(g: GaugeTriple, r: RhoPair, s0: CoefficientState,
         raise ValueError("sample points must be ordered along the travel "
                          "direction")
     x_to = float(pts[-1])
-    lo, hi, max_step = _resolve_window(s0.x, x_to, grid)
-    if pts.size > 1:
-        lo = min(lo, float(np.min(pts)))
-        hi = max(hi, float(np.max(pts)))
-    edges, junctions = _bundle_for(g, r, lo, hi, max_step)
+    max_step = _resolve_window(s0.x, x_to, grid)
+    edges, junctions = _bundle_for(g, r, min(s0.x, x_to), max(s0.x, x_to),
+                                   max_step)
     if x_to == s0.x and pts.size == 1:
         return [CoefficientState(s0.x, s0.a, s0.b)], EvolveStats(0, 0, 0.0)
 
@@ -311,7 +301,8 @@ def evolve_path(g: GaugeTriple, r: RhoPair, s0: CoefficientState,
     prev = None
     for j, x, seg_stops, n_taken in segment_plan(edges, s0.x, pts):
         if prev is not None:
-            y = _cross(junctions, prev, j, np.array([a, b]))
+            proj = junctions[min(prev, j)]
+            y = proj @ [a, b] if j > prev else np.linalg.solve(proj, [a, b])
             a, b = complex(y[0]), complex(y[1])
         seg_a, seg_b, d, na, nr = rk45_coeffs(
             _generator, g, r, x, seg_stops, a, b, tol, max_step, hmin, inv0)
@@ -354,8 +345,8 @@ def _system(hm: np.ndarray) -> np.ndarray:
     return a.reshape(-1, _SIZE, _SIZE)
 
 
-def _panel_maps(g: GaugeTriple, r: RhoPair, ends: tuple, a: np.ndarray,
-                b: np.ndarray) -> tuple:
+def _panel_maps(g: GaugeTriple, r: RhoPair, breaks: np.ndarray,
+                a: np.ndarray, b: np.ndarray) -> tuple:
     """Each panel's map Y(b_i) of Y' = M Y, Y(a_i) = I, for _panels.bisect.
 
     With W = h Y' at the panel's Lobatto points, Y = I + S W, so W = h M Y
@@ -364,15 +355,15 @@ def _panel_maps(g: GaugeTriple, r: RhoPair, ends: tuple, a: np.ndarray,
     (1991) 1071).  The map is I + S[-1] W and the error estimate the
     largest trailing Chebyshev coefficient of W.  Rounding is relative to
     the map and to the generator's own rounding, which grows with the
-    phase phi + Delta that e^{-2i(phi+Delta)} is taken of.  The points are
-    clamped to ends, so a piece end on a breakpoint is sampled from
-    inside."""
+    phase phi + Delta that e^{-2i(phi+Delta)} is taken of.  Panel ends on
+    one of the breaks are sampled from inside the panel (_panels.nudged).
+    """
     h = 0.5 * (b - a)
-    x = np.minimum(np.maximum(points(a, h), ends[0]), ends[1])
+    x = nudged(points(a, h), a, b, breaks)
     (g11, g12, g21), phase = _entries(g, r, x.ravel())
     m = np.reshape((g11, g12, g21, -g11), (2, 2) + x.shape)
     if not np.isfinite(m).all():
-        raise NonConvergence("the generator is not finite on the piece")
+        raise NonConvergence("the generator is not finite on the path")
     # h M at the points, as blocks (panel, i, point, k).
     hm = np.multiply(m.transpose(2, 0, 3, 1), h[:, None, None, None],
                      order="C")
@@ -386,26 +377,25 @@ def _panel_maps(g: GaugeTriple, r: RhoPair, ends: tuple, a: np.ndarray,
     return err, np.maximum(np.abs(maps).max(axis=(1, 2)), noise), maps
 
 
-def _refined_product(g: GaugeTriple, r: RhoPair, a: float, b: float,
+def _refined_product(g: GaugeTriple, r: RhoPair, edges, junctions: list,
                      tol: float) -> np.ndarray:
-    """The map E(b, a) of a piece of one smooth segment, to tol.
+    """The map E(edges[-1], edges[0]) of a path cut into smooth pieces, to
+    tol (edges and junctions as _segments returns them).
 
-    _panels.bisect refines the panels of [min(a, b), max(a, b)]
-    (_panel_maps) until each passes its share of tol, and their maps are
-    multiplied in order (_kernels._tree_product).  A piece end on a
-    breakpoint is sampled one-sided, from inside the piece.  A backward
-    piece is the inverse of the forward one."""
-    lo, hi = min(a, b), max(a, b)
-    ends = tuple(x + side * EDGE_NUDGE * max(1.0, abs(x))
-                 if x in r.breakpoints else x
-                 for x, side in ((lo, 1.0), (hi, -1.0)))
+    One _panels.bisect refines the panels of all pieces (_panel_maps), and
+    each piece's maps are multiplied in order (_kernels._tree_product)."""
+    edges = np.asarray(edges, dtype=float)
     # Start panels span at most one period, pi / max|phi'|, of e^{-2i phi}.
-    starts = subdivide(np.array([lo]), np.array([hi]),
+    starts = subdivide(edges[:-1], edges[1:],
                        math.pi / max(g.phi_prime_scale, 1e-300))
-    _, _, _, maps = bisect(lambda p, q: _panel_maps(g, r, ends, p, q),
-                           *starts, hi - lo, tol)
-    e = _tree_product(np.moveaxis(maps, 0, -1))
-    return e if a < b else np.linalg.inv(e)
+    breaks = np.asarray(r.breakpoints, dtype=float)
+    a, _, _, maps = bisect(lambda p, q: _panel_maps(g, r, breaks, p, q),
+                           *starts, edges[-1] - edges[0], tol)
+    e = _IDENTITY2
+    for proj, part in zip([_IDENTITY2, *junctions],
+                          np.split(maps, np.searchsorted(a, edges[1:-1]))):
+        e = _tree_product(np.moveaxis(part, 0, -1)) @ (proj @ e)
+    return e
 
 
 def transfer_matrix(g: GaugeTriple, r: RhoPair, x_from: float, x_to: float,
@@ -413,32 +403,30 @@ def transfer_matrix(g: GaugeTriple, r: RhoPair, x_from: float, x_to: float,
                     grid: DomainGrid = None) -> TransferMatrix:
     """Discrete path-ordered exponential E(x_to, x_from).
 
-    Each smooth segment piece the path crosses is cut into Chebyshev
-    panels, and each panel's map solves one second-kind system for Y' at
-    its Lobatto points (Greengard's spectral integration, _panel_maps),
+    The path is cut into Chebyshev panels that never straddle a
+    breakpoint, and each panel's map solves one second-kind system for Y'
+    at its Lobatto points (Greengard's spectral integration, _panel_maps),
     with the generator evaluated directly from the gauge and rho fields.
-    _panels.bisect refines the panels until each error estimate is below
-    its share of the piece's share of tol, or below its rounding floor.
-    The maps are multiplied in order, later positions on the left, and the
-    junction projections join the pieces.  Raises NonConvergence past
-    _panels.MAX_PANELS panels or where the generator is not finite.  No
-    Runge-Kutta step is taken and no table is built, so the result is an
-    independent check on evolve.
+    One _panels.bisect refines the panels of the whole path until each
+    error estimate is below its share of tol, in proportion to its width,
+    or below its rounding floor.  The maps are multiplied in order, later
+    positions on the left, and the junction projections join the smooth
+    pieces.  A backward path is the inverse of the forward one.  Raises
+    NonConvergence past _panels.MAX_PANELS panels or where the generator
+    is not finite.  No Runge-Kutta step is taken and no table is built,
+    so the result is an independent check on evolve.
     """
     if x_from == x_to:
         return TransferMatrix(_IDENTITY2.copy(), x_from, x_to)
-    lo, hi, _ = _resolve_window(x_from, x_to, grid)
-    edges, junctions = _segments(g, r, lo, hi)
-    pieces = list(segment_plan(edges, x_from, [x_to]))
-    tol_piece = tol / len(pieces)
-    result = _IDENTITY2.copy()
-    prev = None
-    for j, a, seg_stops, _ in pieces:
-        if prev is not None:
-            result = _cross(junctions, prev, j, result)
-        result = _refined_product(g, r, a, seg_stops[-1], tol_piece) @ result
-        prev = j
-    return TransferMatrix(result, x_from, x_to)
+    _resolve_window(x_from, x_to, grid)
+    edges, junctions = _segments(g, r, min(x_from, x_to), max(x_from, x_to))
+    e = _refined_product(g, r, edges, junctions, tol)
+    if x_from > x_to:
+        # The panel maps have det 1 (M is traceless), so E^-1 is adj E over
+        # the junctions' dets; ad - bc cancels once |E| is large.
+        e = np.array([[e[1, 1], -e[0, 1]], [-e[1, 0], e[0, 0]]]) \
+            / np.prod([np.linalg.det(p) for p in junctions])
+    return TransferMatrix(e, x_from, x_to)
 
 
 def scattering_amplitudes(p: PotentialProfile, e: EnergySpec,

@@ -2,6 +2,7 @@
 
 import math
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -213,6 +214,25 @@ def test_verify_bounds_violation():
     exact = OracleResult(0.9187, 0.0813, (), "direct_integration")
     with pytest.raises(BoundViolation):
         verify_bounds(fake, exact)
+    # T clears its bound and R alone exceeds r_upper.
+    with pytest.raises(BoundViolation, match="R_exact"):
+        verify_bounds(replace(fake, t_lower=0.5), exact)
+
+
+def test_theta_integral_rejects_non_positive_tol():
+    p = gaussian(1.0, 1.0)
+    e, grid, w = _setup(p, 2.0)
+    t = theta_field(gauge_constant(w.k_left), w)
+    for tol in (0.0, -1e-10):
+        with pytest.raises(ValueError, match="tol"):
+            theta_integral(t, grid, tol)
+
+
+def test_family_rejects_s_outside_unit_interval():
+    p = gaussian(1.0, 1.0)
+    e, grid, _ = _setup(p, 2.0)
+    with pytest.raises(ValueError, match="s must lie"):
+        phi_prime_family(p, e, grid).builder(1.5)
 
 
 def test_optimizer_improves_on_baseline():

@@ -103,6 +103,11 @@ def test_parse_malformed_lines():
         parse_config("[nonsense]\nx = 1\n")
     with pytest.raises(ParseError):
         parse_config("[run]\nmode = a\n[run]\nmode = b\n")
+    for text, line in [("[run]\nmode = a\nmode = b\n", 3),  # duplicate key
+                       ("[run]\nmode =\n", 2)]:  # empty value
+        with pytest.raises(ParseError) as err:
+            parse_config(text)
+        assert err.value.line == line
 
 
 def test_parse_validation_failures():
@@ -126,6 +131,39 @@ def test_parse_validation_failures():
                      "v0 = 1\nsigma = 1\n[energies]\nvalues = 1\n"
                      "[gauges]\nnames = constant spiral\n")
     assert err.value.field == "gauges.names"
+    head = "[run]\nmode = scatter\n"
+    gauss = head + "[potential]\nkind = gaussian\nv0 = 1\nsigma = 1\n"
+    for text, field in [
+        (head + "[potential]\nkind = gaussian\nv0 = one\nsigma = 1\n"
+         "[energies]\nvalues = 1\n", "potential.v0"),
+        (head + "[potential]\nkind = poschl_teller\nell = 1.5\n"
+         "[energies]\nvalues = 1\n", "potential.ell"),
+        (head + "[potential]\nv0 = 1\n[energies]\nvalues = 1\n",
+         "potential.kind"),
+        (head + "[potential]\nkind = cosine\n[energies]\nvalues = 1\n",
+         "potential.kind"),
+        (gauss + "[energies]\nstart = 1\nstop = 4\ncount = 2.5\n",
+         "energies.count"),
+        (gauss + "[energies]\nstart = 0\nstop = 4\ncount = 3\n"
+         "spacing = log\n", "energies.spacing"),
+        (gauss + "[energies]\nstart = 1\nstop = 4\ncount = 3\n"
+         "spacing = cubic\n", "energies.spacing"),
+        (gauss + "[energies]\nstart = 1\n", "energies.stop"),
+        (gauss + "[energies]\nspacing = log\n", "energies"),
+        (head + "[energies]\nvalues = 1\n", "potential"),
+        (gauss, "energies"),
+    ]:
+        with pytest.raises(ValidationError) as err:
+            parse_config(text)
+        assert err.value.field == field
+
+
+def test_main_without_csv_path_is_a_configuration_error(tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(MINIMAL.format(csv="out.csv").replace(
+        "csv_path = out.csv\n", ""))
+    assert cfg.read_text().endswith("[outputs]\n")
+    assert main(["--config", str(cfg)]) == 2
 
 
 def test_parse_energy_range():

@@ -112,6 +112,15 @@ def test_direct_reflectionless(ell, energy):
     assert res.transmission == pytest.approx(1.0, abs=1e-7)
 
 
+def test_direct_rejects_non_positive_tol():
+    p = gaussian(1.0, 1.0)
+    e = EnergySpec(2.0)
+    grid = truncate_domain(p, e)
+    for tol in (0.0, -1e-10):
+        with pytest.raises(ValueError, match="tol"):
+            direct_integrate(p, e, grid, tol)
+
+
 def test_unitarity_for_equal_asymptotes(suite):
     for case in suite:
         res = direct_integrate(case.potential, case.e, case.grid, 1e-12)

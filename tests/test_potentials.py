@@ -112,6 +112,26 @@ def test_truncate_zero_potential_minimal_window():
     grid = truncate_domain(p, EnergySpec(1.0))
     assert grid.x_max == pytest.approx(grid.max_step)
     assert grid.x_min == pytest.approx(-grid.max_step)
+    # Smooth profiles whose |V| stays below tol * max(|E|, 1) get one step
+    # of char_length / 256 either side of the centre.
+    for p in (gaussian(1e-12, 1.0), poschl_teller(1, 1e6)):
+        grid = truncate_domain(p, EnergySpec(1.0), 1e-10)
+        assert grid.max_step == p.char_length / 256
+        assert (grid.x_min, grid.x_max) == (-grid.max_step, grid.max_step)
+
+
+@pytest.mark.parametrize("p,half", [(gaussian(1.0, 2000.0), "13572"),
+                                    (poschl_teller(1, 3000.0), "13638")],
+                         ids=["gaussian", "poschl_teller"])
+def test_truncate_too_wide_smooth_potential_no_decay(p, half):
+    with pytest.raises(NoDecay, match=f"half-width {half}"):
+        truncate_domain(p, EnergySpec(1.0), 1e-10)
+
+
+def test_truncate_rejects_non_positive_tol():
+    for tol in (0.0, -1e-10):
+        with pytest.raises(ValueError, match="tol"):
+            truncate_domain(gaussian(1.0, 1.0), EnergySpec(1.0), tol)
 
 
 def test_truncate_tail_invariant(suite):

@@ -103,6 +103,28 @@ def test_evolve_path_records_monotone_samples():
     assert states[0].a == pytest.approx(1.0 + 0j)
 
 
+def test_evolve_path_rejects_bad_arguments():
+    _, _, grid, _, g, r = _barrier_setup()
+    s0 = CoefficientState(grid.x_min, 1.0 + 0j, 0j)
+    for tol in (0.0, -1e-10):
+        with pytest.raises(ValueError, match="tol"):
+            evolve_path(g, r, s0, [grid.x_max], tol, grid)
+    with pytest.raises(ValueError, match="sample point"):
+        evolve_path(g, r, s0, [], 1e-10, grid)
+    with pytest.raises(ValueError, match="ordered"):
+        evolve_path(g, r, s0, [0.5, -0.5, grid.x_max], 1e-10, grid)
+
+
+def test_routes_reject_a_path_outside_the_grid():
+    _, _, grid, _, g, r = _barrier_setup()
+    beyond = grid.x_max + 1.0
+    with pytest.raises(ValueError, match="outside the grid"):
+        transfer_matrix(g, r, grid.x_min, beyond, grid=grid)
+    with pytest.raises(ValueError, match="outside the grid"):
+        evolve(g, r, CoefficientState(grid.x_min, 1.0 + 0j, 0j), beyond,
+               1e-10, grid)
+
+
 def test_transfer_matrix_identity_and_det():
     _, _, grid, _, g, r = _barrier_setup(2.0)
     E0 = transfer_matrix(g, r, 0.1, 0.1, grid=grid)
@@ -218,7 +240,7 @@ def test_panel_product_matches_fine_magnus_product(suite, case_name,
     g, r, grid = case.gauges[gauge_name], case.rho(gauge_name), case.grid
     edges, _ = sz_core._segments(g, r, grid.x_min, grid.x_max)
     for a, b in zip(edges[:-1], edges[1:]):
-        got = sz_core._refined_product(g, r, a, b, 1e-12)
+        got = sz_core._refined_product(g, r, [a, b], [], 1e-12)
         ref = ordered_product(sz_core._generator, g, r, a, b,
                               int(np.ceil(512 * (b - a))))
         assert np.max(np.abs(got - np.reshape(ref, (2, 2)))) < 1e-12
@@ -246,8 +268,8 @@ def test_refined_product_rejects_non_finite_generator(monkeypatch, bad,
 
     monkeypatch.setattr(sz_core, "_entries", spoilt)
     try:
-        e_map = sz_core._refined_product(g, rho_pair(g, w), grid.x_min,
-                                         grid.x_max, 1e-10)
+        e_map = sz_core._refined_product(g, rho_pair(g, w),
+                                         [grid.x_min, grid.x_max], [], 1e-10)
     except NonConvergence:
         return
     assert np.all(np.isfinite(e_map))
@@ -259,10 +281,10 @@ def _counting_panels(monkeypatch, cap):
     solved = [0]
     real = sz_core._panel_maps
 
-    def counted(g, r, ends, a, b):
+    def counted(g, r, breaks, a, b):
         solved[0] += a.size
         assert solved[0] <= cap
-        return real(g, r, ends, a, b)
+        return real(g, r, breaks, a, b)
 
     monkeypatch.setattr(sz_core, "_panel_maps", counted)
 
@@ -322,9 +344,10 @@ def test_product_raises_nonconvergence_past_panel_cap(monkeypatch):
                                         "antiphase"])
 def test_backward_transfer_matrix_inverts_forward(suite, case_name,
                                                   gauge_name):
-    # Walking from x_max to x_min crosses the pieces and junctions (wkb
-    # over the barrier) in reverse; the panels of each piece still run
-    # upward.
+    # A backward path is the inverse of the forward one, across the
+    # junctions too (wkb over the barrier).
+    # test_transfer_matrix_between_barrier_jumps_matches_magnus checks
+    # backward paths against an independent reference.
     case = next(c for c in suite if c.name == case_name)
     g, r, grid = case.gauges[gauge_name], case.rho(gauge_name), case.grid
     forward = transfer_matrix(g, r, grid.x_min, grid.x_max, tol=1e-10,
@@ -334,6 +357,61 @@ def test_backward_transfer_matrix_inverts_forward(suite, case_name,
     assert (backward.x_from, backward.x_to) == (grid.x_max, grid.x_min)
     assert np.max(np.abs(backward.entries
                          - np.linalg.inv(forward.entries))) < 1e-9
+
+
+@pytest.mark.parametrize("reverse", [False, True], ids=["forward",
+                                                       "backward"])
+def test_transfer_matrix_refines_the_path_in_one_bisection(monkeypatch,
+                                                           suite, reverse):
+    # square_barrier(1, 1) in the wkb gauge has three smooth pieces, all
+    # refined together.
+    case = next(c for c in suite if c.name == "barrier-E2")
+    g, r, grid = case.gauges["wkb"], case.rho("wkb"), case.grid
+    assert len(sz_core._segments(g, r, grid.x_min, grid.x_max)[0]) == 4
+    calls = []
+    real = sz_core.bisect
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(sz_core, "bisect", counted)
+    ends = (grid.x_max, grid.x_min) if reverse else (grid.x_min, grid.x_max)
+    transfer_matrix(g, r, *ends, tol=1e-10, grid=grid)
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("gauge_name", ["constant", "wkb", "special_delta"])
+@pytest.mark.parametrize("x_from,x_to", [(-0.5, 0.5), (0.5, -0.5)])
+def test_transfer_matrix_between_barrier_jumps_matches_magnus(
+        suite, gauge_name, x_from, x_to):
+    # Both ends lie on the barrier's jumps, so the panels sample them from
+    # inside.  The reference is the sixth-order Magnus product of 512
+    # equal steps taken in the same direction, which samples no end.  In
+    # wkb the generator vanishes inside the barrier.
+    case = next(c for c in suite if c.name == "barrier-E2")
+    g, r, grid = case.gauges[gauge_name], case.rho(gauge_name), case.grid
+    got = transfer_matrix(g, r, x_from, x_to, tol=1e-12, grid=grid)
+    ref = ordered_product(sz_core._generator, g, r, x_from, x_to, 512)
+    assert np.max(np.abs(got.entries - np.reshape(ref, (2, 2)))) < 1e-12
+
+
+@pytest.mark.parametrize("v0", [100.0, 1000.0])
+def test_backward_transfer_matrix_over_a_tall_barrier(v0):
+    # |E| reaches 3.6e4 and 2.9e14 across these barriers, where ad - bc
+    # cancels: np.linalg.inv of the forward map was off by 1.4e-7 and by
+    # 100% relative.  The reference is a 4096-step Magnus product run
+    # backward; the adjugate is within 5e-12 relative of it.
+    p = square_barrier(v0, 1.0)
+    e = EnergySpec(2.0)
+    grid = truncate_domain(p, e)
+    w = wavenumber_field(p, e)
+    g = gauge_constant(w.k_left)
+    r = rho_pair(g, w)
+    got = transfer_matrix(g, r, 0.5, -0.5, tol=1e-12, grid=grid).entries
+    ref = np.reshape(ordered_product(sz_core._generator, g, r, 0.5, -0.5,
+                                     4096), (2, 2))
+    assert np.max(np.abs(got - ref)) <= 1e-10 * np.max(np.abs(ref))
 
 
 def test_tall_barrier_product_raises_no_warning():
