@@ -6,11 +6,13 @@ of the traceless 2x2 generator M at an array of positions x (g22 = -g11),
 u and v being handed to it unchanged.
 
 There is one Dormand-Prince 5(4) loop, rk45_coeffs.  It steps in blocks
-of up to BLOCK trial steps that share one step size: the generator is
-evaluated once per block, on the six stage positions of every step, and
-each step's 2x2 propagator and error map are built for the whole block as
-one array program, since the system is linear.  Only the accept test runs
-step by step.  It returns the state at each stop as lists and raises
+of trial steps that share one step size, which grow from BLOCK to
+BLOCK_MAX steps while the step size holds: the generator is evaluated
+once per block, on the six stage positions of every step, and each
+step's 2x2 propagator and error map are built for the whole block as one
+array program, since the system is linear.  Only the state is carried
+through the block step by step; every step's error test is then one
+array program too.  It returns the state at each stop as lists and raises
 StepUnderflow itself.  sz_core.evolve drives it across segments on the
 coefficient pair; rk45_wave runs it on the pair psi, psi' of
 psi'' + k^2 psi = 0 with the generator (0, 1, -k^2).  The direct solver,
@@ -40,76 +42,81 @@ def numba_active() -> bool:
     return False
 
 
-# Dormand-Prince 5(4) tableau: stage positions as fractions of the step,
-# stage coefficients (row i holds a_i1 .. a_i,i-1) and the weights of the
-# error estimate (fifth minus fourth order).  The method is FSAL: row 6,
-# the seventh stage's coefficients, is also the weights of the new state,
-# and the seventh stage sits at the sixth stage's position.
+# Dormand-Prince 5(4) tableau: stage positions as fractions of the step;
+# in _W, row i < 7 holds the coefficients of (I, h K_1, ..., h K_7) in
+# stage i + 1's Y, and row 7 the error weights (fifth minus fourth order).
+# The method is FSAL: row 6, Y_7, is also the new state's propagator P,
+# and the seventh stage sits at the sixth's position.
 _STAGE_C = np.array([0.0, 0.2, 0.3, 0.8, 8.0 / 9.0, 1.0])
-_A = (None, np.array([0.2]), np.array([3.0 / 40.0, 9.0 / 40.0]),
-      np.array([44.0 / 45.0, -56.0 / 15.0, 32.0 / 9.0]),
-      np.array([19372.0 / 6561.0, -25360.0 / 2187.0, 64448.0 / 6561.0,
-                -212.0 / 729.0]),
-      np.array([9017.0 / 3168.0, -355.0 / 33.0, 46732.0 / 5247.0,
-                49.0 / 176.0, -5103.0 / 18656.0]),
-      np.array([35.0 / 384.0, 0.0, 500.0 / 1113.0, 125.0 / 192.0,
-                -2187.0 / 6784.0, 11.0 / 84.0]))
-_E = np.array([71.0 / 57600.0, 0.0, -71.0 / 16695.0, 71.0 / 1920.0,
-               -17253.0 / 339200.0, 22.0 / 525.0, -1.0 / 40.0])
+_W = np.zeros((8, 8), dtype=np.complex128)
+_W[:7, 0] = 1.0
+_W[1:, 1:][np.tril_indices(7)] = (
+    0.2, 3 / 40, 9 / 40, 44 / 45, -56 / 15, 32 / 9,
+    19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729,
+    9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656,
+    35 / 384, 0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84,
+    71 / 57600, 0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525,
+    -1 / 40)
 
 # RMS of two error ratios is sqrt(1/2) hypot(r1, r2); hypot cannot
 # overflow where the sum of squares would.
 _SQRT_HALF = math.sqrt(0.5)
 
-# Trial steps per block of rk45_coeffs; the steps of a block share one h.
+# Trial steps per block of rk45_coeffs, which share one h.  A block has
+# BLOCK steps, or twice the last one's, up to BLOCK_MAX, if that one kept
+# every step, reached no stop and grew h by at most _GROWTH times.
 BLOCK = 16
-_STEP_INDEX = np.arange(BLOCK + 1.0)
+BLOCK_MAX = 128
+_GROWTH = 1.5
+_TAIL = 4
+_STEP_INDEX = np.arange(BLOCK_MAX + 1.0)
 _EYE = np.eye(2)[:, :, None]
 
 
 def _dp5_maps(gen, u, v, edges, lo, hi):
     """Propagators P and error maps Q of the Dormand-Prince steps between
-    consecutive edges, as lists of entries (11, 12, 21, 22), one per step.
+    consecutive edges, as arrays of shape (2, 2, n) batched along the last
+    axis, one matrix per step.
 
     The system is linear and its stage positions do not depend on the
     state, so stage i of a step is K_i (a, b) with K_i = M_i Y_i, Y_i =
     I + h sum_l a_il K_l, M_i being the generator at the stage's position.
     The step takes (a, b) to P (a, b), P = Y_7 = I + h sum_i b_i K_i, and
     estimates its error as Q (a, b), Q = h sum_i e_i K_i.  Every step's
-    matrices are built at once, as 2x2 matrices batched along the last
-    axis; the generator is evaluated in one call on all six stage
-    positions of every step, clamped to [lo, hi].
+    matrices are built at once; the generator is evaluated in one call on
+    all six stage positions of every step, clamped to [lo, hi].
     """
-    hs = np.diff(edges)
+    hs = edges[1:] - edges[:-1]
     n = hs.size
-    pos = np.clip(edges[:-1] + _STAGE_C[:, None] * hs, lo, hi)
-    g11, g12, g21 = np.reshape(gen(u, v, pos.ravel()), (3, 6, n)) * hs
-    # Columns of h M_i, so that (h M_i Y)[:, k] = col0 Y[0, k] + col1 Y[1, k].
-    col0 = np.stack((g11, g21), axis=1)[:, :, None]
-    col1 = np.stack((g12, -g11), axis=1)[:, :, None]
-    hk = np.empty((7, 2, 2, n), dtype=np.complex128)   # h K_i
-    hk[0] = col0[0] * _EYE[0] + col1[0] * _EYE[1]
+    pos = np.minimum(np.maximum(edges[:-1] + _STAGE_C[:, None] * hs, lo), hi)
+    g = np.reshape(gen(u, v, pos.ravel()), (3, 6, n))
+    hm = np.concatenate((g, -g[:1])) * hs   # entries (11, 12, 21, 22) of h M
+    w = np.empty((8, 2, 2, n), dtype=np.complex128)   # I, then h K_1 .. h K_7
+    w[0] = _EYE
+    w[1] = hm[:, 0].reshape(2, 2, n)
     for i in range(1, 7):
-        y = _EYE + (_A[i] @ hk[:i].reshape(i, -1)).reshape(2, 2, n)
-        j = min(i, 5)   # the seventh stage sits at the sixth's position
-        hk[i] = col0[j] * y[0] + col1[j] * y[1]
-    q = _E @ hk.reshape(7, -1)
-    return y.reshape(4, n).T.tolist(), q.reshape(4, n).T.tolist()
+        y = (_W[i, :i + 1] @ w[:i + 1].reshape(i + 1, -1)).reshape(2, 2, n)
+        # (h M Y)[:, k] = c[:, 0] Y[0, k] + c[:, 1] Y[1, k], c = h M.
+        c = hm[:, min(i, 5)].reshape(2, 2, 1, n)
+        np.multiply(c[:, 0], y[0], out=w[i + 1])
+        w[i + 1] += c[:, 1] * y[1]
+    return y, (_W[7] @ w.reshape(8, -1)).reshape(2, 2, n)
 
 
 def rk45_coeffs(gen, u, v, x_start, stops, a0, b0, tol, hmax, hmin, inv0):
     """Adaptive Dormand-Prince 5(4) integration of (a, b)' = M(x) (a, b),
     M = [[g11, g12], [g21, -g11]] with the entries from gen(u, v, x).
 
-    Steps in blocks of up to BLOCK trial steps that share one h, with one
-    gen call per block on all their stage positions (see _dp5_maps).
-    Stage positions are clamped EDGE_NUDGE max(1, |x|) inside [x_start,
-    stops[-1]], so a generator that jumps at an end of that interval is
-    sampled from inside.  A block never crosses the next stop: its last
-    step is clipped to it.  The steps are then accepted in order on the
-    usual RMS error test; the block ends at its first rejected step, and
-    the next h follows from the block's worst error.  Integrates from
-    x_start through every stop in order (the final stop is the endpoint).
+    Steps in blocks of trial steps that share one h, with one gen call
+    per block on all their stage positions (see _dp5_maps); a block grows
+    from BLOCK to BLOCK_MAX steps while h holds steady.  Stage positions
+    are clamped EDGE_NUDGE max(1, |x|) inside [x_start, stops[-1]], so a
+    generator that jumps at an end of that interval is sampled from
+    inside.  A block never crosses the next stop: its last step is clipped
+    to it.  The propagators are applied in order, every step is tested at
+    once on the usual RMS error test, and the block is kept up to its
+    first failing step.  Integrates from x_start through every stop in
+    order (the final stop is the endpoint).
     Returns (a, b, drift, n_accepted, n_rejected): a and b are lists of
     the state at each stop, and drift is the largest observed deviation of
     |a|^2 - |b|^2 from inv0 at accepted steps.  Raises StepUnderflow when
@@ -117,8 +124,7 @@ def rk45_coeffs(gen, u, v, x_start, stops, a0, b0, tol, hmax, hmin, inv0):
     """
     x = float(x_start)
     stops = np.asarray(stops, dtype=float).tolist()
-    a = complex(a0)
-    b = complex(b0)
+    a, b = complex(a0), complex(b0)
     end = stops[-1]
     lo, hi = min(x, end), max(x, end)
     lo += EDGE_NUDGE * max(1.0, abs(lo))
@@ -126,53 +132,57 @@ def rk45_coeffs(gen, u, v, x_start, stops, a0, b0, tol, hmax, hmin, inv0):
     dirn = 1.0 if end >= x else -1.0
     span = abs(end - x)
     h = dirn * min(hmax, 0.02 * span + 64.0 * hmin)
+    m = BLOCK
     drift = 0.0
-    n_acc = 0
-    n_rej = 0
-    out_a = []
-    out_b = []
+    n_acc = n_rej = 0
+    out_a, out_b = [], []
     for xt in stops:
         while dirn * (xt - x) > 0.0:
-            edges = x + h * _STEP_INDEX
+            edges = x + h * _STEP_INDEX[:m + 1]
             # Steps that start before the stop; the last one ends on it.
             n = int(np.count_nonzero(dirn * (xt - edges[:-1]) > 0.0))
             edges = edges[:n + 1]
-            if dirn * (xt - edges[n]) <= 0.0:
+            clipped = dirn * (xt - edges[n]) <= 0.0
+            if clipped:
                 edges[n] = xt
             # The step the controller rescales: h, clipped to the stop.
             h_tried = min(abs(h), abs(xt - x))
             p, q = _dp5_maps(gen, u, v, edges, lo, hi)
-            worst = 0.0
-            for (p11, p12, p21, p22), (q11, q12, q21, q22), xe in zip(
-                    p, q, edges[1:].tolist()):
-                a_new = p11 * a + p12 * b
-                b_new = p21 * a + p22 * b
-                sc_a = tol + tol * max(abs(a), abs(a_new))
-                sc_b = tol + tol * max(abs(b), abs(b_new))
-                err = _SQRT_HALF * math.hypot(abs(q11 * a + q12 * b) / sc_a,
-                                              abs(q21 * a + q22 * b) / sc_b)
-                if not err <= 1.0:
-                    worst = err
-                    n_rej += 1
-                    break
-                worst = max(worst, err)
-                x = xe
-                a = a_new
-                b = b_new
-                n_acc += 1
-                inv = (a.real * a.real + a.imag * a.imag) \
-                    - (b.real * b.real + b.imag * b.imag)
-                drift = max(drift, abs(inv - inv0))
-            if worst < 1.0e-30:
-                fac = 5.0
-            else:
-                # A NaN error gives the smallest factor.
-                fac = min(5.0, max(0.2, 0.9 * worst ** (-0.2)))
+            sa, sb = [a], [b]
+            for p11, p12, p21, p22 in p.reshape(4, n).T.tolist():
+                a, b = p11 * a + p12 * b, p21 * a + p22 * b
+                sa.append(a)
+                sb.append(b)
+            # Every trial step's error at once; the states past a rejected
+            # step may overflow, and are never kept.
+            with np.errstate(over="ignore", invalid="ignore"):
+                s = np.array((sa, sb))
+                mag = np.abs(s)
+                sc = tol + tol * np.maximum(mag[:, :-1], mag[:, 1:])
+                e = np.abs(q[:, 0] * s[0, :-1] + q[:, 1] * s[1, :-1]) / sc
+                err = _SQRT_HALF * np.hypot(e[0], e[1])
+                k = int(np.argmin(err <= 1.0))   # the first failing step
+                if err[k] <= 1.0:
+                    k = n
+                inv = mag[0, 1:k + 1] ** 2 - mag[1, 1:k + 1] ** 2
+                drift = float(np.max(np.abs(inv - inv0), initial=drift))
+            x, a, b = float(edges[k]), sa[k], sb[k]
+            n_acc += k
+            n_rej += k < n
+            # The failing step's error, or the largest of the last _TAIL.
+            worst = float(err[k] if k < n else err[-_TAIL:].max())
+            # A NaN error gives the smallest factor.
+            fac = 5.0 if worst < 1.0e-30 else min(
+                5.0, max(0.2, 0.9 * worst ** (-0.2)))
             h_mag = min(hmax, h_tried * fac)
             if h_mag < hmin:
                 if not worst <= 1.0:
                     raise StepUnderflow(f"adaptive step fell below {hmin:g}")
                 h_mag = hmin
+            if k < n or h_mag > _GROWTH * h_tried:
+                m = BLOCK
+            elif not clipped:
+                m = min(2 * m, BLOCK_MAX)
             h = dirn * h_mag
         out_a.append(a)
         out_b.append(b)

@@ -53,20 +53,18 @@ class CoefficientState:
 
 @dataclass(frozen=True)
 class TransferMatrix:
-    """2x2 propagator E(x_to, x_from) acting on coefficient columns."""
+    """2x2 propagator E(x_to, x_from) acting on coefficient columns, and
+    its exact determinant det (ad - bc of the entries cancels once |E| is
+    large)."""
 
     entries: np.ndarray
     x_from: float
     x_to: float
+    det: complex
 
     def apply(self, state: CoefficientState) -> CoefficientState:
         vec = self.entries @ np.array([state.a, state.b])
         return CoefficientState(self.x_to, complex(vec[0]), complex(vec[1]))
-
-    @property
-    def det(self) -> complex:
-        e = self.entries
-        return complex(e[0, 0] * e[1, 1] - e[0, 1] * e[1, 0])
 
 
 @dataclass(frozen=True)
@@ -417,16 +415,17 @@ def transfer_matrix(g: GaugeTriple, r: RhoPair, x_from: float, x_to: float,
     so the result is an independent check on evolve.
     """
     if x_from == x_to:
-        return TransferMatrix(_IDENTITY2.copy(), x_from, x_to)
+        return TransferMatrix(_IDENTITY2.copy(), x_from, x_to, 1.0 + 0j)
     _resolve_window(x_from, x_to, grid)
     edges, junctions = _segments(g, r, min(x_from, x_to), max(x_from, x_to))
     e = _refined_product(g, r, edges, junctions, tol)
+    # The panel maps have det 1 (M is traceless), so det E is the product
+    # of the junctions' dets, and E^-1 is adj E over it.
+    det = complex(math.prod(np.linalg.det(p) for p in junctions))
     if x_from > x_to:
-        # The panel maps have det 1 (M is traceless), so E^-1 is adj E over
-        # the junctions' dets; ad - bc cancels once |E| is large.
-        e = np.array([[e[1, 1], -e[0, 1]], [-e[1, 0], e[0, 0]]]) \
-            / np.prod([np.linalg.det(p) for p in junctions])
-    return TransferMatrix(e, x_from, x_to)
+        e = np.array([[e[1, 1], -e[0, 1]], [-e[1, 0], e[0, 0]]]) / det
+        det = 1.0 / det
+    return TransferMatrix(e, x_from, x_to, det)
 
 
 def scattering_amplitudes(p: PotentialProfile, e: EnergySpec,

@@ -46,6 +46,11 @@ def _barrier_setup(energy=2.0):
     return p, e, grid, w, g, rho_pair(g, w)
 
 
+def _ad_bc(e):
+    """The determinant of a 2x2 array, from its entries."""
+    return complex(e[0, 0] * e[1, 1] - e[0, 1] * e[1, 0])
+
+
 def test_rhs_zero_for_free_constant_gauge():
     _, _, _, _, g, r = _free_setup()
     m = rhs_matrix(g, r, 0.4)
@@ -129,8 +134,10 @@ def test_transfer_matrix_identity_and_det():
     _, _, grid, _, g, r = _barrier_setup(2.0)
     E0 = transfer_matrix(g, r, 0.1, 0.1, grid=grid)
     np.testing.assert_array_equal(E0.entries, np.eye(2, dtype=complex))
+    assert E0.det == 1.0
     E = transfer_matrix(g, r, grid.x_min, grid.x_max, tol=1e-10, grid=grid)
-    assert E.det == pytest.approx(1.0, abs=1e-10)
+    assert _ad_bc(E.entries) == pytest.approx(1.0, abs=1e-10)
+    assert abs(E.det - 1.0) <= 1e-14
 
 
 def test_transfer_matrix_composition():
@@ -148,7 +155,8 @@ def test_transfer_matrix_det_stable_under_refinement():
                              grid=grid)
     fine = transfer_matrix(g, r, grid.x_min, grid.x_max, tol=1e-11,
                            grid=grid)
-    assert coarse.det == pytest.approx(fine.det, abs=1e-8)
+    assert _ad_bc(coarse.entries) == pytest.approx(_ad_bc(fine.entries),
+                                                   abs=1e-8)
 
 
 @pytest.mark.parametrize("case_name,gauge_name", [
@@ -224,7 +232,7 @@ def test_product_is_pseudo_unitary_for_real_gauges(suite, case_name,
         E = transfer_matrix(g, r, grid.x_min, grid.x_max, tol=tol, grid=grid)
         drift = E.entries.conj().T @ sigma3 @ E.entries - sigma3
         assert np.max(np.abs(drift)) <= 1e-12
-        assert abs(E.det - 1.0) <= 1e-12
+        assert abs(_ad_bc(E.entries) - 1.0) <= 1e-12
 
 
 @pytest.mark.parametrize("case_name", ["pt2-E0.5", "gauss-E2", "barrier-E2"])
@@ -414,6 +422,21 @@ def test_backward_transfer_matrix_over_a_tall_barrier(v0):
     assert np.max(np.abs(got - ref)) <= 1e-10 * np.max(np.abs(ref))
 
 
+@pytest.mark.parametrize("v0", [100.0, 1000.0])
+def test_transfer_matrix_det_is_exact_over_a_tall_barrier(v0):
+    # ad - bc of entries up to 3.6e4 and 2.9e14 cancels (it read -6.3e13j
+    # at v0 = 1000); the product of the junctions' determinants does not.
+    p = square_barrier(v0, 1.0)
+    e = EnergySpec(2.0)
+    grid = truncate_domain(p, e)
+    w = wavenumber_field(p, e)
+    g = gauge_constant(w.k_left)
+    r = rho_pair(g, w)
+    for x_from, x_to in ((-0.5, 0.5), (0.5, -0.5)):
+        E = transfer_matrix(g, r, x_from, x_to, tol=1e-12, grid=grid)
+        assert abs(E.det - 1.0) <= 1e-12
+
+
 def test_tall_barrier_product_raises_no_warning():
     # Coarse steps over a barrier of height 1000 overflow; refinement
     # rejects them without a RuntimeWarning (an error under this suite's
@@ -482,7 +505,7 @@ def test_no_route_builds_a_table(monkeypatch):
     amp = scattering_amplitudes(p, e, g, 1e-10, grid)
     assert amp.transmission + amp.reflection == pytest.approx(1.0, abs=1e-9)
     E = transfer_matrix(g, r, grid.x_min, grid.x_max, tol=1e-9, grid=grid)
-    assert E.det == pytest.approx(1.0, abs=1e-9)
+    assert _ad_bc(E.entries) == pytest.approx(1.0, abs=1e-9)
     out = evolve(g, r, CoefficientState(grid.x_min, 1.0 + 0j, 0j),
                  grid.x_max, 1e-10, grid=grid)
     assert abs(out.a) ** 2 - abs(out.b) ** 2 == pytest.approx(1.0, abs=1e-9)
