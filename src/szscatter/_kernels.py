@@ -113,9 +113,10 @@ def rk45_coeffs(gen, u, v, x_start, stops, a0, b0, tol, hmax, hmin, inv0):
     are clamped EDGE_NUDGE max(1, |x|) inside [x_start, stops[-1]], so a
     generator that jumps at an end of that interval is sampled from
     inside.  A block never crosses the next stop: its last step is clipped
-    to it.  The propagators are applied in order, every step is tested at
-    once on the usual RMS error test, and the block is kept up to its
-    first failing step.  Integrates from x_start through every stop in
+    to it, and h, not the clipped step, is what the controller rescales
+    after a block that kept every step.  The propagators are applied in
+    order, every step is tested at once on the usual RMS error test, and
+    the block is kept up to its first failing step.  Integrates from x_start through every stop in
     order (the final stop is the endpoint).
     Returns (a, b, drift, n_accepted, n_rejected): a and b are lists of
     the state at each stop, and drift is the largest observed deviation of
@@ -145,8 +146,6 @@ def rk45_coeffs(gen, u, v, x_start, stops, a0, b0, tol, hmax, hmin, inv0):
             clipped = dirn * (xt - edges[n]) <= 0.0
             if clipped:
                 edges[n] = xt
-            # The step the controller rescales: h, clipped to the stop.
-            h_tried = min(abs(h), abs(xt - x))
             p, q = _dp5_maps(gen, u, v, edges, lo, hi)
             sa, sb = [a], [b]
             for p11, p12, p21, p22 in p.reshape(4, n).T.tolist():
@@ -169,11 +168,18 @@ def rk45_coeffs(gen, u, v, x_start, stops, a0, b0, tol, hmax, hmin, inv0):
             x, a, b = float(edges[k]), sa[k], sb[k]
             n_acc += k
             n_rej += k < n
-            # The failing step's error, or the largest of the last _TAIL.
-            worst = float(err[k] if k < n else err[-_TAIL:].max())
+            # Rescale the failing step by its error, or else h by the
+            # largest of the last _TAIL errors.  A lone step clipped to a
+            # stop may be far shorter than h, so its error never grows h.
+            if k < n:
+                worst, h_tried = float(err[k]), abs(edges[k + 1] - edges[k])
+            else:
+                worst, h_tried = float(err[-_TAIL:].max()), abs(h)
             # A NaN error gives the smallest factor.
             fac = 5.0 if worst < 1.0e-30 else min(
                 5.0, max(0.2, 0.9 * worst ** (-0.2)))
+            if clipped and n == 1:
+                fac = min(fac, 1.0)
             h_mag = min(hmax, h_tried * fac)
             if h_mag < hmin:
                 if not worst <= 1.0:

@@ -55,15 +55,23 @@ class EmptyFamily(SzScatterError):
 class ParseError(SzScatterError):
     """Malformed run-configuration text."""
 
+    # args holds the constructor's arguments, so that pickling (which
+    # calls the class with args) restores the line.
     def __init__(self, message: str, line: int):
-        super().__init__(f"line {line}: {message}")
+        super().__init__(message, line)
         self.line = line
+
+    def __str__(self):
+        return f"line {self.line}: {self.args[0]}"
 
 
 class ValidationError(SzScatterError):
     """A syntactically valid configuration failed semantic validation."""
 
     def __init__(self, field: str, message: str = ""):
-        text = field if not message else f"{field}: {message}"
-        super().__init__(text)
+        super().__init__(field, message)
         self.field = field
+
+    def __str__(self):
+        message = self.args[1]
+        return self.field if not message else f"{self.field}: {message}"

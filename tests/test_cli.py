@@ -2,14 +2,19 @@
 
 import math
 import os
+import pickle
 import subprocess
 import sys
+import threading
 
 import pytest
 
+import szscatter.cli as cli_mod
+import szscatter.errors as errors_mod
 from szscatter.cli import (CSV_HEADER, ResultRow, emit_plot_data, main,
                            parse_config, run)
-from szscatter.errors import ParseError, ValidationError
+from szscatter.errors import (NonConvergence, ParseError, SzScatterError,
+                              ValidationError)
 
 MINIMAL = """\
 [run]
@@ -350,7 +355,8 @@ def test_csv_determinism(tmp_path):
 
 def test_threaded_rows_identical(tmp_path):
     """Energies given out of order come out as energy-sorted rows, the
-    same on every run (the sweep is serial; there is no thread option)."""
+    same on every run, whether or not the sweep splits its energies
+    across a helper process."""
     text = BARRIER_BOUNDS.replace("values = 2.0", "values = 5.0 0.5 2.0")
     first = tmp_path / "first.csv"
     second = tmp_path / "second.csv"
@@ -584,3 +590,155 @@ def test_runtime_never_loads_scipy(tmp_path):
     out = subprocess.run([sys.executable, "-c", SCIPY_FREE_RUN, *configs],
                          env=env, capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "[0, 0] []"
+
+
+def test_every_error_survives_pickling():
+    # A split sweep pickles whatever its helper raises back to the parent.
+    made = [ParseError("expected 'key = value'", 3),
+            ValidationError("potential.v0", "not a number: 'one'"),
+            ValidationError("energies")]
+    classes = [cls for cls in vars(errors_mod).values()
+               if isinstance(cls, type) and issubclass(cls, SzScatterError)]
+    made += [cls("no convergence") for cls in classes
+             if cls not in (ParseError, ValidationError)]
+    assert {type(exc) for exc in made} == set(classes)
+    for exc in made:
+        back = pickle.loads(pickle.dumps(exc))
+        assert type(back) is type(exc)
+        assert str(back) == str(exc)
+        assert vars(back) == vars(exc)
+    assert str(made[0]) == "line 3: expected 'key = value'"
+    assert (made[1].field, str(made[1])) == (
+        "potential.v0", "potential.v0: not a number: 'one'")
+    assert (made[2].field, str(made[2])) == ("energies", "energies")
+
+
+# Barrier(1, 1) at five energies: the first runs alone, then the parent
+# takes 0.8 and 3.0 and the helper 2.0 and 5.0.  wkb has a turning point
+# below the barrier top, at 0.5 and 0.8.
+SPLIT_SWEEP = BARRIER_BOUNDS.replace(
+    "values = 2.0", "values = 5.0 0.5 3.0 0.8 2.0").replace(
+    "names = constant", "names = constant wkb special_delta antiphase")
+GAUSSIAN_SPLIT_SWEEP = SPLIT_SWEEP.replace(
+    "kind = square_barrier", "kind = gaussian").replace(
+    "width = 1.0", "sigma = 1.0").replace("mode = bounds", "mode = verify")
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """The sweep forks whatever its first energy took; each os.fork call
+    records the number of threads alive at the time."""
+    calls = []
+    real = os.fork
+
+    def fork():
+        calls.append(threading.active_count())
+        return real()
+
+    monkeypatch.setattr(cli_mod, "FORK_COST_S", 0.0)
+    monkeypatch.setattr(os, "fork", fork)
+    return calls
+
+
+def _sweep(monkeypatch, capsys, tmp_path, text, cpus):
+    """(exit code, stderr, CSV cells without runtime_ms or None) of main on
+    `text` with `cpus` usable CPUs; checks that no child is left."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+    csv = tmp_path / f"cpus{cpus}.csv"
+    cfg = tmp_path / f"cpus{cpus}.cfg"
+    cfg.write_text(text.format(csv=csv))
+    code = main(["--config", str(cfg)])
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    cells = None
+    if csv.exists():
+        cells = [line.split(",")[:-1] for line in csv.read_text().splitlines()]
+    return code, capsys.readouterr().err, cells
+
+
+@pytest.mark.parametrize("text, mode", [
+    (SPLIT_SWEEP, "scatter"), (SPLIT_SWEEP, "bounds"),
+    (SPLIT_SWEEP, "optimize"), (SPLIT_SWEEP, "verify"),
+    (GAUSSIAN_SPLIT_SWEEP, "verify")],
+    ids=["scatter", "bounds", "optimize", "verify", "gaussian-verify"])
+def test_split_sweep_matches_serial(monkeypatch, capsys, tmp_path, forks,
+                                    text, mode):
+    text = text.replace("mode = bounds", f"mode = {mode}")
+    serial = _sweep(monkeypatch, capsys, tmp_path, text, 1)
+    assert forks == []
+    split = _sweep(monkeypatch, capsys, tmp_path, text, 2)
+    assert forks == [1]
+    assert split == serial
+    code, err, cells = split
+    assert (code, err) == (0, "")
+    wkb = [float(row[0]) for row in cells if row[1].startswith("wkb")]
+    if mode == "scatter" or text is GAUSSIAN_SPLIT_SWEEP:
+        assert wkb == [2.0, 3.0, 5.0]  # none below the top, V0 = 1
+    else:
+        assert wkb == []  # phi' jumps at the barrier edges: no bound
+
+
+@pytest.mark.parametrize("failures", [
+    {2.0: lambda: ValidationError("potential", "fails at 2")},
+    {3.0: lambda: NonConvergence("fails at 3")},
+    {2.0: lambda: NonConvergence("fails at 2"),
+     3.0: lambda: ValidationError("potential", "fails at 3")},
+    {0.8: lambda: NonConvergence("fails at 0.8"),
+     5.0: lambda: ValidationError("potential", "fails at 5")}],
+    ids=["helper", "parent", "helper-first", "parent-first"])
+def test_split_sweep_fails_as_a_serial_one(monkeypatch, capsys, tmp_path,
+                                           forks, failures):
+    # The helper computes 2.0 and 5.0, the parent 0.8 and 3.0; whichever
+    # side fails, the first failure in energy order is reported.
+    real = cli_mod._rows_for_energy
+
+    def rows(config, energy):
+        if energy in failures:
+            raise failures[energy]()
+        return real(config, energy)
+
+    monkeypatch.setattr(cli_mod, "_rows_for_energy", rows)
+    text = SPLIT_SWEEP.replace("mode = bounds", "mode = scatter")
+    serial = _sweep(monkeypatch, capsys, tmp_path, text, 1)
+    split = _sweep(monkeypatch, capsys, tmp_path, text, 2)
+    assert forks == [1]
+    assert split == serial
+    code, err, cells = split
+    first = failures[min(failures)]()
+    assert code == (2 if isinstance(first, ValidationError) else 3)
+    assert err.endswith(f"{first}\n") and cells is None
+
+
+def test_split_sweep_survives_a_dead_helper(monkeypatch, capsys, tmp_path,
+                                            forks):
+    # A helper that dies without a payload leaves its energies to the
+    # parent.
+    real = cli_mod._rows_for_energy
+    parent = os.getpid()
+
+    def rows(config, energy):
+        if os.getpid() != parent:
+            os._exit(9)
+        return real(config, energy)
+
+    monkeypatch.setattr(cli_mod, "_rows_for_energy", rows)
+    serial = _sweep(monkeypatch, capsys, tmp_path, SPLIT_SWEEP, 1)
+    split = _sweep(monkeypatch, capsys, tmp_path, SPLIT_SWEEP, 2)
+    assert forks == [1]
+    assert split == serial and split[0] == 0
+
+
+def test_sweep_with_a_second_thread_never_forks(monkeypatch, capsys,
+                                                tmp_path, forks):
+    # fork would copy only the calling thread.
+    release = threading.Event()
+    other = threading.Thread(target=release.wait)
+    other.start()
+    try:
+        code, _, cells = _sweep(monkeypatch, capsys, tmp_path,
+                                SPLIT_SWEEP, 2)
+    finally:
+        release.set()
+        other.join()
+    assert forks == []
+    assert code == 0 and len(cells) == 1 + 3 * 5  # wkb gets no bound
