@@ -18,10 +18,14 @@ sz_core), the bound integral (theta) and the gauge antiderivatives
 window cut at its breakpoints into panels, and hand bisect() a function
 that solves one batch of panels.  The bound integral and the
 antiderivatives share that function through integrals(), which samples
-the integrand on the panels' Lobatto points and returns h S f; the
-oracle and the product solve their own second-kind systems, through
-solve_blocks().  bisect() accepts a panel when its error estimate is at
-most max(tol (b - a) / span, ROUNDING_FLOOR scale), the scale being the
+the integrand on the panels' Lobatto points and returns h S f; they
+start on panels a fixed fraction of their window wide
+(bounds.THETA_START_PANELS, ANTIDERIVATIVE_START_PANELS), so that most
+pass at the first or second level, each level costing about as much as
+many panels.  The oracle and the product solve their own second-kind
+systems, through solve_blocks().  bisect() accepts a panel when its
+error estimate is at most max(tol (b - a) / span, ROUNDING_FLOOR scale),
+the scale being the
 size the panel's rounding is relative to (1 for the integrals, the map's
 size for the product); it bisects the others and solves them again
 together, and raises NonConvergence past MAX_PANELS panels or when a
@@ -54,6 +58,11 @@ ROUNDING_FLOOR = 64.0 * float(np.finfo(np.float64).eps)
 SOLVE_BYTES = 1 << 23
 # Summed error estimate an antiderivative is refined to.
 ANTIDERIVATIVE_TOL = 1.0e-12
+# An antiderivative starts on panels no wider than its window over this.
+# The 24 antiderivatives of a seed-1 perfbench verify_sweep pass took 95,
+# 71, 47, 26 and 24 bisection levels and 260, 236, 188, 200 and 384 panels
+# at 1, 2, 4, 8 and 16.
+ANTIDERIVATIVE_START_PANELS = 8
 
 
 def _chebyshev_operators(n: int) -> tuple:
@@ -203,10 +212,13 @@ def antiderivative(fn, edges):
     """The antiderivative of fn that vanishes at edges[0], over the window
     [edges[0], edges[-1]], as a callable of x; real or complex as fn is.
 
-    The panels start one per piece and are refined by integrals() to
+    The panels start no wider than the window over
+    ANTIDERIVATIVE_START_PANELS and are refined by integrals() to
     ANTIDERIVATIVE_TOL.  Each panel holds its integrals from its left
     end, offset by the sum of the earlier panels' end values."""
-    a, b, _, parts = integrals(fn, edges, ANTIDERIVATIVE_TOL)
+    a, b, _, parts = integrals(fn, edges, ANTIDERIVATIVE_TOL,
+                               (edges[-1] - edges[0])
+                               / ANTIDERIVATIVE_START_PANELS)
     offsets = np.concatenate(([0.0], np.cumsum(parts[:-1, -1])))
     coef = (offsets[:, None] + parts) @ TO_COEF.T
     # Trailing coefficients below rounding only cost evaluation time.

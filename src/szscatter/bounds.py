@@ -13,11 +13,13 @@ Minimizing J over a gauge family tightens the bound.
 
 J is integrated by _panels.integrals, the panel integral the gauge
 antiderivatives also use: Clenshaw-Curtis sums on Chebyshev panels split
-at theta's breakpoints, bisected until each panel's trailing-coefficient
-estimate meets its share of the tolerance.  The optimizer scans the
-family, whose members blend the constant gauge with one wkb gauge, then
-refines the best member by golden section, keeping the gauge and J of
-the best member evaluated.
+at theta's breakpoints, starting a sixteenth of the window wide
+(THETA_START_PANELS), bisected until each panel's trailing-coefficient
+estimate meets its share of the tolerance.  Gauges that differ only in
+Delta share one J, which _report turns into each one's bounds.  The
+optimizer scans the family, whose members blend the constant gauge with
+one wkb gauge, then refines the best member by golden section, keeping
+the gauge and J of the best member evaluated.
 """
 
 import math
@@ -29,10 +31,18 @@ from ._panels import integrals
 from .errors import (BoundViolation, ComplexGaugeRejected, EmptyFamily,
                      GaugeDegenerate, NonConvergence, TurningPoint)
 from .gauges import GaugeTriple, gauge_constant, gauge_wkb, rho_pair
-from .potentials import (GRID_DIVISIONS, DomainGrid, EnergySpec,
-                         PotentialProfile, scalarize, truncate_domain,
-                         wavenumber_field, window_edges)
+from .potentials import (DomainGrid, EnergySpec, PotentialProfile,
+                         scalarize, truncate_domain, wavenumber_field,
+                         window_edges)
 
+# theta starts on panels no wider than the window over this.  A bisection
+# level costs far more than a panel: with 4, 8, 16 and 32, the 58 theta
+# integrals of optimize_gauge over gaussian(1, 1) at E = 2 took 179, 124,
+# 90 and 61 levels, 716, 728, 1,056 and 1,868 panels and about 18, 14, 10.5
+# and 8.5 ms (one CPU of a 2-vCPU Xeon host), and the 24 of a seed-1
+# perfbench verify_sweep pass 31, 26, 24 and 24 levels, in no resolvably
+# different time.
+THETA_START_PANELS = 16
 GOLDEN_TOL = 1.0e-6
 SCAN_POINTS = 33
 # Rounding slack of a bound check: a margin below -BOUND_SLACK is a
@@ -94,17 +104,16 @@ def theta_integral(t: ThetaField, grid: DomainGrid, tol: float) -> float:
     """Integral of theta over the truncated domain on Chebyshev panels.
 
     _panels.integrals cuts the window at theta's breakpoints into panels
-    no wider than GRID_DIVISIONS grid steps, the length truncate_domain
-    divides into steps, and refines them to tol.  J is the sum of the
-    panels' Clenshaw-Curtis sums h S[-1] theta.  Raises NonConvergence
-    when theta is not finite, when the panels run out, or when the summed
-    error estimate exceeds tol.
+    no wider than the window over THETA_START_PANELS, and refines them to
+    tol.  J is the sum of the panels' Clenshaw-Curtis sums h S[-1] theta.
+    Raises NonConvergence when theta is not finite, when the panels run
+    out, or when the summed error estimate exceeds tol.
     """
     if tol <= 0:
         raise ValueError("tol must be > 0")
     _, _, err, parts = integrals(
         t.theta, window_edges(grid.x_min, grid.x_max, t.breakpoints), tol,
-        GRID_DIVISIONS * grid.max_step)
+        grid.span / THETA_START_PANELS)
     err_total = float(np.sum(err))
     if err_total > tol:
         raise NonConvergence(
@@ -212,6 +221,8 @@ def phi_prime_family(p: PotentialProfile, e: EnergySpec,
                 lambda xv: s * wkb.phi_double_prime(xv)),
             label=f"family(s={s:.6g})",
             phi_prime_scale=(1.0 - s) * k_ref + s * wkb.phi_prime_scale,
+            # rho2 = k^2 - phi'^2 vanishes only where phi' = k.
+            diag_vanishes=s == 1.0,
         )
 
     return GaugeFamily(name="phi_prime_interpolation", builder=build)

@@ -5,10 +5,12 @@ modes (scatter, bounds, optimize, verify), and writes a CSV table plus
 optional plot-ready data blocks.  Every mode runs one loop over the
 (gauge, bound report or None) pairs that _gauge_reports yields, and one
 row builder fills T and R, the bound cells when a report exists and the
-oracle cells when the oracle ran.  ResultRow's fields are the CSV
-columns.  Energies share no state, so a sweep long enough to pay for it
-runs half of them in one forked helper process (_sweep).  Exit codes:
-0 ok, 2 configuration error, 3 numerical failure, 4 bound violation.
+oracle cells when the oracle ran.  At each energy the Delta-variants
+(special_delta, antiphase) are built on the one constant gauge and share
+its theta integral.  ResultRow's fields are the CSV columns.  Energies
+share no state, so a sweep long enough to pay for it runs half of them
+in one forked helper process (_sweep).  Exit codes: 0 ok,
+2 configuration error, 3 numerical failure, 4 bound violation.
 """
 
 import argparse
@@ -40,14 +42,14 @@ MODES = ("scatter", "bounds", "optimize", "verify")
 # 2-vCPU Xeon host.
 FORK_COST_S = 0.005
 
-# Gauge name -> builder(w, grid).  The presets are looked up at call time,
-# so a profiler that wraps this module's names sees every gauge build.
+# Gauge name -> builder(w, grid, base), base being the energy's constant
+# gauge.  The presets are looked up at call time, so a profiler that wraps
+# this module's names sees every gauge build.
 _GAUGES = {
-    "constant": lambda w, grid: gauge_constant(w.k_left),
-    "wkb": lambda w, grid: gauge_wkb(w, grid),
-    "special_delta": lambda w, grid: gauge_special_delta(
-        gauge_constant(w.k_left), w, grid),
-    "antiphase": lambda w, grid: gauge_antiphase(gauge_constant(w.k_left)),
+    "constant": lambda w, grid, base: base,
+    "wkb": lambda w, grid, base: gauge_wkb(w, grid),
+    "special_delta": lambda w, grid, base: gauge_special_delta(base, w, grid),
+    "antiphase": lambda w, grid, base: gauge_antiphase(base),
 }
 GAUGE_NAMES = tuple(_GAUGES)
 
@@ -290,25 +292,36 @@ def parse_config(text: str) -> RunConfig:
 
 def _gauge_reports(config: RunConfig, e: EnergySpec, w, grid):
     """(start time, gauge, bound report or None) per row at one energy: the
-    optimizer's gauge, or each named gauge without a turning point."""
+    optimizer's gauge, or each named gauge without a turning point.
+
+    theta depends on phi', phi'', chi and chi' but not on Delta, so J is
+    integrated once per distinct set of those callables and the
+    Delta-variants of the energy's constant gauge reuse it."""
     p, tol = config.potential, config.quad_tol
     if config.mode == "optimize":
         start = time.perf_counter()
         family = bounds_mod.phi_prime_family(p, e, grid)
         yield (start, *bounds_mod.optimize_gauge(p, e, family, tol, grid))
         return
+    base = gauge_constant(w.k_left)
+    thetas = {}
     for name in config.gauge_names:
         start = time.perf_counter()
         try:
-            gauge = _GAUGES[name](w, grid)
+            gauge = _GAUGES[name](w, grid, base)
         except TurningPoint:
             continue
         report = None
         if config.mode != "scatter":
             try:
-                report = bounds_mod.bound_report(p, e, gauge, tol, grid)
+                t = bounds_mod.theta_field(gauge, w)
             except GaugeDegenerate:
                 continue  # distributional phi''; no bound for this gauge
+            key = (gauge.phi_prime, gauge.phi_double_prime, gauge.chi,
+                   gauge.chi_prime, t.breakpoints)
+            if key not in thetas:
+                thetas[key] = bounds_mod.theta_integral(t, grid, tol)
+            report = bounds_mod._report(thetas[key], gauge.label)
         yield start, gauge, report
 
 
@@ -356,9 +369,10 @@ def _outcomes(config: RunConfig, energies) -> list:
 
 def _split(config: RunConfig, energies):
     """(outcomes of energies[0::2], of energies[1::2]): the first computed
-    here, the second in one forked helper, which pickles them back through
-    a pipe and leaves with os._exit.  The second is None when the helper's
-    payload is missing or unreadable, and both are None when fork fails."""
+    in one forked helper, which pickles them back through a pipe and
+    leaves with os._exit, the second here.  The first is None when the
+    helper's payload is missing or unreadable, and both are None when fork
+    fails."""
     read_fd, write_fd = os.pipe()
     try:
         pid = os.fork()
@@ -370,20 +384,20 @@ def _split(config: RunConfig, energies):
         try:
             os.close(read_fd)
             with open(write_fd, "wb") as pipe:
-                pipe.write(pickle.dumps(_outcomes(config, energies[1::2])))
+                pipe.write(pickle.dumps(_outcomes(config, energies[0::2])))
         finally:
             os._exit(0)
     os.close(write_fd)
     try:
         with open(read_fd, "rb") as pipe:
-            mine = _outcomes(config, energies[0::2])
+            mine = _outcomes(config, energies[1::2])
             payload = pipe.read()
     finally:
         os.waitpid(pid, 0)
     try:
-        return mine, pickle.loads(payload)
+        return pickle.loads(payload), mine
     except Exception:
-        return mine, None
+        return None, mine
 
 
 def _sweep(config: RunConfig, energies):
@@ -391,10 +405,12 @@ def _sweep(config: RunConfig, energies):
     order, raising where a serial sweep would raise first.
 
     The first energy runs here and is timed.  The rest are split across
-    this process and one forked helper when half of their estimated time
+    one forked helper and this process when half of their estimated time
     exceeds FORK_COST_S, at least two CPUs are usable, no other thread is
     running (fork copies only the calling thread) and fork succeeds;
-    otherwise they run here one after another."""
+    otherwise they run here one after another.  The helper takes the
+    even-indexed rest, so that with the first energy the two sides'
+    counts differ by at most one."""
     if not energies:
         return
     start = time.perf_counter()
@@ -407,9 +423,9 @@ def _sweep(config: RunConfig, energies):
             and hasattr(os, "fork") and hasattr(os, "sched_getaffinity")
             and len(os.sched_getaffinity(0)) > 1
             and threading.active_count() == 1):
-        mine, theirs = _split(config, rest)
+        theirs, mine = _split(config, rest)
     for i, energy in enumerate(rest):
-        side = theirs if i % 2 else mine
+        side = mine if i % 2 else theirs
         outcome = (_rows_for_energy(config, energy) if side is None
                    else side[i // 2])
         if isinstance(outcome, Exception):

@@ -138,6 +138,7 @@ def gauge_wkb(w: WaveNumberField, grid: DomainGrid) -> GaugeTriple:
         breakpoints=inside,
         phi_prime_scale=scale,
         phi_prime_jumps=any(k_jump(b) > 1e-9 for b in inside),
+        diag_vanishes=True,
         grid=grid,
     )
 

@@ -8,11 +8,14 @@ straight from the gauge and one call of the rho fields: the product at
 its panels' Lobatto points, the Runge-Kutta route at its stage positions.
 Neither builds a table.  On each panel the product solves for Y' = M Y
 at the Lobatto points as one second-kind system (Greengard, SIAM J.
-Numer. Anal. 28 (1991) 1071), so each panel gives its map and an error
-estimate from its trailing Chebyshev coefficients; one _panels.bisect
-(the loop the oracle, the bound integral and the gauge antiderivatives
-share) refines the panels of the whole path, the maps are multiplied in
-order, and a backward path is the inverse of the forward one.
+Numer. Anal. 28 (1991) 1071): 2n x 2n for n points, or n x n where the
+gauge removes a degree of freedom (a vanishing diagonal, or rho1 and
+Delta' both 0, which makes the generator rank one).  Each panel gives
+its map and an error estimate from its trailing Chebyshev coefficients;
+one _panels.bisect (the loop the oracle, the bound integral and the
+gauge antiderivatives share) refines the panels of the whole path, the
+maps are multiplied in order, and a backward path is the inverse of the
+forward one.
 scattering_amplitudes goes through the product and, in every gauge,
 reads the amplitudes off (psi, psi') with the plane-wave matcher the
 oracle also uses (_plane_wave_pair).
@@ -40,6 +43,11 @@ from .potentials import (DomainGrid, EnergySpec, PotentialProfile,
                          truncate_domain, wavenumber_field, window_edges)
 
 _IDENTITY2 = np.eye(2, dtype=np.complex128)
+# A path's product starts on panels no wider than the path over this (and
+# than one period of e^{-2i phi}).  A seed-1 perfbench verify_sweep pass
+# took 115 bisection levels and 638 panels without this cap, and 100, 66,
+# 60 and 57 levels and 595, 538, 598 and 900 panels at 4, 8, 10 and 16.
+PRODUCT_START_PANELS = 8
 
 
 @dataclass(frozen=True)
@@ -113,18 +121,21 @@ def _check_phi_prime(g: GaugeTriple, value: complex) -> complex:
 
 
 def _entries(g: GaugeTriple, r: RhoPair, x: np.ndarray) -> tuple:
-    """_generator's entries and the phase phi + Delta they were built from."""
+    """_generator's entries, the phase phi + Delta, and the rho1 and Delta'
+    they were built from (Delta' is None where g.diag_vanishes)."""
     ppr, r1, r2 = r.fields(x)
     _check_phi_prime(g, np.min(np.abs(ppr)))
     if g.diag_vanishes:
         dia = 0.0
+        dprime = None
     else:
-        dia = r2 - 2.0 * ppr * np.asarray(g.delta_prime(x))
+        dprime = np.asarray(g.delta_prime(x))
+        dia = r2 - 2.0 * ppr * dprime
     phase = np.asarray(g.phi(x)) + np.asarray(g.delta(x))
     em = np.exp(-2j * phase)
     inv2 = 0.5 / ppr
     return (1j * dia * inv2, (r1 + 1j * r2) * em * inv2,
-            (r1 - 1j * r2) / em * inv2), phase
+            (r1 - 1j * r2) / em * inv2), phase, r1, dprime
 
 
 def _generator(g: GaugeTriple, r: RhoPair, x: np.ndarray) -> tuple:
@@ -333,14 +344,66 @@ def evolve(g: GaugeTriple, r: RhoPair, s0: CoefficientState, x_to: float,
 _SIZE = 2 * PANEL_NODES
 _MINUS_S = -S[:, None, :]
 _READ = np.vstack((S[-1], TAIL))
+# _SDS @ d is S diag(d) S, its n x n entries as n * n rows.
+_SDS = (S[:, None, :] * S.T).reshape(-1, PANEL_NODES)
+
+
+def _with_identity(a: np.ndarray) -> np.ndarray:
+    """I + a for a C-contiguous stack of square matrices, in place."""
+    size = a.shape[-1]
+    a.reshape(-1, size * size)[:, ::size + 1] += 1.0
+    return a
 
 
 def _system(hm: np.ndarray) -> np.ndarray:
     """I - h M S of each panel, with h M given as blocks (panel, i, point,
     k): entry ((i, j), (k, l)) is delta - h M_ik(x_j) S_jl."""
-    a = np.multiply(hm[..., None], _MINUS_S, order="C")
-    a.reshape(-1, _SIZE * _SIZE)[:, ::_SIZE + 1] += 1.0
-    return a.reshape(-1, _SIZE, _SIZE)
+    return _with_identity(np.multiply(hm[..., None], _MINUS_S, order="C")
+                          .reshape(-1, _SIZE, _SIZE))
+
+
+def _full_system(m: np.ndarray, h: np.ndarray) -> np.ndarray:
+    """W of the panels, as blocks (panel, i, point, column), from the
+    2n x 2n system (I - h M S) W = h M; m holds M as (i, k, panel,
+    point) and h the panels' half-widths."""
+    hm = np.multiply(m.transpose(2, 0, 3, 1), h[:, None, None, None],
+                     order="C")
+    return solve_blocks(lambda blk: _system(hm[blk]),
+                        hm.reshape(h.size, _SIZE, 2)).reshape(hm.shape)
+
+
+def _real_times(t: np.ndarray, d: np.ndarray) -> np.ndarray:
+    """t @ d_i for each complex row d_i of d, t real: one small real
+    product per row, which BLAS runs on one thread."""
+    return np.matmul(t, d.view(float).reshape(*d.shape, 2)).view(
+        np.complex128)[..., 0]
+
+
+def _zero_diagonal(m: np.ndarray, h: np.ndarray) -> np.ndarray:
+    """_full_system's W where h M = [[0, D12], [D21, 0]], from the n x n
+    Schur complement (I - D12 S D21 S) W1 = D12 (e2 + S D21 e1) and
+    W2 = D21 (e1 + S W1)."""
+    d12 = h[:, None] * m[0, 1]
+    d21 = h[:, None] * m[1, 0]
+    rhs = np.stack((d12 * _real_times(S, d21), d12), axis=-1)
+    w1 = solve_blocks(lambda blk: _with_identity(
+        -d12[blk, :, None] * _real_times(_SDS, d21[blk]).reshape(
+            -1, PANEL_NODES, PANEL_NODES)), rhs)
+    sw = S @ w1
+    sw[:, :, 0] += 1.0
+    return np.stack((w1, d21[:, :, None] * sw), axis=1)
+
+
+def _rank_one(m: np.ndarray, h: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """_full_system's W where h M = c u v^T, with c = h M11, u = (1, -q),
+    v = (1, 1/q) and q = e^{2i(phi + Delta)}: W = u sigma^T, where
+    (I - diag(c) (S o (1 - q_j / q_l))) sigma = c v."""
+    c = h[:, None] * m[0, 0]
+    p = c / q
+    rhs = np.stack((c, p), axis=-1)
+    sigma = solve_blocks(lambda blk: _with_identity(
+        S * (p[blk, :, None] * q[blk, None, :] - c[blk, :, None])), rhs)
+    return np.stack((sigma, -q[:, :, None] * sigma), axis=1)
 
 
 def _panel_maps(g: GaugeTriple, r: RhoPair, breaks: np.ndarray,
@@ -350,28 +413,34 @@ def _panel_maps(g: GaugeTriple, r: RhoPair, breaks: np.ndarray,
     With W = h Y' at the panel's Lobatto points, Y = I + S W, so W = h M Y
     is the second-kind system (I - h M S) W = h M: one 2n x 2n system with
     two right-hand sides per panel (Greengard, SIAM J. Numer. Anal. 28
-    (1991) 1071).  The map is I + S[-1] W and the error estimate the
-    largest trailing Chebyshev coefficient of W.  Rounding is relative to
-    the map and to the generator's own rounding, which grows with the
-    phase phi + Delta that e^{-2i(phi+Delta)} is taken of.  Panel ends on
-    one of the breaks are sampled from inside the panel (_panels.nudged).
+    (1991) 1071).  Where the gauge leaves M one degree of freedom fewer,
+    the same W comes from an n x n system: where its diagonal vanishes
+    (g.diag_vanishes), from the Schur complement (_zero_diagonal), and
+    where rho1 and Delta' are 0 at every point, so that M = M11 u v^T is
+    rank one, from the system for its one scalar (_rank_one).  The map is
+    I + S[-1] W and the error estimate the largest trailing Chebyshev
+    coefficient of W.  Rounding is relative to the map and to the
+    generator's own rounding, which grows with the phase phi + Delta that
+    e^{-2i(phi+Delta)} is taken of.  Panel ends on one of the breaks are
+    sampled from inside the panel (_panels.nudged).
     """
     h = 0.5 * (b - a)
     x = nudged(points(a, h), a, b, breaks)
-    (g11, g12, g21), phase = _entries(g, r, x.ravel())
+    (g11, g12, g21), phase, r1, dprime = _entries(g, r, x.ravel())
     m = np.reshape((g11, g12, g21, -g11), (2, 2) + x.shape)
     if not np.isfinite(m).all():
         raise NonConvergence("the generator is not finite on the path")
-    # h M at the points, as blocks (panel, i, point, k).
-    hm = np.multiply(m.transpose(2, 0, 3, 1), h[:, None, None, None],
-                     order="C")
-    w = solve_blocks(lambda blk: _system(hm[blk]),
-                     hm.reshape(a.size, _SIZE, 2)).reshape(hm.shape)
+    phase = phase.reshape(x.shape)
+    if g.diag_vanishes:
+        w = _zero_diagonal(m, h)
+    elif not (np.any(r1) or np.any(dprime)):
+        w = _rank_one(m, h, np.exp(2j * phase))
+    else:
+        w = _full_system(m, h)
     read = _READ @ w
     maps = _IDENTITY2 + read[:, :, 0]
     err = np.abs(read[:, :, 1:]).max(axis=(1, 2, 3))
-    noise = 2.0 * np.abs(w).max(axis=(1, 2, 3)) \
-        * np.abs(phase).reshape(x.shape).max(axis=1)
+    noise = 2.0 * np.abs(w).max(axis=(1, 2, 3)) * np.abs(phase).max(axis=1)
     return err, np.maximum(np.abs(maps).max(axis=(1, 2)), noise), maps
 
 
@@ -383,9 +452,11 @@ def _refined_product(g: GaugeTriple, r: RhoPair, edges, junctions: list,
     One _panels.bisect refines the panels of all pieces (_panel_maps), and
     each piece's maps are multiplied in order (_kernels._tree_product)."""
     edges = np.asarray(edges, dtype=float)
-    # Start panels span at most one period, pi / max|phi'|, of e^{-2i phi}.
+    # Start panels span at most one period, pi / max|phi'|, of e^{-2i phi},
+    # and at most the path over PRODUCT_START_PANELS.
     starts = subdivide(edges[:-1], edges[1:],
-                       math.pi / max(g.phi_prime_scale, 1e-300))
+                       min(math.pi / max(g.phi_prime_scale, 1e-300),
+                           (edges[-1] - edges[0]) / PRODUCT_START_PANELS))
     breaks = np.asarray(r.breakpoints, dtype=float)
     a, _, _, maps = bisect(lambda p, q: _panel_maps(g, r, breaks, p, q),
                            *starts, edges[-1] - edges[0], tol)

@@ -9,12 +9,16 @@ import threading
 
 import pytest
 
+import szscatter.bounds as bounds_mod
 import szscatter.cli as cli_mod
 import szscatter.errors as errors_mod
 from szscatter.cli import (CSV_HEADER, ResultRow, emit_plot_data, main,
                            parse_config, run)
 from szscatter.errors import (NonConvergence, ParseError, SzScatterError,
                               ValidationError)
+from szscatter.gauges import gauge_constant
+from szscatter.oracle import direct_integrate
+from szscatter.potentials import EnergySpec, truncate_domain, wavenumber_field
 
 MINIMAL = """\
 [run]
@@ -329,6 +333,78 @@ def test_run_optimize_mode(tmp_path):
     assert float(cells[8]) > 0.9  # oracle_t
 
 
+GAUSSIAN_SWEEP = BARRIER_BOUNDS.replace(
+    "kind = square_barrier", "kind = gaussian").replace(
+    "width = 1.0", "sigma = 1.0").replace(
+    "values = 2.0", "values = 0.5 0.8 1.5 2.0 5.0").replace(
+    "names = constant", "names = constant wkb special_delta antiphase")
+
+
+def _csv_rows(path):
+    header, *lines = path.read_text().splitlines()
+    return [dict(zip(header.split(","), line.split(","))) for line in lines]
+
+
+def _energy_setup(config, energy):
+    e = EnergySpec(energy, hbar=config.hbar, mass=config.mass)
+    return e, truncate_domain(config.potential, e, config.tail_tol)
+
+
+@pytest.mark.parametrize("mode", ["bounds", "optimize"])
+def test_every_row_transmits_as_the_oracle(monkeypatch, tmp_path, mode):
+    # Every gauge a sweep builds, the optimizer's blends included, gives
+    # the oracle's T: a gauge that claims a zero diagonal it does not have
+    # would be solved as if it had one.
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    csv = tmp_path / f"{mode}.csv"
+    config = parse_config(GAUSSIAN_SWEEP.replace(
+        "mode = bounds", f"mode = {mode}").format(csv=csv))
+    assert run(config) == 0
+    rows = _csv_rows(csv)
+    assert len(rows) == (5 if mode == "optimize" else 3 * 5 + 3)
+    for row in rows:
+        e, grid = _energy_setup(config, float(row["energy"]))
+        oracle = direct_integrate(config.potential, e, grid, config.ode_tol)
+        assert abs(float(row["transmission"])
+                   - oracle.transmission) <= 1e-9, row["gauge_id"]
+
+
+def test_verify_integrates_theta_once_per_phi_prime(monkeypatch, tmp_path):
+    # theta does not see Delta, so constant, special_delta and antiphase
+    # share one J per energy, and wkb, admissible above the top V0 = 1,
+    # has its own.  Each J is the one bound_report gives for its gauge.
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    energies, integrated = [], []
+    real_rows, real_theta = cli_mod._rows_for_energy, bounds_mod.theta_integral
+
+    def rows(config, energy):
+        energies.append(energy)
+        return real_rows(config, energy)
+
+    def theta(*args):
+        integrated.append(energies[-1])
+        return real_theta(*args)
+
+    monkeypatch.setattr(cli_mod, "_rows_for_energy", rows)
+    monkeypatch.setattr(bounds_mod, "theta_integral", theta)
+    csv = tmp_path / "verify.csv"
+    config = parse_config(GAUSSIAN_SWEEP.replace(
+        "mode = bounds", "mode = verify").format(csv=csv))
+    assert run(config) == 0
+    assert integrated == [0.5, 0.8, 1.5, 1.5, 2.0, 2.0, 5.0, 5.0]
+    rows = _csv_rows(csv)
+    assert len(rows) == 3 * 5 + 3
+    for row in rows:
+        e, grid = _energy_setup(config, float(row["energy"]))
+        w = wavenumber_field(config.potential, e)
+        name = row["gauge_id"].split("[")[0].split("(")[0]
+        gauge = cli_mod._GAUGES[name](w, grid, gauge_constant(w.k_left))
+        report = bounds_mod.bound_report(config.potential, e, gauge,
+                                         config.quad_tol, grid)
+        assert float(row["theta_integral"]) == report.theta_integral
+        assert float(row["t_lower"]) == report.t_lower
+
+
 def test_run_writes_plot_data(tmp_path):
     csv = tmp_path / "rows.csv"
     plot = tmp_path / "rows.dat"
@@ -613,8 +689,8 @@ def test_every_error_survives_pickling():
     assert (made[2].field, str(made[2])) == ("energies", "energies")
 
 
-# Barrier(1, 1) at five energies: the first runs alone, then the parent
-# takes 0.8 and 3.0 and the helper 2.0 and 5.0.  wkb has a turning point
+# Barrier(1, 1) at five energies: the first runs alone, then the helper
+# takes 0.8 and 3.0 and the parent 2.0 and 5.0.  wkb has a turning point
 # below the barrier top, at 0.5 and 0.8.
 SPLIT_SWEEP = BARRIER_BOUNDS.replace(
     "values = 2.0", "values = 5.0 0.5 3.0 0.8 2.0").replace(
@@ -679,16 +755,16 @@ def test_split_sweep_matches_serial(monkeypatch, capsys, tmp_path, forks,
 
 
 @pytest.mark.parametrize("failures", [
-    {2.0: lambda: ValidationError("potential", "fails at 2")},
-    {3.0: lambda: NonConvergence("fails at 3")},
-    {2.0: lambda: NonConvergence("fails at 2"),
-     3.0: lambda: ValidationError("potential", "fails at 3")},
+    {3.0: lambda: ValidationError("potential", "fails at 3")},
+    {2.0: lambda: NonConvergence("fails at 2")},
     {0.8: lambda: NonConvergence("fails at 0.8"),
-     5.0: lambda: ValidationError("potential", "fails at 5")}],
+     2.0: lambda: ValidationError("potential", "fails at 2")},
+    {2.0: lambda: NonConvergence("fails at 2"),
+     3.0: lambda: ValidationError("potential", "fails at 3")}],
     ids=["helper", "parent", "helper-first", "parent-first"])
 def test_split_sweep_fails_as_a_serial_one(monkeypatch, capsys, tmp_path,
                                            forks, failures):
-    # The helper computes 2.0 and 5.0, the parent 0.8 and 3.0; whichever
+    # The helper computes 0.8 and 3.0, the parent 2.0 and 5.0; whichever
     # side fails, the first failure in energy order is reported.
     real = cli_mod._rows_for_energy
 
@@ -707,6 +783,37 @@ def test_split_sweep_fails_as_a_serial_one(monkeypatch, capsys, tmp_path,
     first = failures[min(failures)]()
     assert code == (2 if isinstance(first, ValidationError) else 3)
     assert err.endswith(f"{first}\n") and cells is None
+
+
+@pytest.mark.parametrize("count", [4, 16])
+def test_split_sweep_gives_each_process_half(monkeypatch, capsys, tmp_path,
+                                             forks, count):
+    # With the first energy, which the parent runs alone, the parent and
+    # the helper compute count / 2 energies each: the helper the
+    # even-indexed rest, the parent the first and the odd-indexed rest.
+    log = tmp_path / "pids.log"
+
+    def rows(config, energy):
+        with open(log, "a", encoding="utf-8") as fh:
+            fh.write(f"{energy!r} {os.getpid()}\n")
+        return [ResultRow(energy, "stub")], 0
+
+    monkeypatch.setattr(cli_mod, "_rows_for_energy", rows)
+    energies = [float(i) for i in range(1, count + 1)]
+    text = MINIMAL.replace("values = 1.0", "values = " + " ".join(
+        map(repr, reversed(energies))))
+    code, _, cells = _sweep(monkeypatch, capsys, tmp_path, text, 2)
+    assert forks == [1] and code == 0
+    assert [float(row[0]) for row in cells[1:]] == energies
+    pid = {float(e): int(p) for e, p in
+           (line.split() for line in log.read_text().splitlines())}
+    parent = os.getpid()
+    helper = {pid[e] for e in energies[1::2]}
+    assert helper != {parent} and len(helper) == 1
+    assert [e for e in energies if pid[e] == parent] == (
+        energies[:1] + energies[2::2])
+    assert len(pid) == count
+    assert sum(p == parent for p in pid.values()) == count // 2
 
 
 def test_split_sweep_survives_a_dead_helper(monkeypatch, capsys, tmp_path,

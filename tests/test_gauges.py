@@ -13,7 +13,8 @@ from szscatter.bounds import phi_prime_family
 from szscatter.errors import TurningPoint
 from szscatter.gauges import (gauge_antiphase, gauge_constant,
                               gauge_from_tables, gauge_special_delta,
-                              gauge_wkb, rho_pair, with_constant_chi)
+                              gauge_wkb, rho_pair, with_constant_chi,
+                              with_tabulated_chi)
 from szscatter.potentials import (EnergySpec, gaussian, poschl_teller,
                                   square_barrier, tabulated, truncate_domain,
                                   wavenumber_field, window_edges)
@@ -215,6 +216,16 @@ def test_derived_gauges_set_structural_flags():
     chi = with_constant_chi(special, 0.3)
     assert not chi.diag_vanishes and not chi.delta_is_zero
     assert chi.label == special.label + "+chi(0.3)"
+    # wkb's rho2 = k^2 - phi'^2 vanishes too, but not in the family's
+    # blends with s < 1, nor once chi is set.
+    wkb = gauge_wkb(w, grid)
+    assert wkb.diag_vanishes
+    build = phi_prime_family(p, e, grid).builder
+    assert [build(s).diag_vanishes for s in (0.0, 0.25, 0.75, 1.0)] == [
+        False, False, False, True]
+    assert not with_constant_chi(wkb, 0.3).diag_vanishes
+    assert not with_tabulated_chi(wkb, [-1.0, 0.0, 1.0],
+                                  [0.0, 0.1, 0.0]).diag_vanishes
 
 
 def test_antiphase_free_generator():

@@ -10,7 +10,8 @@ import pytest
 
 from szscatter import _panels, _tables, sz_core
 from szscatter._kernels import ordered_product
-from szscatter.errors import GaugeDegenerate, NonConvergence
+from szscatter.bounds import theta_field, theta_integral
+from szscatter.errors import GaugeDegenerate, NonConvergence, TurningPoint
 from szscatter.gauges import (GaugeTriple, constant_field, gauge_antiphase,
                               gauge_constant, gauge_special_delta, gauge_wkb,
                               rho_pair, with_constant_chi)
@@ -254,6 +255,85 @@ def test_panel_product_matches_fine_magnus_product(suite, case_name,
         assert np.max(np.abs(got - np.reshape(ref, (2, 2)))) < 1e-12
 
 
+@pytest.mark.parametrize("tol", [1e-9, 1e-12])
+@pytest.mark.parametrize("potential", [
+    gaussian(1.0, 1.0), poschl_teller(2), square_barrier(1.0, 1.0),
+    square_barrier(1.0e3, 1.0)], ids=["gauss", "pt2", "barrier", "tall"])
+@pytest.mark.parametrize("gauge_name,reduced", [
+    ("constant", "_rank_one"), ("special_delta", "_zero_diagonal"),
+    ("wkb", "_zero_diagonal")])
+def test_reduced_panel_systems_match_the_full_system(monkeypatch, potential,
+                                                     gauge_name, reduced,
+                                                     tol):
+    # The n x n systems give the W of the 2n x 2n one: on the panels the
+    # refinement kept, the maps agree to rounding.  A 2 x 2 map of det 1
+    # has condition number |Y|^2, so the two systems' rounding moves it by
+    # up to about eps |Y|^2.  Over the tall barrier |Y| reaches 3e4 and
+    # the maps differ by up to 1.8e-7 (6e-12 relative); elsewhere by at
+    # most 7e-16 relative.
+    e = EnergySpec(2.0)
+    grid = truncate_domain(potential, e)
+    w = wavenumber_field(potential, e)
+    g = gauge_constant(w.k_left)
+    if gauge_name == "special_delta":
+        g = gauge_special_delta(g, w, grid)
+    elif gauge_name == "wkb":
+        try:
+            g = gauge_wkb(w, grid)
+        except TurningPoint:
+            pytest.skip("k^2 < 0 inside the tall barrier")
+    r = rho_pair(g, w)
+    calls = []
+    full = sz_core._full_system
+    monkeypatch.setattr(sz_core, "_full_system",
+                        lambda *args: calls.append(1) or full(*args))
+    kept = []
+    real = sz_core.bisect
+    monkeypatch.setattr(sz_core, "bisect",
+                        lambda *args: kept.append(real(*args)) or kept[-1])
+    transfer_matrix(g, r, grid.x_min, grid.x_max, tol=tol, grid=grid)
+    assert calls == []
+    a, b, _, maps = kept[0]
+    monkeypatch.setattr(sz_core, reduced, lambda m, h, *_: full(m, h))
+    _, _, ref = sz_core._panel_maps(g, r, np.asarray(r.breakpoints), a, b)
+    size = np.maximum(np.abs(ref).max(axis=(1, 2)), 1.0)
+    assert np.all(np.abs(maps - ref).max(axis=(1, 2)) <= 1e-13 * size ** 2)
+
+
+@pytest.mark.parametrize("energy", [0.2, 2.0, 8.0])
+def test_start_meshes_need_at_most_one_refinement(monkeypatch, energy):
+    # On the Gaussian of the benchmark's verify sweep, the gauge
+    # antiderivatives, the products and the theta integrals start on
+    # panels fine enough that bisect solves each at most twice: a
+    # bisection level costs far more than a panel.
+    levels = []
+    real = _panels.bisect
+
+    def counted(solve, *args):
+        calls = []
+        try:
+            return real(lambda a, b: calls.append(1) or solve(a, b), *args)
+        finally:
+            levels.append(len(calls))
+
+    monkeypatch.setattr(_panels, "bisect", counted)
+    monkeypatch.setattr(sz_core, "bisect", counted)
+    p = gaussian(1.0, 1.0)
+    e = EnergySpec(energy)
+    grid = truncate_domain(p, e)
+    w = wavenumber_field(p, e)
+    base = gauge_constant(w.k_left)
+    gauges = [base, gauge_special_delta(base, w, grid)]
+    if energy > 1.0:
+        gauges.append(gauge_wkb(w, grid))
+    for g in gauges:
+        transfer_matrix(g, rho_pair(g, w), grid.x_min, grid.x_max,
+                        tol=1e-12, grid=grid)
+        theta_integral(theta_field(g, w), grid, 1e-10)
+    assert len(levels) == 3 * len(gauges) - 1
+    assert max(levels) <= 2, levels
+
+
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
 @pytest.mark.parametrize("where", [lambda x: x > 0.0,
@@ -271,8 +351,8 @@ def test_refined_product_rejects_non_finite_generator(monkeypatch, bad,
     real = sz_core._entries
 
     def spoilt(u, v, x):
-        entries, phase = real(u, v, x)
-        return tuple(np.where(where(x), bad, m) for m in entries), phase
+        entries, *rest = real(u, v, x)
+        return (tuple(np.where(where(x), bad, m) for m in entries), *rest)
 
     monkeypatch.setattr(sz_core, "_entries", spoilt)
     try:
