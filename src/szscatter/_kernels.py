@@ -116,8 +116,8 @@ def rk45_coeffs(gen, u, v, x_start, stops, a0, b0, tol, hmax, hmin, inv0):
     to it, and h, not the clipped step, is what the controller rescales
     after a block that kept every step.  The propagators are applied in
     order, every step is tested at once on the usual RMS error test, and
-    the block is kept up to its first failing step.  Integrates from x_start through every stop in
-    order (the final stop is the endpoint).
+    the block is kept up to its first failing step.  Integrates from
+    x_start through every stop in order (the final stop is the endpoint).
     Returns (a, b, drift, n_accepted, n_rejected): a and b are lists of
     the state at each stop, and drift is the largest observed deviation of
     |a|^2 - |b|^2 from inv0 at accepted steps.  Raises StepUnderflow when

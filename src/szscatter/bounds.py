@@ -221,8 +221,6 @@ def phi_prime_family(p: PotentialProfile, e: EnergySpec,
                 lambda xv: s * wkb.phi_double_prime(xv)),
             label=f"family(s={s:.6g})",
             phi_prime_scale=(1.0 - s) * k_ref + s * wkb.phi_prime_scale,
-            # rho2 = k^2 - phi'^2 vanishes only where phi' = k.
-            diag_vanishes=s == 1.0,
         )
 
     return GaugeFamily(name="phi_prime_interpolation", builder=build)

@@ -27,8 +27,9 @@ import numpy as np
 from . import bounds as bounds_mod
 from . import oracle as oracle_mod
 from . import potentials as pot_mod
-from .errors import (ParseError, SzScatterError, TurningPoint,
-                     GaugeDegenerate, ValidationError)
+from .errors import (AsymptoticallyClosedChannel, ParseError,
+                     SzScatterError, TurningPoint, GaugeDegenerate,
+                     ValidationError)
 from .gauges import gauge_antiphase, gauge_constant, gauge_special_delta, gauge_wkb
 from .potentials import EnergySpec, truncate_domain, wavenumber_field
 from .sz_core import scattering_amplitudes
@@ -264,6 +265,11 @@ def parse_config(text: str) -> RunConfig:
     if "energies" not in data:
         raise ValidationError("energies", "missing section")
     energies = _build_energies(data["energies"])
+    for en in energies:
+        try:
+            wavenumber_field(potential, EnergySpec(en, hbar=hbar, mass=mass))
+        except AsymptoticallyClosedChannel as exc:
+            raise ValidationError("energies", f"E = {en:g}: {exc}") from exc
 
     names = tuple(data.get("gauges", {}).get("names", "constant").split())
     for name in names:

@@ -43,12 +43,9 @@ def constant_field(value):
 class GaugeTriple:
     """The three auxiliary functions with the derivatives the system needs.
 
-    All seven function attributes accept scalars or arrays.  Flags record
-    structural facts the numerics exploit: delta_is_zero marks presets
-    eligible as a base for the diagonal-killing construction,
-    diag_vanishes marks gauges whose generator diagonal is identically
-    zero, and phi_prime_jumps marks gauges whose phi' is discontinuous
-    (their phi'' is distributional, so bound integrals reject them).
+    All seven function attributes accept scalars or arrays.
+    phi_prime_jumps marks gauges whose phi' is discontinuous (their phi''
+    is distributional, so bound integrals reject them).
     """
 
     phi: object = field(repr=False)
@@ -63,8 +60,6 @@ class GaugeTriple:
     breakpoints: tuple = ()
     phi_prime_scale: float = 1.0
     phi_prime_jumps: bool = False
-    delta_is_zero: bool = False
-    diag_vanishes: bool = False
     grid: DomainGrid = None
 
 
@@ -108,7 +103,6 @@ def gauge_constant(k_ref: float) -> GaugeTriple:
         chi_prime=constant_field(0.0),
         label=f"constant(k={k_ref:.6g})",
         phi_prime_scale=k_ref,
-        delta_is_zero=True,
     )
 
 
@@ -138,18 +132,17 @@ def gauge_wkb(w: WaveNumberField, grid: DomainGrid) -> GaugeTriple:
         breakpoints=inside,
         phi_prime_scale=scale,
         phi_prime_jumps=any(k_jump(b) > 1e-9 for b in inside),
-        diag_vanishes=True,
         grid=grid,
     )
 
 
 def gauge_special_delta(base: GaugeTriple, w: WaveNumberField,
                         grid: DomainGrid) -> GaugeTriple:
-    """Diagonal-killing choice Delta' = rho2 / (2 phi') on top of a base
-    gauge with Delta = 0.  The evolution generator built from the result
-    has an identically zero diagonal."""
-    if not base.delta_is_zero:
-        raise ValueError("base gauge must have Delta identically zero")
+    """Diagonal-killing choice Delta' = rho2 / (2 phi'), which replaces
+    the base's Delta (rho2 does not depend on Delta).  The evolution
+    generator built from the result has an identically zero diagonal:
+    sz_core._entries writes it as rho2 / (2 phi') - Delta', the same
+    quotient of the same samples."""
     r = rho_pair(base, w)
     edges = window_edges(grid.x_min, grid.x_max, r.breakpoints)
 
@@ -169,8 +162,6 @@ def gauge_special_delta(base: GaugeTriple, w: WaveNumberField,
         delta_prime=scalarize(raw_dprime, cast),
         label=f"special_delta[{base.label}]",
         breakpoints=r.breakpoints,
-        delta_is_zero=False,
-        diag_vanishes=True,
         grid=grid,
     )
 
@@ -185,8 +176,6 @@ def gauge_antiphase(base: GaugeTriple) -> GaugeTriple:
         delta_prime=scalarize(lambda xv: -np.asarray(base.phi_prime(xv)),
                               cast),
         label=f"antiphase[{base.label}]",
-        delta_is_zero=False,
-        diag_vanishes=False,
     )
 
 
@@ -198,7 +187,6 @@ def with_constant_chi(base: GaugeTriple, chi: float) -> GaugeTriple:
         chi_prime=constant_field(0.0),
         is_real=base.is_real and complex(chi).imag == 0.0,
         label=base.label + f"+chi({chi:.6g})",
-        diag_vanishes=False,
     )
 
 
@@ -208,7 +196,7 @@ def with_tabulated_chi(base: GaugeTriple, positions, values) -> GaugeTriple:
     potentials."""
     chi, chi_p = pchip_field(positions, values)
     return replace(base, chi=chi, chi_prime=chi_p,
-                   label=base.label + "+chi(table)", diag_vanishes=False)
+                   label=base.label + "+chi(table)")
 
 
 def gauge_from_tables(phi_table, delta_table=None, chi_table=None,
@@ -221,10 +209,8 @@ def gauge_from_tables(phi_table, delta_table=None, chi_table=None,
     phi, phi_p, phi_pp = pchip_field(*phi_table, order=2)
     if delta_table is not None:
         delta, delta_p = pchip_field(*delta_table)
-        delta_zero = bool(np.all(np.asarray(delta_table[1]) == 0.0))
     else:
         delta, delta_p = constant_field(0.0), constant_field(0.0)
-        delta_zero = True
     if chi_table is not None:
         chi, chi_p = pchip_field(*chi_table)
     else:
@@ -242,7 +228,6 @@ def gauge_from_tables(phi_table, delta_table=None, chi_table=None,
         is_real=True,
         label=label,
         phi_prime_scale=scale,
-        delta_is_zero=delta_zero,
     )
 
 

@@ -150,6 +150,8 @@ def pchip_field(positions, values, order: int = 1) -> tuple:
         raise ValueError("table entries must be finite")
     if not np.all(np.diff(xs) > 0):
         raise ValueError("table positions must be strictly increasing")
+    if order not in range(4):
+        raise ValueError("order must be 0, 1, 2 or 3")
     h = np.diff(xs)
     m = np.diff(ys) / h
     d = np.full(xs.size, m[0])

@@ -9,12 +9,13 @@ its panels' Lobatto points, the Runge-Kutta route at its stage positions.
 Neither builds a table.  On each panel the product solves for Y' = M Y
 at the Lobatto points as one second-kind system (Greengard, SIAM J.
 Numer. Anal. 28 (1991) 1071): 2n x 2n for n points, or n x n where the
-gauge removes a degree of freedom (a vanishing diagonal, or rho1 and
-Delta' both 0, which makes the generator rank one).  Each panel gives
-its map and an error estimate from its trailing Chebyshev coefficients;
-one _panels.bisect (the loop the oracle, the bound integral and the
-gauge antiderivatives share) refines the panels of the whole path, the
-maps are multiplied in order, and a backward path is the inverse of the
+generator's own samples on a batch of panels show one degree of freedom
+fewer (a diagonal that vanishes to rounding, or rho1 and Delta' both 0,
+which makes the generator rank one).  Each panel gives its map and an
+error estimate from its trailing Chebyshev coefficients; one
+_panels.bisect (the loop the oracle, the bound integral and the gauge
+antiderivatives share) refines the panels of the whole path, the maps
+are multiplied in order, and a backward path is the inverse of the
 forward one.
 scattering_amplitudes goes through the product and, in every gauge,
 reads the amplitudes off (psi, psi') with the plane-wave matcher the
@@ -34,8 +35,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._kernels import _tree_product, rk45_coeffs
-from ._panels import (EDGE_NUDGE, PANEL_NODES, S, TAIL, bisect, nudged,
-                      points, solve_blocks, subdivide)
+from ._panels import (EDGE_NUDGE, PANEL_NODES, ROUNDING_FLOOR, S, TAIL,
+                      bisect, nudged, points, solve_blocks, subdivide)
 from ._tables import segment_plan
 from .errors import GaugeDegenerate, NonConvergence
 from .gauges import DEGENERACY_RTOL, GaugeTriple, RhoPair, rho_pair
@@ -121,21 +122,17 @@ def _check_phi_prime(g: GaugeTriple, value: complex) -> complex:
 
 
 def _entries(g: GaugeTriple, r: RhoPair, x: np.ndarray) -> tuple:
-    """_generator's entries, the phase phi + Delta, and the rho1 and Delta'
-    they were built from (Delta' is None where g.diag_vanishes)."""
+    """_generator's entries, the phase phi + Delta, and the phi', rho1 and
+    Delta' they were built from.  The diagonal i (rho2 / (2 phi') - Delta')
+    is exactly 0 in gauge_special_delta, whose Delta' is that quotient."""
     ppr, r1, r2 = r.fields(x)
     _check_phi_prime(g, np.min(np.abs(ppr)))
-    if g.diag_vanishes:
-        dia = 0.0
-        dprime = None
-    else:
-        dprime = np.asarray(g.delta_prime(x))
-        dia = r2 - 2.0 * ppr * dprime
+    dprime = np.asarray(g.delta_prime(x))
     phase = np.asarray(g.phi(x)) + np.asarray(g.delta(x))
     em = np.exp(-2j * phase)
     inv2 = 0.5 / ppr
-    return (1j * dia * inv2, (r1 + 1j * r2) * em * inv2,
-            (r1 - 1j * r2) / em * inv2), phase, r1, dprime
+    return (1j * (r2 / (2.0 * ppr) - dprime), (r1 + 1j * r2) * em * inv2,
+            (r1 - 1j * r2) / em * inv2), phase, ppr, r1, dprime
 
 
 def _generator(g: GaugeTriple, r: RhoPair, x: np.ndarray) -> tuple:
@@ -414,10 +411,12 @@ def _panel_maps(g: GaugeTriple, r: RhoPair, breaks: np.ndarray,
     is the second-kind system (I - h M S) W = h M: one 2n x 2n system with
     two right-hand sides per panel (Greengard, SIAM J. Numer. Anal. 28
     (1991) 1071).  Where the gauge leaves M one degree of freedom fewer,
-    the same W comes from an n x n system: where its diagonal vanishes
-    (g.diag_vanishes), from the Schur complement (_zero_diagonal), and
-    where rho1 and Delta' are 0 at every point, so that M = M11 u v^T is
-    rank one, from the system for its one scalar (_rank_one).  The map is
+    the same W comes from an n x n system, chosen from the batch's own
+    samples: where M's diagonal is at every point no more than
+    _panels.ROUNDING_FLOOR (|phi'| + |Delta'|), the rounding of its two
+    terms, from the Schur complement (_zero_diagonal), and otherwise where
+    rho1 and Delta' are 0 at every point, so that M = M11 u v^T is rank
+    one, from the system for its one scalar (_rank_one).  The map is
     I + S[-1] W and the error estimate the largest trailing Chebyshev
     coefficient of W.  Rounding is relative to the map and to the
     generator's own rounding, which grows with the phase phi + Delta that
@@ -426,12 +425,12 @@ def _panel_maps(g: GaugeTriple, r: RhoPair, breaks: np.ndarray,
     """
     h = 0.5 * (b - a)
     x = nudged(points(a, h), a, b, breaks)
-    (g11, g12, g21), phase, r1, dprime = _entries(g, r, x.ravel())
+    (g11, g12, g21), phase, ppr, r1, dprime = _entries(g, r, x.ravel())
     m = np.reshape((g11, g12, g21, -g11), (2, 2) + x.shape)
     if not np.isfinite(m).all():
         raise NonConvergence("the generator is not finite on the path")
     phase = phase.reshape(x.shape)
-    if g.diag_vanishes:
+    if np.all(np.abs(g11) <= ROUNDING_FLOOR * (np.abs(ppr) + np.abs(dprime))):
         w = _zero_diagonal(m, h)
     elif not (np.any(r1) or np.any(dprime)):
         w = _rank_one(m, h, np.exp(2j * phase))

@@ -543,6 +543,24 @@ def test_out_of_range_potential_parameter_is_a_configuration_error(
     assert not csv.exists()
 
 
+@pytest.mark.parametrize("values", ["-0.5 1.0", "1.0 2.0 0.0"],
+                         ids=["negative-first", "zero-last"])
+def test_energy_at_or_below_an_asymptote_is_a_configuration_error(
+        tmp_path, values):
+    # A closed asymptotic channel is found while parsing, before any energy
+    # runs, wherever the energy sits in the list.
+    csv = tmp_path / "out.csv"
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("[run]\nmode = scatter\n[potential]\nkind = gaussian\n"
+                   f"v0 = 1.0\nsigma = 1.0\n[energies]\nvalues = {values}\n"
+                   f"[outputs]\ncsv_path = {csv}\n")
+    with pytest.raises(ValidationError) as err:
+        parse_config(cfg.read_text())
+    assert err.value.field == "energies"
+    assert main(["--config", str(cfg)]) == 2
+    assert not csv.exists()
+
+
 def test_csv_path_in_missing_directory_exits_before_the_sweep(
         monkeypatch, tmp_path):
     import szscatter.cli as cli_mod

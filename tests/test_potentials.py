@@ -201,6 +201,13 @@ def test_pchip_requires_finite_tables(xs, ys):
         pchip_field(xs, ys)
 
 
+@pytest.mark.parametrize("order", [-1, 4])
+def test_pchip_rejects_orders_outside_zero_to_three(order):
+    with pytest.raises(ValueError, match="order"):
+        pchip_field([-1.0, 0.0, 1.0], [0.0, 1.0, 0.0], order=order)
+    assert len(pchip_field([-1.0, 0.0, 1.0], [0.0, 1.0, 0.0], order=3)) == 4
+
+
 def test_tabulated_from_file(tmp_path):
     path = tmp_path / "table.dat"
     path.write_text("# position  value\n-1.0 0.0\n0.0 0.5  # peak\n1.0 0.0\n")
