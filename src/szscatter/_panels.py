@@ -10,7 +10,8 @@ h S and h^2 S^2 are the spectral integration operators of Greengard
 rule on the panel (Clenshaw & Curtis, Numer. Math. 2 (1960) 197).
 TO_COEF maps values at the points to Chebyshev coefficients, and TAIL,
 its last N_TAIL rows, gives the trailing coefficients whose size is the
-panel's error estimate.
+panel's error estimate.  Both are built from T_k(t) = cos(k arccos t) and
+the recurrence for int T_k, so that numpy.polynomial is never imported.
 
 The oracle (psi'' = -k^2 psi), the path-ordered exponential (Y' = M Y,
 sz_core), the bound integral (theta) and the gauge antiderivatives
@@ -31,11 +32,15 @@ size for the product); it bisects the others and solves them again
 together, and raises NonConvergence past MAX_PANELS panels or when a
 half would be no wider than EDGE_NUDGE max(1, |x|).  evaluate() reads
 the oracle's wavefunction and the antiderivatives back from the panels'
-Chebyshev coefficients.
+Chebyshev coefficients.  The paths that most calls take are cut short
+without changing a float: subdivide() cuts a single window with one
+linspace, and evaluate() runs a scalar position's Clenshaw recurrence in
+Python floats.
 """
 
+import math
+
 import numpy as np
-from numpy.polynomial.chebyshev import chebint, chebvander
 
 from .errors import NonConvergence
 
@@ -68,12 +73,24 @@ ANTIDERIVATIVE_START_PANELS = 8
 def _chebyshev_operators(n: int) -> tuple:
     """Lobatto points on [-1, 1] in ascending order, the integration
     matrix S (values at the points -> values of the integral from -1 of
-    their interpolant) and the values -> Chebyshev coefficients map."""
-    t = -np.cos(np.pi * np.arange(n) / (n - 1))
-    to_coef = np.linalg.inv(chebvander(t, n - 1))
-    integ = chebint(np.eye(n), lbnd=-1.0, axis=0)
-    s = chebvander(t, n) @ integ @ to_coef
-    return t, s, to_coef
+    their interpolant) and the values -> Chebyshev coefficients map.
+
+    The points t_j = -cos(pi j / (n - 1)) give T_k(t_j) = (-1)^k
+    cos(pi k j / (n - 1)), and int T_k = T_{k+1} / (2 (k + 1)) - T_{k-1} /
+    (2 (k - 1)) (T_1 for k = 0, T_2 / 4 for k = 1), made 0 at -1 by its
+    T_0 coefficient, since T_m(-1) = (-1)^m."""
+    j = np.arange(n)
+    k = np.arange(n + 1)
+    sign = np.where(k % 2, -1.0, 1.0)
+    t = -np.cos(np.pi * j / (n - 1))
+    vander = sign * np.cos(np.pi * np.outer(j, k) / (n - 1))
+    to_coef = np.linalg.inv(vander[:, :n])
+    integ = np.zeros((n + 1, n))
+    integ[1, 0] = 1.0
+    integ[k[2:], k[1:-1]] = 0.5 / k[2:]
+    integ[k[1:-2], k[2:-1]] -= 0.5 / k[1:-2]
+    integ[0] = -sign @ integ
+    return t, vander @ integ @ to_coef, to_coef
 
 
 NODES, S, TO_COEF = _chebyshev_operators(PANEL_NODES)
@@ -108,6 +125,13 @@ def _too_many(n: int) -> None:
 
 def subdivide(lo: np.ndarray, hi: np.ndarray, width: float) -> tuple:
     """Cut each [lo_i, hi_i] into equal panels no wider than width."""
+    if lo.size == 1:
+        # linspace's points are lo + j (hi - lo) / n and hi, the floats
+        # of the general cut below.
+        n = max(1, math.ceil((hi[0] - lo[0]) / width))
+        _too_many(n)
+        x = np.linspace(lo[0], hi[0], n + 1)
+        return x[:-1], x[1:]
     n = np.ceil((hi - lo) / width).astype(int).clip(1)
     _too_many(int(n.sum()))
     seg = np.repeat(np.arange(lo.size), n)
@@ -170,6 +194,19 @@ def evaluate(a: np.ndarray, h: np.ndarray, coef: np.ndarray, x):
     """The interpolants of the panels [a_i, a_i + 2 h_i], given by their
     Chebyshev coefficients coef[i], at the positions x (a position on a
     panel end belongs to the panel before; the end panels extrapolate)."""
+    if np.ndim(x) == 0:
+        # One position in Python floats: the operations of the array
+        # recurrence below, in the same order, without the cost of
+        # numpy's 0-d arithmetic.
+        x = float(x)
+        i = min(max(int(np.searchsorted(a, x)) - 1, 0), a.size - 1)
+        t = (x - float(a[i])) / float(h[i]) - 1.0
+        t2 = 2.0 * t
+        first, *rest = coef[i].tolist()
+        b1 = b2 = 0.0
+        for c in reversed(rest):
+            b1, b2 = c + t2 * b1 - b2, b1
+        return first + t * b1 - b2
     i = np.clip(np.searchsorted(a, x, side="left") - 1, 0, a.size - 1)
     t = (x - a[i]) / h[i] - 1.0
     # Clenshaw's recurrence, reading one contiguous row of coefficients

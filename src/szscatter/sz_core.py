@@ -15,11 +15,15 @@ which makes the generator rank one).  Each panel gives its map and an
 error estimate from its trailing Chebyshev coefficients; one
 _panels.bisect (the loop the oracle, the bound integral and the gauge
 antiderivatives share) refines the panels of the whole path, the maps
-are multiplied in order, and a backward path is the inverse of the
-forward one.
+are multiplied in order (in one tree where the path has no junction),
+and a backward path is the adjugate of the forward one, since every
+panel map and junction has determinant 1.
 scattering_amplitudes goes through the product and, in every gauge,
 reads the amplitudes off (psi, psi') with the plane-wave matcher the
-oracle also uses (_plane_wave_pair).
+oracle also uses (_plane_wave_pair).  The representation matrix
+(a, b) -> (psi, psi') has determinant exactly -2i, so it is inverted in
+closed form, and a path's two end states are carried in Python complex
+arithmetic.
 
 Discontinuities in the potential or gauge split the domain into smooth
 segments.  Panels and steps never straddle a split; where the gauge
@@ -62,14 +66,17 @@ class CoefficientState:
 
 @dataclass(frozen=True)
 class TransferMatrix:
-    """2x2 propagator E(x_to, x_from) acting on coefficient columns, and
-    its exact determinant det (ad - bc of the entries cancels once |E| is
-    large)."""
+    """2x2 propagator E(x_to, x_from) acting on coefficient columns."""
 
     entries: np.ndarray
     x_from: float
     x_to: float
-    det: complex
+
+    @property
+    def det(self) -> complex:
+        """Exactly 1, since every panel map and junction has det 1 (ad - bc
+        of the entries cancels once |E| is large)."""
+        return 1.0 + 0j
 
     def apply(self, state: CoefficientState) -> CoefficientState:
         vec = self.entries @ np.array([state.a, state.b])
@@ -156,17 +163,16 @@ def rhs_matrix(g: GaugeTriple, r: RhoPair, x: float) -> np.ndarray:
 
 def reconstruct_psi(g: GaugeTriple, s: CoefficientState) -> WavefunctionSample:
     """Exact wavefunction and derivative from the coefficient pair."""
-    psi, psi_prime = _rep_matrix(g, s.x, 0) @ np.array([s.a, s.b])
-    return WavefunctionSample(s.x, complex(psi), complex(psi_prime))
+    psi = _times(_rep_matrix(g, s.x, 0), s.a, s.b)
+    return WavefunctionSample(s.x, *map(complex, psi))
 
 
 def project_wavefunction(g: GaugeTriple, x: float, psi: complex,
                          psi_prime: complex) -> CoefficientState:
     """Inverse of reconstruct_psi: the coefficient pair representing a
     given (psi, psi') at x in this gauge."""
-    rep = _rep_matrix(g, x, 0)
-    vec = np.linalg.solve(rep, np.array([psi, psi_prime]))
-    return CoefficientState(x, complex(vec[0]), complex(vec[1]))
+    ab = _rep_solve(_rep_matrix(g, x, 0), psi, psi_prime)
+    return CoefficientState(x, *map(complex, ab))
 
 
 def probability_current(g: GaugeTriple, s: CoefficientState) -> float:
@@ -197,9 +203,11 @@ def probability_current(g: GaugeTriple, s: CoefficientState) -> float:
 # Smooth segments and junction projections.
 
 
-def _rep_matrix(g: GaugeTriple, x: float, side: int) -> np.ndarray:
-    """Map (a, b) -> (psi, psi') at x, sampled from the given side
-    (side -1/+1 nudges inward across a jump; 0 samples exactly at x)."""
+def _rep_matrix(g: GaugeTriple, x: float, side: int) -> tuple:
+    """Map (a, b) -> (psi, psi') at x, as rows of complex numbers, sampled
+    from the given side (side -1/+1 nudges inward across a jump; 0 samples
+    exactly at x).  Its determinant is exactly -2i, since
+    e^{i theta} e^{-i theta} = 1 and sqrt(phi')^2 = phi'."""
     xe = x + side * EDGE_NUDGE * max(1.0, abs(x))
     w = _check_phi_prime(g, complex(g.phi_prime(xe)))
     phase = complex(g.phi(xe)) + complex(g.delta(xe))
@@ -207,19 +215,37 @@ def _rep_matrix(g: GaugeTriple, x: float, side: int) -> np.ndarray:
     root = cmath.sqrt(w)
     ep = cmath.exp(1j * phase)
     em = 1.0 / ep
-    return np.array(
-        [[ep / root, em / root],
-         [(1j * w + chi) * ep / root, (-1j * w + chi) * em / root]],
-        dtype=np.complex128,
-    )
+    return ((ep / root, em / root),
+            ((1j * w + chi) * ep / root, (-1j * w + chi) * em / root))
+
+
+def _times(rep: tuple, a: complex, b: complex) -> tuple:
+    """rep @ (a, b) for a 2x2 matrix given as rows."""
+    (r11, r12), (r21, r22) = rep
+    return r11 * a + r12 * b, r21 * a + r22 * b
+
+
+def _rep_solve(rep: tuple, psi: complex, psi_prime: complex) -> tuple:
+    """rep^-1 @ (psi, psi') for a representation matrix: its adjugate over
+    its determinant -2i."""
+    (r11, r12), (r21, r22) = rep
+    return (0.5j * (r22 * psi - r12 * psi_prime),
+            0.5j * (r11 * psi_prime - r21 * psi))
+
+
+def _adjugate(m: np.ndarray) -> np.ndarray:
+    """The inverse of a 2x2 matrix of det 1."""
+    return np.array([[m[1, 1], -m[0, 1]], [-m[1, 0], m[0, 0]]])
 
 
 def _junction(g: GaugeTriple, x: float) -> np.ndarray:
     """Projection keeping (psi, psi') continuous across a representation
-    jump: state_right = P @ state_left."""
-    left = _rep_matrix(g, x, -1)
+    jump: state_right = P @ state_left, with det P = 1, since both
+    representation matrices have det -2i."""
+    (l11, l12), (l21, l22) = _rep_matrix(g, x, -1)
     right = _rep_matrix(g, x, +1)
-    proj = np.linalg.solve(right, left)
+    proj = np.array([_rep_solve(right, l11, l21),
+                     _rep_solve(right, l12, l22)]).T
     if np.max(np.abs(proj - _IDENTITY2)) < 1e-12:
         return _IDENTITY2
     return proj
@@ -308,7 +334,7 @@ def evolve_path(g: GaugeTriple, r: RhoPair, s0: CoefficientState,
     for j, x, seg_stops, n_taken in segment_plan(edges, s0.x, pts):
         if prev is not None:
             proj = junctions[min(prev, j)]
-            y = proj @ [a, b] if j > prev else np.linalg.solve(proj, [a, b])
+            y = (proj if j > prev else _adjugate(proj)) @ [a, b]
             a, b = complex(y[0]), complex(y[1])
         seg_a, seg_b, d, na, nr = rk45_coeffs(
             _generator, g, r, x, seg_stops, a, b, tol, max_step, hmin, inv0)
@@ -459,10 +485,12 @@ def _refined_product(g: GaugeTriple, r: RhoPair, edges, junctions: list,
     breaks = np.asarray(r.breakpoints, dtype=float)
     a, _, _, maps = bisect(lambda p, q: _panel_maps(g, r, breaks, p, q),
                            *starts, edges[-1] - edges[0], tol)
-    e = _IDENTITY2
-    for proj, part in zip([_IDENTITY2, *junctions],
-                          np.split(maps, np.searchsorted(a, edges[1:-1]))):
-        e = _tree_product(np.moveaxis(part, 0, -1)) @ (proj @ e)
+    # A path without junctions is one piece.
+    parts = (np.split(maps, np.searchsorted(a, edges[1:-1])) if junctions
+             else [maps])
+    e = _tree_product(parts[0].transpose(1, 2, 0))
+    for proj, part in zip(junctions, parts[1:]):
+        e = _tree_product(part.transpose(1, 2, 0)) @ (proj @ e)
     return e
 
 
@@ -479,23 +507,18 @@ def transfer_matrix(g: GaugeTriple, r: RhoPair, x_from: float, x_to: float,
     error estimate is below its share of tol, in proportion to its width,
     or below its rounding floor.  The maps are multiplied in order, later
     positions on the left, and the junction projections join the smooth
-    pieces.  A backward path is the inverse of the forward one.  Raises
-    NonConvergence past _panels.MAX_PANELS panels or where the generator
-    is not finite.  No Runge-Kutta step is taken and no table is built,
+    pieces.  A backward path is the adjugate of the forward one, since
+    every panel map and junction has det 1.  Raises NonConvergence past
+    _panels.MAX_PANELS panels or where the generator is not finite.  No Runge-Kutta step is taken and no table is built,
     so the result is an independent check on evolve.
     """
     if x_from == x_to:
-        return TransferMatrix(_IDENTITY2.copy(), x_from, x_to, 1.0 + 0j)
+        return TransferMatrix(_IDENTITY2.copy(), x_from, x_to)
     _resolve_window(x_from, x_to, grid)
     edges, junctions = _segments(g, r, min(x_from, x_to), max(x_from, x_to))
     e = _refined_product(g, r, edges, junctions, tol)
-    # The panel maps have det 1 (M is traceless), so det E is the product
-    # of the junctions' dets, and E^-1 is adj E over it.
-    det = complex(math.prod(np.linalg.det(p) for p in junctions))
-    if x_from > x_to:
-        e = np.array([[e[1, 1], -e[0, 1]], [-e[1, 0], e[0, 0]]]) / det
-        det = 1.0 / det
-    return TransferMatrix(e, x_from, x_to, det)
+    # The panel maps (M is traceless) and the junctions have det 1.
+    return TransferMatrix(_adjugate(e) if x_from > x_to else e, x_from, x_to)
 
 
 def scattering_amplitudes(p: PotentialProfile, e: EnergySpec,
@@ -515,10 +538,12 @@ def scattering_amplitudes(p: PotentialProfile, e: EnergySpec,
     if grid is None:
         grid = g.grid if g.grid is not None else truncate_domain(p, e)
     u = cmath.exp(1j * w.k_left * grid.x_min) / math.sqrt(w.k_left)
-    s0 = project_wavefunction(g, grid.x_min, u, 1j * w.k_left * u)
-    final = transfer_matrix(g, rho_pair(g, w), grid.x_min, grid.x_max,
-                            tol=tol, grid=grid).apply(s0)
-    alpha, beta = _plane_wave_pair(reconstruct_psi(g, final), w.k_right)
+    a, b = _rep_solve(_rep_matrix(g, grid.x_min, 0), u, 1j * w.k_left * u)
+    m = transfer_matrix(g, rho_pair(g, w), grid.x_min, grid.x_max, tol=tol,
+                        grid=grid).entries.tolist()
+    psi = _times(_rep_matrix(g, grid.x_max, 0), *_times(m, a, b))
+    alpha, beta = _plane_wave_pair(WavefunctionSample(grid.x_max, *psi),
+                                   w.k_right)
     return ScatteringAmplitudes(complex(alpha), complex(beta),
                                 *_probabilities(alpha, beta))
 

@@ -686,6 +686,17 @@ def test_runtime_never_loads_scipy(tmp_path):
     assert out.stdout.strip() == "[0, 0] []"
 
 
+def test_runtime_import_leaves_out_numpy_polynomial():
+    # The panel operators are built without numpy.polynomial, which
+    # numpy itself does not import.
+    src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    subprocess.run([sys.executable, "-c",
+                    "import sys, szscatter.cli; "
+                    "sys.exit('numpy.polynomial' in sys.modules)"],
+                   env=env, check=True)
+
+
 def test_every_error_survives_pickling():
     # A split sweep pickles whatever its helper raises back to the parent.
     made = [ParseError("expected 'key = value'", 3),

@@ -307,6 +307,79 @@ def test_panel_evaluation_matches_chebval(dtype, degree):
         float).eps * scale
 
 
+def test_chebyshev_operators_match_numpy_polynomial():
+    # Built from T_k(t_j) = cos(k theta_j) and the integral recurrence,
+    # the operators are numpy.polynomial's to rounding.
+    from numpy.polynomial.chebyshev import chebint, chebvander
+
+    n = _panels.PANEL_NODES
+    t = -np.cos(np.pi * np.arange(n) / (n - 1))
+    to_coef = np.linalg.inv(chebvander(t, n - 1))
+    s = chebvander(t, n) @ chebint(np.eye(n), lbnd=-1.0, axis=0) @ to_coef
+    assert np.array_equal(_panels.NODES, t)
+    assert np.max(np.abs(_panels.TO_COEF - to_coef)) <= 1e-15
+    assert np.max(np.abs(_panels.S - s)) <= 1e-15
+
+
+def test_one_window_subdivide_is_the_general_cut():
+    # A one-window call takes linspace; the same window given twice takes
+    # the general cut, whose first half must be the same floats.
+    rng = np.random.default_rng(7)
+    for _ in range(5000):
+        lo = rng.uniform(-50.0, 50.0) * 10.0 ** rng.uniform(-3.0, 3.0)
+        hi = lo + 10.0 ** rng.uniform(-6.0, 3.0)
+        width = (hi - lo) / rng.uniform(0.3, 300.0)
+        a, b = _panels.subdivide(np.array([lo]), np.array([hi]), width)
+        a2, b2 = _panels.subdivide(np.array([lo, lo]), np.array([hi, hi]),
+                                   width)
+        assert np.array_equal(a, a2[:a.size])
+        assert np.array_equal(b, b2[:b.size])
+
+
+def _recorded_panels(monkeypatch, fn):
+    """(a, h, coef) of the panel interpolant the scalar call fn(0.0)
+    evaluates."""
+    seen = []
+    real = _panels.evaluate
+
+    def record(a, h, coef, x):
+        seen.append((a, h, coef))
+        return real(a, h, coef, x)
+
+    monkeypatch.setattr(_panels, "evaluate", record)
+    fn(0.0)
+    monkeypatch.setattr(_panels, "evaluate", real)
+    return seen[0]
+
+
+@pytest.mark.parametrize("gauge_name", ["wkb", "special_delta"])
+def test_scalar_evaluation_is_the_array_path(monkeypatch, gauge_name):
+    # The Python-float Clenshaw loop of a scalar position does the array
+    # recurrence's operations in its order: bitwise equal inside panels,
+    # on panel ends and extrapolated on both sides.
+    from szscatter.gauges import (gauge_constant, gauge_special_delta,
+                                  gauge_wkb)
+
+    p = gaussian(1.0, 1.0)
+    e = EnergySpec(2.0)
+    w = wavenumber_field(p, e)
+    grid = truncate_domain(p, e)
+    if gauge_name == "wkb":
+        fn = gauge_wkb(w, grid).phi
+    else:
+        fn = gauge_special_delta(gauge_constant(w.k_left), w, grid).delta
+    a, h, coef = _recorded_panels(monkeypatch, fn)
+    rng = np.random.default_rng(3)
+    b = a + 2.0 * h
+    inside = a + h * rng.uniform(0.0, 2.0, (50, a.size))
+    x = np.concatenate((a, b, inside.ravel(),
+                        a[0] - rng.uniform(0.0, 3.0, 50),
+                        b[-1] + rng.uniform(0.0, 3.0, 50)))
+    want = _panels.evaluate(a, h, coef, x)
+    got = [_panels.evaluate(a, h, coef, xi) for xi in x]
+    assert [float(v).hex() for v in got] == [float(v).hex() for v in want]
+
+
 def test_panel_cap_raises_nonconvergence(monkeypatch):
     p = gaussian(1.0, 1.0)
     e = EnergySpec(2.0)

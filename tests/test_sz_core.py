@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from szscatter import _panels, _tables, sz_core
-from szscatter._kernels import ordered_product
+from szscatter._kernels import _tree_product, ordered_product
 from szscatter.bounds import theta_field, theta_integral
 from szscatter.errors import GaugeDegenerate, NonConvergence, TurningPoint
 from szscatter.gauges import (GaugeTriple, constant_field, gauge_antiphase,
@@ -505,16 +505,80 @@ def test_backward_transfer_matrix_over_a_tall_barrier(v0):
 @pytest.mark.parametrize("v0", [100.0, 1000.0])
 def test_transfer_matrix_det_is_exact_over_a_tall_barrier(v0):
     # ad - bc of entries up to 3.6e4 and 2.9e14 cancels (it read -6.3e13j
-    # at v0 = 1000); the product of the junctions' determinants does not.
+    # at v0 = 1000), so det E = 1 rests on the junctions' determinants,
+    # and the backward map is the forward one's adjugate.
     p = square_barrier(v0, 1.0)
     e = EnergySpec(2.0)
     grid = truncate_domain(p, e)
     w = wavenumber_field(p, e)
     g = gauge_constant(w.k_left)
     r = rho_pair(g, w)
-    for x_from, x_to in ((-0.5, 0.5), (0.5, -0.5)):
-        E = transfer_matrix(g, r, x_from, x_to, tol=1e-12, grid=grid)
-        assert abs(E.det - 1.0) <= 1e-12
+    fwd = transfer_matrix(g, r, -0.5, 0.5, tol=1e-12, grid=grid).entries
+    back = transfer_matrix(g, r, 0.5, -0.5, tol=1e-12, grid=grid).entries
+    adj = np.array([[fwd[1, 1], -fwd[0, 1]], [-fwd[1, 0], fwd[0, 0]]])
+    assert np.max(np.abs(back - adj)) <= 1e-12 * np.max(np.abs(fwd))
+    # wkb jumps at both edges, where its junctions are far from I.
+    above = EnergySpec(1.5 * v0)
+    w = wavenumber_field(p, above)
+    g = gauge_wkb(w, truncate_domain(p, above))
+    for x in (-0.5, 0.5):
+        proj = _junction(g, x)
+        assert np.max(np.abs(proj - np.eye(2))) > 1e-3
+        assert abs(_ad_bc(proj) - 1.0) <= 1e-12
+
+
+def _rep_gauges(p, e):
+    """The constant, wkb, special_delta and complex-chi gauges at E."""
+    w = wavenumber_field(p, e)
+    grid = truncate_domain(p, e)
+    constant = gauge_constant(w.k_left)
+    wkb = gauge_wkb(w, grid)
+    return {"constant": constant, "wkb": wkb,
+            "special_delta": gauge_special_delta(constant, w, grid),
+            "complex_chi": with_constant_chi(wkb, 0.3 + 0.2j)}
+
+
+@pytest.mark.parametrize("v0,energy", [(1.0, 2.0), (100.0, 150.0)])
+def test_representation_det_is_minus_2i(v0, energy):
+    # e^{i theta} e^{-i theta} = 1 and sqrt(phi')^2 = phi' make det R
+    # exactly -2i, which the closed-form inverse and det E = 1 rest on;
+    # so a junction, R_right^-1 R_left, has det 1.
+    for name, g in _rep_gauges(square_barrier(v0, 1.0),
+                               EnergySpec(energy)).items():
+        for x in (-0.5, 0.5):
+            for side in (-1, 1):
+                det = _ad_bc(np.array(sz_core._rep_matrix(g, x, side)))
+                assert abs(det + 2j) <= 2e-15, (name, x, side)
+            assert abs(_ad_bc(_junction(g, x)) - 1.0) <= 1e-15, (name, x)
+
+
+@pytest.mark.parametrize("case", ["gaussian-constant", "barrier-wkb"])
+def test_refined_product_is_the_split_and_multiply_route(monkeypatch, case):
+    # A path without junctions multiplies its maps in one tree; with
+    # junctions, the pieces' products join without identity factors.
+    # Either is bitwise the route that split the maps at every edge and
+    # started from I @ I.
+    p = gaussian(1.0, 1.0) if case == "gaussian-constant" else \
+        square_barrier(1.0, 1.0)
+    e = EnergySpec(2.0)
+    grid = truncate_domain(p, e)
+    w = wavenumber_field(p, e)
+    g = gauge_constant(w.k_left) if case == "gaussian-constant" else \
+        gauge_wkb(w, grid)
+    r = rho_pair(g, w)
+    edges, junctions = sz_core._segments(g, r, grid.x_min, grid.x_max)
+    assert len(junctions) == (0 if case == "gaussian-constant" else 2)
+    kept = []
+    real = sz_core.bisect
+    monkeypatch.setattr(sz_core, "bisect",
+                        lambda *args: kept.append(real(*args)) or kept[-1])
+    got = sz_core._refined_product(g, r, edges, junctions, 1e-12)
+    a, _, _, maps = kept[0]
+    want = np.eye(2, dtype=complex)
+    for proj, part in zip([np.eye(2, dtype=complex), *junctions],
+                          np.split(maps, np.searchsorted(a, edges[1:-1]))):
+        want = _tree_product(np.moveaxis(part, 0, -1)) @ (proj @ want)
+    assert np.array_equal(got, want)
 
 
 def test_tall_barrier_product_raises_no_warning():
@@ -651,6 +715,18 @@ def test_project_wavefunction_roundtrip():
     back = project_wavefunction(g, s.x, sample.psi, sample.psi_prime)
     assert back.a == pytest.approx(s.a, abs=1e-13)
     assert back.b == pytest.approx(s.b, abs=1e-13)
+    # The closed-form inverse in the gauges of the det test, at the
+    # window's ends and on both sides of a jump of phi'.
+    p = square_barrier(1.0, 1.0)
+    e = EnergySpec(2.0)
+    grid = truncate_domain(p, e)
+    for name, g in _rep_gauges(p, e).items():
+        for x in (grid.x_min, -0.5 - 1e-9, -0.5 + 1e-9, grid.x_max):
+            s = CoefficientState(x, 0.8 - 0.1j, 0.2 + 0.5j)
+            sample = reconstruct_psi(g, s)
+            back = project_wavefunction(g, x, sample.psi, sample.psi_prime)
+            assert abs(back.a - s.a) <= 1e-13, (name, x)
+            assert abs(back.b - s.b) <= 1e-13, (name, x)
 
 
 def test_current_real_gauge_values():
