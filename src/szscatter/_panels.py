@@ -26,16 +26,15 @@ pass at the first or second level, each level costing about as much as
 many panels.  The oracle and the product solve their own second-kind
 systems, through solve_blocks().  bisect() accepts a panel when its
 error estimate is at most max(tol (b - a) / span, ROUNDING_FLOOR scale),
-the scale being the
-size the panel's rounding is relative to (1 for the integrals, the map's
-size for the product); it bisects the others and solves them again
-together, and raises NonConvergence past MAX_PANELS panels or when a
-half would be no wider than EDGE_NUDGE max(1, |x|).  evaluate() reads
-the oracle's wavefunction and the antiderivatives back from the panels'
-Chebyshev coefficients.  The paths that most calls take are cut short
-without changing a float: subdivide() cuts a single window with one
-linspace, and evaluate() runs a scalar position's Clenshaw recurrence in
-Python floats.
+the scale being the size the panel's rounding is relative to (1 for the
+integrals, the map's size for the product); it bisects the others and
+solves them again together, and raises NonConvergence past MAX_PANELS
+panels or when a half would be no wider than EDGE_NUDGE max(1, |x|).
+evaluate() reads the oracle's wavefunction and the antiderivatives back
+from the panels' Chebyshev coefficients.  The paths that most calls take
+are cut short without changing a float: subdivide() cuts a single window
+with one linspace, and evaluate() runs a scalar position's Clenshaw
+recurrence in Python floats.
 """
 
 import math

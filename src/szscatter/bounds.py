@@ -27,7 +27,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from ._panels import integrals
+from ._panels import EDGE_NUDGE, integrals
 from .errors import (BoundViolation, ComplexGaugeRejected, EmptyFamily,
                      GaugeDegenerate, NonConvergence, TurningPoint)
 from .gauges import GaugeTriple, gauge_constant, gauge_wkb, rho_pair
@@ -81,19 +81,28 @@ class VerificationRecord:
 
 
 def theta_field(g: GaugeTriple, w) -> ThetaField:
-    """Bound integrand for a real gauge; Delta never enters."""
-    if not g.is_real:
-        raise ComplexGaugeRejected(
-            "bounds are derived only for real gauges")
-    if g.phi_prime_jumps:
-        raise GaugeDegenerate(
-            "phi' is discontinuous, so phi'' has point masses the bound "
-            "integral cannot represent; use a gauge with continuous phi'")
-
+    """Bound integrand for a real gauge; Delta never enters.  A phi'
+    that jumps by over 1e-9 max(1, |phi'|) across a breakpoint (sampled
+    EDGE_NUDGE max(1, |b|) to each side) raises GaugeDegenerate, and theta
+    raises ComplexGaugeRejected at complex samples of phi', rho1 or rho2."""
     r = rho_pair(g, w)
+    if r.breakpoints:
+        b = np.asarray(r.breakpoints)
+        d = EDGE_NUDGE * np.maximum(1.0, np.abs(b))
+        left, right = np.split(np.asarray(
+            g.phi_prime(np.concatenate((b - d, b + d)))), 2)
+        if np.any(np.abs(right - left) > 1e-9 * np.maximum(1.0, np.abs(left))):
+            raise GaugeDegenerate(
+                "phi' jumps, so phi'' has point masses the bound integral "
+                "cannot represent; use a gauge with continuous phi'")
 
     def raw(xv):
         ppr, r1, r2 = r.fields(xv)
+        if any(np.iscomplexobj(f) and np.any(np.imag(f))
+               for f in (ppr, r1, r2)):
+            raise ComplexGaugeRejected(
+                "bounds are derived only for real gauges")
+        r1, r2 = np.real(r1), np.real(r2)
         return np.sqrt(r1 * r1 + r2 * r2) / (2.0 * np.abs(ppr))
 
     return ThetaField(theta=scalarize(raw), gauge_id=g.label,
@@ -220,7 +229,6 @@ def phi_prime_family(p: PotentialProfile, e: EnergySpec,
             phi_double_prime=scalarize(
                 lambda xv: s * wkb.phi_double_prime(xv)),
             label=f"family(s={s:.6g})",
-            phi_prime_scale=(1.0 - s) * k_ref + s * wkb.phi_prime_scale,
         )
 
     return GaugeFamily(name="phi_prime_interpolation", builder=build)
@@ -243,7 +251,7 @@ def optimize_gauge(p: PotentialProfile, e: EnergySpec, family: GaugeFamily,
     def theta_of(s):
         nonlocal best_val, best_s, best_gauge
         # Members can fail either at construction (turning point) or at
-        # the bound integrand (distributional phi''); both are skipped.
+        # the bound integrand (a phi' that jumps); both are skipped.
         # The strict comparison lets the earliest evaluated s win ties.
         try:
             g = family.builder(s)

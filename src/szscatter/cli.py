@@ -30,7 +30,8 @@ from . import potentials as pot_mod
 from .errors import (AsymptoticallyClosedChannel, ParseError,
                      SzScatterError, TurningPoint, GaugeDegenerate,
                      ValidationError)
-from .gauges import gauge_antiphase, gauge_constant, gauge_special_delta, gauge_wkb
+from .gauges import (gauge_antiphase, gauge_constant, gauge_special_delta,
+                     gauge_wkb)
 from .potentials import EnergySpec, truncate_domain, wavenumber_field
 from .sz_core import scattering_amplitudes
 

@@ -1,9 +1,12 @@
 """Gauge triples (phi, Delta, chi), their derived rho pair, and presets.
 
 A gauge triple parameterizes the two-wave decomposition of the
-wavefunction.  rho_pair is the one place the pair rho1 = phi'' + 2 chi
-phi', rho2 = k^2 + chi^2 + chi' - phi'^2 is written and the gauge's and
-the potential's breakpoints are joined; its fields(x) reads phi' and chi
+wavefunction, and is nothing but its functions: whether it is real, how
+large phi' is and whether phi' jumps are read off their samples where
+needed (bounds.theta_field, phi_prime_max), never declared.
+rho_pair is the one place the pair rho1 = phi'' + 2 chi phi', rho2 =
+k^2 + chi^2 + chi' - phi'^2 is written and the gauge's and the
+potential's breakpoints are joined; its fields(x) reads phi' and chi
 once for phi', rho1 and rho2.  The evolution generator, the bound
 integrand theta and Delta' = rho2 / (2 phi') all read it.  Presets:
 constant phase slope, the local-wavenumber (WKB-like) slope phi' = k(x),
@@ -27,25 +30,36 @@ from .potentials import (DomainGrid, WaveNumberField, load_table, pchip_field,
 DEGENERACY_RTOL = 1.0e-12
 
 
+def phi_prime_max(ppr) -> float:
+    """The largest |phi'| of the samples ppr; GaugeDegenerate where the
+    smallest is not above DEGENERACY_RTOL times it (so one sample fails
+    only at phi' = 0), or either is not finite."""
+    mag = np.abs(ppr)
+    top = float(np.max(mag))
+    if not float(np.min(mag)) > DEGENERACY_RTOL * top:
+        raise GaugeDegenerate("|phi'| is not finite or below the "
+                              "degeneracy threshold")
+    return top
+
+
 def constant_field(value):
     """Field callable that is identically `value`."""
     val = complex(value)
-    cast = float if val.imag == 0 else complex
     out = val.real if val.imag == 0 else val
 
     def raw(xv):
         return np.full(xv.shape, out)
 
-    return scalarize(raw, cast)
+    return scalarize(raw)
 
 
 @dataclass(frozen=True, eq=False)
 class GaugeTriple:
     """The three auxiliary functions with the derivatives the system needs.
 
-    All seven function attributes accept scalars or arrays.
-    phi_prime_jumps marks gauges whose phi' is discontinuous (their phi''
-    is distributional, so bound integrals reject them).
+    All seven function attributes accept scalars or arrays; a scalar
+    gives a float or a complex as the values are.  The functions may jump
+    at breakpoints; nothing else about them is declared.
     """
 
     phi: object = field(repr=False)
@@ -55,11 +69,8 @@ class GaugeTriple:
     delta_prime: object = field(repr=False)
     chi: object = field(repr=False)
     chi_prime: object = field(repr=False)
-    is_real: bool = True
     label: str = "gauge"
     breakpoints: tuple = ()
-    phi_prime_scale: float = 1.0
-    phi_prime_jumps: bool = False
     grid: DomainGrid = None
 
 
@@ -102,7 +113,6 @@ def gauge_constant(k_ref: float) -> GaugeTriple:
         chi=constant_field(0.0),
         chi_prime=constant_field(0.0),
         label=f"constant(k={k_ref:.6g})",
-        phi_prime_scale=k_ref,
     )
 
 
@@ -110,18 +120,12 @@ def gauge_wkb(w: WaveNumberField, grid: DomainGrid) -> GaugeTriple:
     """Local-wavenumber gauge phi' = k(x), chi = Delta = 0, phi = int k
     from the left edge.  It needs k^2 > 0 on the grid (TurningPoint
     otherwise), and its phi' jumps wherever k does at a breakpoint inside
-    the grid."""
+    the grid, which bounds.theta_field rejects."""
     edges = window_edges(grid.x_min, grid.x_max, w.breakpoints)
     for lo, hi in zip(edges[:-1], edges[1:]):
         eps = 1e-12 * max(1.0, abs(lo), abs(hi))
         if np.min(w.k_squared(np.linspace(lo + eps, hi - eps, 4097))) <= 0.0:
             raise TurningPoint("the wkb gauge needs k^2 > 0 on the grid")
-
-    def k_jump(b):
-        eps = 1e-9 * max(1.0, abs(b))
-        return abs(float(w.k(b - eps)) - float(w.k(b + eps)))
-
-    scale = float(np.max(w.k(np.linspace(grid.x_min, grid.x_max, 2049))))
     inside = tuple(b for b in w.breakpoints if grid.x_min < b < grid.x_max)
     return replace(
         gauge_constant(w.k_left),
@@ -130,8 +134,6 @@ def gauge_wkb(w: WaveNumberField, grid: DomainGrid) -> GaugeTriple:
         phi_double_prime=w.k_prime,
         label="wkb",
         breakpoints=inside,
-        phi_prime_scale=scale,
-        phi_prime_jumps=any(k_jump(b) > 1e-9 for b in inside),
         grid=grid,
     )
 
@@ -150,16 +152,11 @@ def gauge_special_delta(base: GaugeTriple, w: WaveNumberField,
         ppr, _, rho2 = r.fields(xv)
         return rho2 / (2.0 * ppr)
 
-    probe = np.linspace(grid.x_min, grid.x_max, 4097)
-    ppr_abs = np.abs(np.asarray(base.phi_prime(probe)))
-    if float(np.min(ppr_abs)) <= DEGENERACY_RTOL * float(np.max(ppr_abs)):
-        raise GaugeDegenerate("|phi'| below the degeneracy threshold")
-
-    cast = float if base.is_real else complex
+    phi_prime_max(base.phi_prime(np.linspace(grid.x_min, grid.x_max, 4097)))
     return replace(
         base,
-        delta=scalarize(antiderivative(raw_dprime, edges), cast),
-        delta_prime=scalarize(raw_dprime, cast),
+        delta=scalarize(antiderivative(raw_dprime, edges)),
+        delta_prime=scalarize(raw_dprime),
         label=f"special_delta[{base.label}]",
         breakpoints=r.breakpoints,
         grid=grid,
@@ -169,12 +166,10 @@ def gauge_special_delta(base: GaugeTriple, w: WaveNumberField,
 def gauge_antiphase(base: GaugeTriple) -> GaugeTriple:
     """Phase-killing choice Delta = -phi: every exponent phi + Delta in
     the generator vanishes identically."""
-    cast = float if base.is_real else complex
     return replace(
         base,
-        delta=scalarize(lambda xv: -np.asarray(base.phi(xv)), cast),
-        delta_prime=scalarize(lambda xv: -np.asarray(base.phi_prime(xv)),
-                              cast),
+        delta=scalarize(lambda xv: -np.asarray(base.phi(xv))),
+        delta_prime=scalarize(lambda xv: -np.asarray(base.phi_prime(xv))),
         label=f"antiphase[{base.label}]",
     )
 
@@ -185,7 +180,6 @@ def with_constant_chi(base: GaugeTriple, chi: float) -> GaugeTriple:
         base,
         chi=constant_field(chi),
         chi_prime=constant_field(0.0),
-        is_real=base.is_real and complex(chi).imag == 0.0,
         label=base.label + f"+chi({chi:.6g})",
     )
 
@@ -215,8 +209,6 @@ def gauge_from_tables(phi_table, delta_table=None, chi_table=None,
         chi, chi_p = pchip_field(*chi_table)
     else:
         chi, chi_p = constant_field(0.0), constant_field(0.0)
-    xs = np.asarray(phi_table[0], dtype=float)
-    scale = float(np.max(np.abs(phi_p(xs))))
     return GaugeTriple(
         phi=phi,
         phi_prime=phi_p,
@@ -225,9 +217,7 @@ def gauge_from_tables(phi_table, delta_table=None, chi_table=None,
         delta_prime=delta_p,
         chi=chi,
         chi_prime=chi_p,
-        is_real=True,
         label=label,
-        phi_prime_scale=scale,
     )
 
 

@@ -19,14 +19,15 @@ MAX_HALF_WIDTH = 1.0e4
 GRID_DIVISIONS = 256
 
 
-def scalarize(raw, cast=float):
-    """Wrap an ndarray->ndarray function so scalar input yields a scalar."""
+def scalarize(raw):
+    """Wrap an ndarray->ndarray function so scalar input yields a Python
+    scalar of the result's own kind (a float, or a complex)."""
 
     def fn(x):
         xv = np.asarray(x, dtype=float)
         out = raw(xv)
         if xv.ndim == 0:
-            return cast(out)
+            return np.asarray(out).item()
         return out
 
     return fn
@@ -53,7 +54,8 @@ class PotentialProfile:
         return self.value(x)
 
 
-def square_barrier(v0: float, width: float, center: float = 0.0) -> PotentialProfile:
+def square_barrier(v0: float, width: float,
+                   center: float = 0.0) -> PotentialProfile:
     """Rectangular barrier (or well, for v0 < 0) of the given width."""
     if width < 0:
         raise ValueError("width must be >= 0")
@@ -68,7 +70,8 @@ def square_barrier(v0: float, width: float, center: float = 0.0) -> PotentialPro
         kind="square_barrier",
         v_left=0.0,
         v_right=0.0,
-        params={"v0": float(v0), "width": float(width), "center": float(center)},
+        params={"v0": float(v0), "width": float(width),
+                "center": float(center)},
         discontinuities=discs,
         char_length=max(width, 1.0),
         value=scalarize(raw),
@@ -91,7 +94,8 @@ def gaussian(v0: float, sigma: float, center: float = 0.0) -> PotentialProfile:
         kind="gaussian",
         v_left=0.0,
         v_right=0.0,
-        params={"v0": float(v0), "sigma": float(sigma), "center": float(center)},
+        params={"v0": float(v0), "sigma": float(sigma),
+                "center": float(center)},
         discontinuities=(),
         char_length=max(sigma, 1.0),
         value=scalarize(raw),
@@ -189,7 +193,8 @@ def pchip_field(positions, values, order: int = 1) -> tuple:
     return tuple(piece(n) for n in range(order + 1))
 
 
-def tabulated(positions, values, v_left=None, v_right=None) -> PotentialProfile:
+def tabulated(positions, values, v_left=None,
+              v_right=None) -> PotentialProfile:
     """Sampled potential, monotone-cubic interpolated inside the sample
     range and clamped to the asymptotic values outside."""
     xs = np.asarray(positions, dtype=float)

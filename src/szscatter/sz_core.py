@@ -42,8 +42,8 @@ from ._kernels import _tree_product, rk45_coeffs
 from ._panels import (EDGE_NUDGE, PANEL_NODES, ROUNDING_FLOOR, S, TAIL,
                       bisect, nudged, points, solve_blocks, subdivide)
 from ._tables import segment_plan
-from .errors import GaugeDegenerate, NonConvergence
-from .gauges import DEGENERACY_RTOL, GaugeTriple, RhoPair, rho_pair
+from .errors import NonConvergence
+from .gauges import GaugeTriple, RhoPair, phi_prime_max, rho_pair
 from .potentials import (DomainGrid, EnergySpec, PotentialProfile,
                          truncate_domain, wavenumber_field, window_edges)
 
@@ -122,18 +122,13 @@ class EvolveStats:
     conservation_drift: float
 
 
-def _check_phi_prime(g: GaugeTriple, value: complex) -> complex:
-    if abs(value) <= DEGENERACY_RTOL * max(g.phi_prime_scale, 1e-300):
-        raise GaugeDegenerate("|phi'| below the degeneracy threshold")
-    return value
-
-
 def _entries(g: GaugeTriple, r: RhoPair, x: np.ndarray) -> tuple:
     """_generator's entries, the phase phi + Delta, and the phi', rho1 and
-    Delta' they were built from.  The diagonal i (rho2 / (2 phi') - Delta')
+    Delta' they were built from; raises GaugeDegenerate where |phi'| on x
+    fails gauges.phi_prime_max.  The diagonal i (rho2 / (2 phi') - Delta')
     is exactly 0 in gauge_special_delta, whose Delta' is that quotient."""
     ppr, r1, r2 = r.fields(x)
-    _check_phi_prime(g, np.min(np.abs(ppr)))
+    phi_prime_max(ppr)
     dprime = np.asarray(g.delta_prime(x))
     phase = np.asarray(g.phi(x)) + np.asarray(g.delta(x))
     em = np.exp(-2j * phase)
@@ -181,9 +176,7 @@ def probability_current(g: GaugeTriple, s: CoefficientState) -> float:
     For real gauges this reduces exactly to |a|^2 - |b|^2.
     """
     w = complex(g.phi_prime(s.x))
-    aw = abs(w)
-    if aw == 0.0:
-        raise GaugeDegenerate("phi' vanishes")
+    aw = phi_prime_max(w)
     phase = complex(g.phi(s.x)) + complex(g.delta(s.x))
     chi = complex(g.chi(s.x))
     mod_a = s.a.real * s.a.real + s.a.imag * s.a.imag
@@ -207,9 +200,11 @@ def _rep_matrix(g: GaugeTriple, x: float, side: int) -> tuple:
     """Map (a, b) -> (psi, psi') at x, as rows of complex numbers, sampled
     from the given side (side -1/+1 nudges inward across a jump; 0 samples
     exactly at x).  Its determinant is exactly -2i, since
-    e^{i theta} e^{-i theta} = 1 and sqrt(phi')^2 = phi'."""
+    e^{i theta} e^{-i theta} = 1 and sqrt(phi')^2 = phi'.  Only phi' = 0
+    raises here; a path checks |phi'| on its whole window, in _segments."""
     xe = x + side * EDGE_NUDGE * max(1.0, abs(x))
-    w = _check_phi_prime(g, complex(g.phi_prime(xe)))
+    w = complex(g.phi_prime(xe))
+    phi_prime_max(w)
     phase = complex(g.phi(xe)) + complex(g.delta(xe))
     chi = complex(g.chi(xe))
     root = cmath.sqrt(w)
@@ -253,33 +248,33 @@ def _junction(g: GaugeTriple, x: float) -> np.ndarray:
 
 def _segments(g: GaugeTriple, r: RhoPair, lo: float, hi: float) -> tuple:
     """Split [lo, hi] at r's breakpoints (the gauge's and the potential's)
-    into smooth segments and check |phi'| on each.  Returns (edges,
-    junctions), with junctions[i] the projection at edges[i + 1]."""
+    into smooth segments, and sample phi' at 513 points inside each.
+    Returns (edges, junctions, peak), with junctions[i] the projection at
+    edges[i + 1] and peak the largest |phi'| sampled; raises
+    GaugeDegenerate where the samples of the whole path fail
+    gauges.phi_prime_max."""
     edges = window_edges(lo, hi, r.breakpoints)
-    for a, b in zip(edges[:-1], edges[1:]):
-        eps = 1e-12 * max(1.0, abs(a), abs(b))
-        probe = np.linspace(a + eps, b - eps, 513)
-        ppr = np.abs(np.asarray(g.phi_prime(probe), dtype=np.complex128))
-        if float(np.min(ppr)) <= DEGENERACY_RTOL * max(g.phi_prime_scale,
-                                                       float(np.max(ppr))):
-            raise GaugeDegenerate("|phi'| below the degeneracy threshold "
-                                  f"on [{a:g}, {b:g}]")
-    return edges, [_junction(g, b) for b in edges[1:-1]]
+    eps = 1e-12 * max(1.0, abs(lo), abs(hi))
+    probe = np.linspace(np.add(edges[:-1], eps), np.subtract(edges[1:], eps),
+                        513)
+    peak = phi_prime_max(g.phi_prime(probe.ravel()))
+    return edges, [_junction(g, b) for b in edges[1:-1]], peak
 
 
 def _build_bundle(g: GaugeTriple, r: RhoPair, lo: float, hi: float,
                   max_step: float) -> tuple:
-    """The (edges, junctions) that evolve walks; see _segments.  max_step
-    is unused (evolve passes its step cap to the kernel) but stays, with
-    the name, because perfbench's tracer and probe reach them."""
+    """The (edges, junctions, peak) of _segments, of which evolve walks
+    the edges and junctions.  max_step is unused (evolve passes its step
+    cap to the kernel) but stays, with the name, because perfbench's
+    tracer and probe reach them."""
     return _segments(g, r, lo, hi)
 
 
 def _bundle_for(g: GaugeTriple, r: RhoPair, lo: float, hi: float,
                 max_step: float) -> tuple:
-    """_build_bundle under a name of its own, because perfbench's probe
-    calls it and its tracer counts these calls apart from the
-    _build_bundle span."""
+    """_build_bundle's (edges, junctions, peak) under a name of its own,
+    because perfbench's probe calls it and its tracer counts these calls
+    apart from the _build_bundle span."""
     return _build_bundle(g, r, lo, hi, max_step)
 
 
@@ -318,8 +313,7 @@ def evolve_path(g: GaugeTriple, r: RhoPair, s0: CoefficientState,
                          "direction")
     x_to = float(pts[-1])
     max_step = _resolve_window(s0.x, x_to, grid)
-    edges, junctions = _bundle_for(g, r, min(s0.x, x_to), max(s0.x, x_to),
-                                   max_step)
+    edges, junctions, _ = _bundle_for(g, r, *sorted((s0.x, x_to)), max_step)
     if x_to == s0.x and pts.size == 1:
         return [CoefficientState(s0.x, s0.a, s0.b)], EvolveStats(0, 0, 0.0)
 
@@ -470,17 +464,18 @@ def _panel_maps(g: GaugeTriple, r: RhoPair, breaks: np.ndarray,
 
 
 def _refined_product(g: GaugeTriple, r: RhoPair, edges, junctions: list,
-                     tol: float) -> np.ndarray:
+                     peak: float, tol: float) -> np.ndarray:
     """The map E(edges[-1], edges[0]) of a path cut into smooth pieces, to
-    tol (edges and junctions as _segments returns them).
+    tol (edges, junctions and the path's largest |phi'| peak as _segments
+    returns them).
 
     One _panels.bisect refines the panels of all pieces (_panel_maps), and
     each piece's maps are multiplied in order (_kernels._tree_product)."""
     edges = np.asarray(edges, dtype=float)
-    # Start panels span at most one period, pi / max|phi'|, of e^{-2i phi},
-    # and at most the path over PRODUCT_START_PANELS.
+    # Start panels span at most one period, pi / peak, of e^{-2i phi}, and
+    # at most the path over PRODUCT_START_PANELS.
     starts = subdivide(edges[:-1], edges[1:],
-                       min(math.pi / max(g.phi_prime_scale, 1e-300),
+                       min(math.pi / peak,
                            (edges[-1] - edges[0]) / PRODUCT_START_PANELS))
     breaks = np.asarray(r.breakpoints, dtype=float)
     a, _, _, maps = bisect(lambda p, q: _panel_maps(g, r, breaks, p, q),
@@ -509,14 +504,14 @@ def transfer_matrix(g: GaugeTriple, r: RhoPair, x_from: float, x_to: float,
     positions on the left, and the junction projections join the smooth
     pieces.  A backward path is the adjugate of the forward one, since
     every panel map and junction has det 1.  Raises NonConvergence past
-    _panels.MAX_PANELS panels or where the generator is not finite.  No Runge-Kutta step is taken and no table is built,
-    so the result is an independent check on evolve.
+    _panels.MAX_PANELS panels or where the generator is not finite.  No
+    Runge-Kutta step is taken and no table is built, so the result is an
+    independent check on evolve.
     """
     if x_from == x_to:
         return TransferMatrix(_IDENTITY2.copy(), x_from, x_to)
     _resolve_window(x_from, x_to, grid)
-    edges, junctions = _segments(g, r, min(x_from, x_to), max(x_from, x_to))
-    e = _refined_product(g, r, edges, junctions, tol)
+    e = _refined_product(g, r, *_segments(g, r, *sorted((x_from, x_to))), tol)
     # The panel maps (M is traceless) and the junctions have det 1.
     return TransferMatrix(_adjugate(e) if x_from > x_to else e, x_from, x_to)
 

@@ -19,6 +19,11 @@ SUITE_SPECS = [
     ("pt2", lambda: poschl_teller(2), (0.5, 1.0, 10.0)),
 ]
 
+# The (potential, gauge) pairs of the suite whose phi' jumps, so that
+# bounds.theta_field raises GaugeDegenerate: wkb's phi' = k jumps at the
+# barrier's edges.  Every other pair has a theta field.
+PHI_PRIME_JUMPS = {("barrier", "wkb")}
+
 
 @dataclass(eq=False)
 class Case:
@@ -29,6 +34,10 @@ class Case:
     w: object
     gauges: dict = field(default_factory=dict)
     rhos: dict = field(default_factory=dict)
+
+    def phi_prime_jumps(self, gauge_name):
+        """Whether the gauge's phi' jumps on this case's potential."""
+        return (self.name.partition("-")[0], gauge_name) in PHI_PRIME_JUMPS
 
     def rho(self, gauge_name):
         if gauge_name not in self.rhos:

@@ -16,6 +16,7 @@ import pytest
 
 from szscatter.bounds import (bound_report, optimize_gauge, phi_prime_family,
                               theta_field, theta_integral)
+from szscatter.errors import GaugeDegenerate
 from szscatter.gauges import gauge_constant
 from szscatter.oracle import analytic_square_barrier, direct_integrate
 from szscatter.sz_core import (CoefficientState, evolve_diagnostics,
@@ -158,8 +159,12 @@ def test_criterion_5_bound_satisfaction(suite):
         for case in suite:
             exact = _best_exact_transmission(case)
             for name, g in case.gauges.items():
-                if g.phi_prime_jumps:
-                    continue  # distributional phi''; excluded from bounds
+                if case.phi_prime_jumps(name):
+                    # phi'' has point masses: no bound for this gauge.
+                    with pytest.raises(GaugeDegenerate):
+                        bound_report(case.potential, case.e, g, QUAD_TOL,
+                                     grid=case.grid)
+                    continue
                 report = bound_report(case.potential, case.e, g, QUAD_TOL,
                                       grid=case.grid)
                 assert exact.transmission >= report.t_lower - 1e-12, \

@@ -67,12 +67,22 @@ def test_theta_zero_for_free_potential():
     assert theta_integral(t, grid, 1e-10) == pytest.approx(0.0, abs=1e-14)
 
 
+def _theta_or_jump(case, name):
+    """The case's theta field in gauge `name`, or None where the suite
+    expects phi' to jump, in which case theta_field must raise."""
+    if case.phi_prime_jumps(name):
+        with pytest.raises(GaugeDegenerate):
+            theta_field(case.gauges[name], case.w)
+        return None
+    return theta_field(case.gauges[name], case.w)
+
+
 def test_theta_nonnegative(suite):
     for case in suite:
-        for name, g in case.gauges.items():
-            if g.phi_prime_jumps:
+        for name in case.gauges:
+            t = _theta_or_jump(case, name)
+            if t is None:
                 continue
-            t = theta_field(g, case.w)
             xs = np.linspace(case.grid.x_min, case.grid.x_max, 101)
             assert np.min(np.asarray(t.theta(xs))) >= 0.0, (case.name, name)
 
@@ -85,9 +95,9 @@ def test_theta_is_generator_offdiagonal_modulus(suite):
     checked = 0
     for case in suite:
         for name, g in case.gauges.items():
-            if g.phi_prime_jumps:  # wkb on the barrier has no theta field
+            t = _theta_or_jump(case, name)
+            if t is None:
                 continue
-            t = theta_field(g, case.w)
             xs = np.linspace(case.grid.x_min, case.grid.x_max, 201)
             for b in t.breakpoints:
                 xs = xs[np.abs(xs - b) > 1e-9]
@@ -115,14 +125,34 @@ def test_theta_integral_hand_values():
 
 def test_theta_rejects_complex_gauge():
     p = square_barrier(1.0, 1.0)
-    _, _, w = _setup(p, 2.0)
+    _, grid, w = _setup(p, 2.0)
     g = GaugeTriple(
         phi=constant_field(0.0), phi_prime=constant_field(1.0 + 0.1j),
         phi_double_prime=constant_field(0.0), delta=constant_field(0.0),
         delta_prime=constant_field(0.0), chi=constant_field(0.0),
-        chi_prime=constant_field(0.0), is_real=False, phi_prime_scale=1.0)
+        chi_prime=constant_field(0.0))
     with pytest.raises(ComplexGaugeRejected):
-        theta_field(g, w)
+        theta_integral(theta_field(g, w), grid, 1e-10)
+
+
+def test_bound_report_rejects_complex_chi_set_through_replace():
+    # A complex chi makes rho1 = 2 chi phi' complex; the gauge is judged
+    # by its samples, so replacing chi in a real preset cannot leave a
+    # stale "real" mark behind (which gave t_lower = 1 against T = 0.98).
+    p = gaussian(1.0, 1.0)
+    e, grid, w = _setup(p, 2.0)
+    g = replace(gauge_constant(w.k_left), chi=constant_field(0.5j))
+    with pytest.raises(ComplexGaugeRejected):
+        bound_report(p, e, g, 1e-10, grid)
+
+
+def test_complex_typed_real_samples_count_as_real():
+    p = gaussian(1.0, 1.0)
+    e, grid, w = _setup(p, 2.0)
+    base = gauge_constant(w.k_left)
+    g = replace(base, chi=lambda x: np.zeros(np.shape(x), dtype=complex))
+    assert bound_report(p, e, g, 1e-10, grid) == replace(
+        bound_report(p, e, base, 1e-10, grid), gauge_id=g.label)
 
 
 def test_theta_rejects_discontinuous_phi_prime():
@@ -131,6 +161,23 @@ def test_theta_rejects_discontinuous_phi_prime():
     g = gauge_wkb(w, grid)  # phi' jumps at the barrier edges
     with pytest.raises(GaugeDegenerate):
         theta_field(g, w)
+
+
+def test_theta_rejects_phi_prime_jump_set_through_replace():
+    # phi' = k_left for x < 0 and 2 k_left past it, at a breakpoint the
+    # gauge declares: the jump is read off phi' on either side of it.
+    p = gaussian(1.0, 1.0)
+    e, grid, w = _setup(p, 2.0)
+    k = w.k_left
+    g = replace(gauge_constant(k),
+                phi=lambda x: k * np.where(np.asarray(x) < 0.0, x, 2.0 * x),
+                phi_prime=lambda x: np.where(np.asarray(x) < 0.0, k, 2.0 * k),
+                breakpoints=(0.0,))
+    with pytest.raises(GaugeDegenerate):
+        theta_field(g, w)
+    # A phi' that is smooth across the same breakpoint passes.
+    smooth = replace(gauge_constant(k), breakpoints=(0.0,))
+    assert theta_integral(theta_field(smooth, w), grid, 1e-10) > 0.0
 
 
 def test_delta_invariance_bitwise():
@@ -344,7 +391,10 @@ def test_theta_integral_matches_piecewise_quad(build, energy):
         pass
     checked = 0
     for g in gauges:
-        if g.phi_prime_jumps:  # wkb on the barrier has no theta field
+        if p.kind == "square_barrier" and g.label == "wkb":
+            # k, and so the wkb phi', jumps at the barrier's edges.
+            with pytest.raises(GaugeDegenerate):
+                theta_field(g, w)
             continue
         t = theta_field(g, w)
         edges = window_edges(grid.x_min, grid.x_max, t.breakpoints)

@@ -11,8 +11,8 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from szscatter import sz_core
-from szscatter.bounds import phi_prime_family
-from szscatter.errors import TurningPoint
+from szscatter.bounds import phi_prime_family, theta_field
+from szscatter.errors import GaugeDegenerate, TurningPoint
 from szscatter.gauges import (constant_field, gauge_antiphase, gauge_constant,
                               gauge_from_tables, gauge_special_delta,
                               gauge_wkb, rho_pair, with_constant_chi,
@@ -38,7 +38,34 @@ def test_constant_gauge_values():
     assert g.phi_prime(5.0) == pytest.approx(SQRT2)
     assert g.phi_double_prime(0.3) == 0.0
     assert g.delta(2.0) == 0.0 and g.chi(2.0) == 0.0
-    assert g.is_real
+
+
+def test_scalar_input_gives_a_scalar_of_the_values_kind():
+    # A scalar position gives a float where a field's values are real and
+    # a complex where they are not, whatever the preset was built on.
+    # chi = 0.3 + 0.5j has a complex chi^2, so the special Delta' = rho2 /
+    # (2 phi') is complex; antiphase's Delta = -phi stays real.
+    p = gaussian(1.0, 1.0)
+    e = EnergySpec(2.0)
+    grid = truncate_domain(p, e)
+    w = wavenumber_field(p, e)
+    real = gauge_constant(w.k_left)
+    cplx = with_constant_chi(real, 0.3 + 0.5j)
+    names = ("phi", "phi_prime", "phi_double_prime", "delta", "delta_prime",
+             "chi", "chi_prime")
+    complex_fields = {"chi", "delta", "delta_prime"}
+    for g, complex_here in (
+            (real, set()), (gauge_special_delta(real, w, grid), set()),
+            (gauge_antiphase(real), set()), (gauge_wkb(w, grid), set()),
+            (cplx, {"chi"}), (gauge_special_delta(cplx, w, grid),
+                              complex_fields),
+            (gauge_antiphase(cplx), {"chi"})):
+        for name in names:
+            value = getattr(g, name)(0.3)
+            kind = complex if name in complex_here else float
+            assert type(value) is kind, (g.label, name)
+            assert np.iscomplexobj(getattr(g, name)(np.array([0.3]))) \
+                == (kind is complex), (g.label, name)
 
 
 def test_constant_gauge_rho_free():
@@ -127,9 +154,13 @@ def test_wkb_turning_point():
 
 
 def test_wkb_barrier_flags_phi_prime_jump():
+    # The wkb gauge over the barrier is built, but its phi' = k jumps at
+    # the barrier's edges, which theta_field reads off phi' and rejects.
     _, _, grid, w = _barrier_setup(2.0)
     g = gauge_wkb(w, grid)
-    assert g.phi_prime_jumps
+    assert g.breakpoints == (-0.5, 0.5)
+    with pytest.raises(GaugeDegenerate):
+        theta_field(g, w)
 
 
 def test_special_delta_identity():
@@ -285,8 +316,7 @@ def test_antiphase_offdiagonal_magnitude():
 
 def test_real_gauges_give_real_rho(suite):
     for case in suite:
-        for name, g in case.gauges.items():
-            assert g.is_real
+        for name in case.gauges:
             r = case.rho(name)
             xs = np.linspace(case.grid.x_min, case.grid.x_max, 7)
             assert np.all(np.isreal(np.asarray(r.fields(xs)[1])))
@@ -296,9 +326,6 @@ def test_real_gauges_give_real_rho(suite):
 def test_fields_read_phi_prime_once_per_evaluation():
     # theta's integrand and the generator take phi', rho1 and rho2 from
     # one call of the fused rho fields, which reads phi' once.
-    from dataclasses import replace
-
-    from szscatter.bounds import theta_field
     from szscatter.sz_core import _generator
 
     p = gaussian(1.0, 1.0)
@@ -328,22 +355,24 @@ def test_interpolated_family_endpoints():
     ghalf = build(0.5)
     assert ghalf.phi_prime(0.0) == pytest.approx(
         0.5 * w.k_left + 0.5 * float(w.k(0.0)), abs=1e-12)
-    # gauge_wkb is the s = 1 member, field for field and flag for flag.
+    # gauge_wkb is the s = 1 member, field for field.
     wkb = gauge_wkb(w, grid)
     xs = np.linspace(grid.x_min, grid.x_max, 257)
     for name in ("phi", "phi_prime", "phi_double_prime", "delta",
                  "delta_prime", "chi", "chi_prime"):
         assert np.array_equal(getattr(wkb, name)(xs),
                               getattr(g1, name)(xs)), name
-    for name in ("is_real", "breakpoints", "phi_prime_scale",
-                 "phi_prime_jumps", "grid"):
+    for name in ("breakpoints", "grid"):
         assert getattr(wkb, name) == getattr(g1, name), name
     assert wkb.label == "wkb"
-    # On the barrier every member with s > 0 inherits k's jumps.
-    p_b, e_b, grid_b, _ = _barrier_setup(2.0)
+    # On the barrier every member with s > 0 inherits k's jumps, and only
+    # those members lose their theta field.
+    p_b, e_b, grid_b, w_b = _barrier_setup(2.0)
     build_b = phi_prime_family(p_b, e_b, grid_b).builder
-    for s, jumps in ((0.0, False), (0.5, True), (1.0, True)):
-        assert build_b(s).phi_prime_jumps is jumps
+    theta_field(build_b(0.0), w_b)
+    for s in (0.5, 1.0):
+        with pytest.raises(GaugeDegenerate):
+            theta_field(build_b(s), w_b)
 
 
 RAMP_KNOTS = np.linspace(-6.0, 6.0, 41)

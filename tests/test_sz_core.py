@@ -4,6 +4,7 @@ import cmath
 import math
 import sys
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -63,7 +64,7 @@ def test_rhs_degenerate_gauge():
         phi=constant_field(0.0), phi_prime=constant_field(0.0),
         phi_double_prime=constant_field(0.0), delta=constant_field(0.0),
         delta_prime=constant_field(0.0), chi=constant_field(0.0),
-        chi_prime=constant_field(0.0), phi_prime_scale=1.0)
+        chi_prime=constant_field(0.0))
     p = square_barrier(0.0, 1.0)
     w = wavenumber_field(p, EnergySpec(1.0))
     with pytest.raises(GaugeDegenerate):
@@ -227,7 +228,6 @@ def test_product_is_pseudo_unitary_for_real_gauges(suite, case_name,
     # breaks that structure shows here.
     case = next(c for c in suite if c.name == case_name)
     g, r, grid = case.gauges[gauge_name], case.rho(gauge_name), case.grid
-    assert g.is_real
     sigma3 = np.diag([1.0, -1.0])
     for tol in (1e-7, 1e-12):
         E = transfer_matrix(g, r, grid.x_min, grid.x_max, tol=tol, grid=grid)
@@ -247,9 +247,9 @@ def test_panel_product_matches_fine_magnus_product(suite, case_name,
     # at sixth order it is within about 4e-14 of its limit.
     case = next(c for c in suite if c.name == case_name)
     g, r, grid = case.gauges[gauge_name], case.rho(gauge_name), case.grid
-    edges, _ = sz_core._segments(g, r, grid.x_min, grid.x_max)
+    edges, _, peak = sz_core._segments(g, r, grid.x_min, grid.x_max)
     for a, b in zip(edges[:-1], edges[1:]):
-        got = sz_core._refined_product(g, r, [a, b], [], 1e-12)
+        got = sz_core._refined_product(g, r, [a, b], [], peak, 1e-12)
         ref = ordered_product(sz_core._generator, g, r, a, b,
                               int(np.ceil(512 * (b - a))))
         assert np.max(np.abs(got - np.reshape(ref, (2, 2)))) < 1e-12
@@ -357,7 +357,8 @@ def test_refined_product_rejects_non_finite_generator(monkeypatch, bad,
     monkeypatch.setattr(sz_core, "_entries", spoilt)
     try:
         e_map = sz_core._refined_product(g, rho_pair(g, w),
-                                         [grid.x_min, grid.x_max], [], 1e-10)
+                                         [grid.x_min, grid.x_max], [],
+                                         w.k_left, 1e-10)
     except NonConvergence:
         return
     assert np.all(np.isfinite(e_map))
@@ -469,6 +470,29 @@ def test_transfer_matrix_refines_the_path_in_one_bisection(monkeypatch,
     assert len(calls) == 1
 
 
+def test_product_start_width_follows_a_replaced_phi_prime(monkeypatch):
+    # The start panels span at most one period pi / max|phi'| of the
+    # phase, with max|phi'| read off phi' itself: phi' = 50 set through
+    # replace starts on panels no wider than pi / 50.
+    p = gaussian(1.0, 1.0)
+    e = EnergySpec(2.0)
+    grid = truncate_domain(p, e)
+    w = wavenumber_field(p, e)
+    g = replace(gauge_constant(w.k_left), phi=scalarize(lambda x: 50.0 * x),
+                phi_prime=constant_field(50.0))
+    starts = []
+    real = sz_core.bisect
+
+    def spied(solve, a, b, *rest):
+        starts.append(b - a)
+        return real(solve, a, b, *rest)
+
+    monkeypatch.setattr(sz_core, "bisect", spied)
+    transfer_matrix(g, rho_pair(g, w), grid.x_min, grid.x_max, tol=1e-9,
+                    grid=grid)
+    assert np.max(starts[0]) <= (math.pi / 50.0) * (1.0 + 1e-12)
+
+
 @pytest.mark.parametrize("gauge_name", ["constant", "wkb", "special_delta"])
 @pytest.mark.parametrize("x_from,x_to", [(-0.5, 0.5), (0.5, -0.5)])
 def test_transfer_matrix_between_barrier_jumps_matches_magnus(
@@ -566,13 +590,13 @@ def test_refined_product_is_the_split_and_multiply_route(monkeypatch, case):
     g = gauge_constant(w.k_left) if case == "gaussian-constant" else \
         gauge_wkb(w, grid)
     r = rho_pair(g, w)
-    edges, junctions = sz_core._segments(g, r, grid.x_min, grid.x_max)
+    edges, junctions, peak = sz_core._segments(g, r, grid.x_min, grid.x_max)
     assert len(junctions) == (0 if case == "gaussian-constant" else 2)
     kept = []
     real = sz_core.bisect
     monkeypatch.setattr(sz_core, "bisect",
                         lambda *args: kept.append(real(*args)) or kept[-1])
-    got = sz_core._refined_product(g, r, edges, junctions, 1e-12)
+    got = sz_core._refined_product(g, r, edges, junctions, peak, 1e-12)
     a, _, _, maps = kept[0]
     want = np.eye(2, dtype=complex)
     for proj, part in zip([np.eye(2, dtype=complex), *junctions],
@@ -612,7 +636,7 @@ def _gauge_with_flat_spot(k, half_width):
         phi=scalarize(raw_phi), phi_prime=scalarize(raw_slope),
         phi_double_prime=scalarize(raw_curv), delta=constant_field(0.0),
         delta_prime=constant_field(0.0), chi=constant_field(0.0),
-        chi_prime=constant_field(0.0), phi_prime_scale=k)
+        chi_prime=constant_field(0.0))
 
 
 def test_product_routes_reject_degenerate_gauge():
@@ -747,7 +771,7 @@ def test_current_matches_direct_im_psi_for_complex_gauge():
         delta_prime=lambda x: 0.1j * np.ones_like(np.asarray(x, dtype=float)),
         chi=lambda x: (0.02 + 0.03j) * np.cos(np.asarray(x)),
         chi_prime=lambda x: -(0.02 + 0.03j) * np.sin(np.asarray(x)),
-        is_real=False, label="complex-test", phi_prime_scale=1.2)
+        label="complex-test")
     rng = np.random.default_rng(42)
     for _ in range(25):
         s = CoefficientState(float(rng.uniform(-2, 2)),
