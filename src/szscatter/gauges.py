@@ -144,15 +144,17 @@ def gauge_special_delta(base: GaugeTriple, w: WaveNumberField,
     the base's Delta (rho2 does not depend on Delta).  The evolution
     generator built from the result has an identically zero diagonal:
     sz_core._entries writes it as rho2 / (2 phi') - Delta', the same
-    quotient of the same samples."""
+    quotient of the same samples.  Every call of Delta' passes its phi'
+    samples through phi_prime_max, so building Delta on the grid's panels
+    raises GaugeDegenerate where the base's phi' fails it there."""
     r = rho_pair(base, w)
     edges = window_edges(grid.x_min, grid.x_max, r.breakpoints)
 
     def raw_dprime(xv):
         ppr, _, rho2 = r.fields(xv)
+        phi_prime_max(ppr)
         return rho2 / (2.0 * ppr)
 
-    phi_prime_max(base.phi_prime(np.linspace(grid.x_min, grid.x_max, 4097)))
     return replace(
         base,
         delta=scalarize(antiderivative(raw_dprime, edges)),

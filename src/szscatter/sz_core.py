@@ -15,9 +15,9 @@ which makes the generator rank one).  Each panel gives its map and an
 error estimate from its trailing Chebyshev coefficients; one
 _panels.bisect (the loop the oracle, the bound integral and the gauge
 antiderivatives share) refines the panels of the whole path, the maps
-are multiplied in order (in one tree where the path has no junction),
-and a backward path is the adjugate of the forward one, since every
-panel map and junction has determinant 1.
+and the junction projections between them are multiplied in path order
+in one tree, and a backward path is the adjugate of the forward one,
+since every panel map and junction has determinant 1.
 scattering_amplitudes goes through the product and, in every gauge,
 reads the amplitudes off (psi, psi') with the plane-wave matcher the
 oracle also uses (_plane_wave_pair).  The representation matrix
@@ -26,10 +26,11 @@ closed form, and a path's two end states are carried in Python complex
 arithmetic.
 
 Discontinuities in the potential or gauge split the domain into smooth
-segments.  Panels and steps never straddle a split; where the gauge
-representation itself jumps (e.g. a local-wavenumber gauge over a square
-barrier) the coefficient pair is re-projected through a junction matrix
-that keeps psi and psi' continuous.
+segments (_segments).  Panels and steps never straddle a split; where the
+gauge representation itself jumps (e.g. a local-wavenumber gauge over a
+square barrier) the coefficient pair is re-projected through a junction
+matrix that keeps psi and psi' continuous.  evolve walks the segments
+itself, edge by edge; the product puts the junctions among its maps.
 """
 
 import cmath
@@ -41,7 +42,6 @@ import numpy as np
 from ._kernels import _tree_product, rk45_coeffs
 from ._panels import (EDGE_NUDGE, PANEL_NODES, ROUNDING_FLOOR, S, TAIL,
                       bisect, nudged, points, solve_blocks, subdivide)
-from ._tables import segment_plan
 from .errors import NonConvergence
 from .gauges import GaugeTriple, RhoPair, phi_prime_max, rho_pair
 from .potentials import (DomainGrid, EnergySpec, PotentialProfile,
@@ -263,10 +263,10 @@ def _segments(g: GaugeTriple, r: RhoPair, lo: float, hi: float) -> tuple:
 
 def _build_bundle(g: GaugeTriple, r: RhoPair, lo: float, hi: float,
                   max_step: float) -> tuple:
-    """The (edges, junctions, peak) of _segments, of which evolve walks
-    the edges and junctions.  max_step is unused (evolve passes its step
-    cap to the kernel) but stays, with the name, because perfbench's
-    tracer and probe reach them."""
+    """The (edges, junctions, peak) of _segments, of which evolve_path
+    walks the edges and crosses the junctions.  max_step is unused (evolve
+    passes its step cap to the kernel) but stays, with the name, because
+    perfbench's tracer and probe reach them."""
     return _segments(g, r, lo, hi)
 
 
@@ -296,9 +296,12 @@ def evolve_path(g: GaugeTriple, r: RhoPair, s0: CoefficientState,
                 sample_points, tol: float, grid: DomainGrid = None) -> tuple:
     """Evolve (a, b) from s0 through ordered sample points.
 
-    The last sample point is the endpoint.  rk45_coeffs steps each smooth
-    segment on _generator, and the pair crosses the junction projections
-    between segments.  Returns (list of CoefficientState, EvolveStats);
+    The last sample point is the endpoint.  Each stop's smooth segment is
+    found by searching the interior edges of _segments, so that a stop on
+    an edge belongs to the segment being left.  rk45_coeffs steps each
+    segment of the walk on _generator, through its stops to its exit edge,
+    and the pair crosses the junction projection there (its adjugate going
+    backward).  Returns (list of CoefficientState, EvolveStats);
     rk45_coeffs raises StepUnderflow when a step below 1e-14 of the span
     still fails its error test.
     """
@@ -321,24 +324,30 @@ def evolve_path(g: GaugeTriple, r: RhoPair, s0: CoefficientState,
     a, b = complex(s0.a), complex(s0.b)
     inv0 = (a.real * a.real + a.imag * a.imag
             - b.real * b.real - b.imag * b.imag)
-    drift = 0.0
-    acc = rej = 0
+    drift, acc, rej = 0.0, 0, 0
     out_states = []
-    prev = None
-    for j, x, seg_stops, n_taken in segment_plan(edges, s0.x, pts):
-        if prev is not None:
-            proj = junctions[min(prev, j)]
-            y = (proj if j > prev else _adjugate(proj)) @ [a, b]
-            a, b = complex(y[0]), complex(y[1])
+    forward = x_to >= s0.x
+    seg = np.searchsorted(edges[1:-1], pts, "left" if forward else "right")
+    last = int(seg[-1])
+    x = s0.x
+    for j in (range(last + 1) if forward
+              else range(len(edges) - 2, last - 1, -1)):
+        seg_stops = pts[seg == j].tolist()
+        n_taken = len(seg_stops)
+        if j != last:
+            seg_stops.append(edges[j + 1] if forward else edges[j])
         seg_a, seg_b, d, na, nr = rk45_coeffs(
             _generator, g, r, x, seg_stops, a, b, tol, max_step, hmin, inv0)
         a, b = seg_a[-1], seg_b[-1]
         drift = max(drift, d)
         acc += na
         rej += nr
-        out_states += map(CoefficientState, map(float, seg_stops[:n_taken]),
-                          seg_a, seg_b)
-        prev = j
+        out_states += map(CoefficientState, seg_stops[:n_taken], seg_a,
+                          seg_b)
+        if j != last:
+            proj = junctions[j] if forward else _adjugate(junctions[j - 1])
+            a, b = map(complex, proj @ [a, b])
+            x = seg_stops[-1]
     return out_states, EvolveStats(acc, rej, float(drift))
 
 
@@ -469,8 +478,10 @@ def _refined_product(g: GaugeTriple, r: RhoPair, edges, junctions: list,
     tol (edges, junctions and the path's largest |phi'| peak as _segments
     returns them).
 
-    One _panels.bisect refines the panels of all pieces (_panel_maps), and
-    each piece's maps are multiplied in order (_kernels._tree_product)."""
+    One _panels.bisect refines the panels of all pieces (_panel_maps).
+    Each junction projection goes between the maps of the pieces it joins,
+    and this one ordered list of the path's maps is multiplied in one
+    _kernels._tree_product."""
     edges = np.asarray(edges, dtype=float)
     # Start panels span at most one period, pi / peak, of e^{-2i phi}, and
     # at most the path over PRODUCT_START_PANELS.
@@ -480,13 +491,10 @@ def _refined_product(g: GaugeTriple, r: RhoPair, edges, junctions: list,
     breaks = np.asarray(r.breakpoints, dtype=float)
     a, _, _, maps = bisect(lambda p, q: _panel_maps(g, r, breaks, p, q),
                            *starts, edges[-1] - edges[0], tol)
-    # A path without junctions is one piece.
-    parts = (np.split(maps, np.searchsorted(a, edges[1:-1])) if junctions
-             else [maps])
-    e = _tree_product(parts[0].transpose(1, 2, 0))
-    for proj, part in zip(junctions, parts[1:]):
-        e = _tree_product(part.transpose(1, 2, 0)) @ (proj @ e)
-    return e
+    # Each junction precedes its piece's first map; the last goes in first.
+    for i, proj in zip(np.searchsorted(a, edges[-2:0:-1]), junctions[::-1]):
+        maps = np.concatenate((maps[:i], proj[None], maps[i:]))
+    return _tree_product(maps.transpose(1, 2, 0))
 
 
 def transfer_matrix(g: GaugeTriple, r: RhoPair, x_from: float, x_to: float,
@@ -501,12 +509,12 @@ def transfer_matrix(g: GaugeTriple, r: RhoPair, x_from: float, x_to: float,
     One _panels.bisect refines the panels of the whole path until each
     error estimate is below its share of tol, in proportion to its width,
     or below its rounding floor.  The maps are multiplied in order, later
-    positions on the left, and the junction projections join the smooth
-    pieces.  A backward path is the adjugate of the forward one, since
-    every panel map and junction has det 1.  Raises NonConvergence past
-    _panels.MAX_PANELS panels or where the generator is not finite.  No
-    Runge-Kutta step is taken and no table is built, so the result is an
-    independent check on evolve.
+    positions on the left, with the junction projections in place between
+    the smooth pieces, as one pairwise tree.  A backward path is the
+    adjugate of the forward one, since every panel map and junction has
+    det 1.  Raises NonConvergence past _panels.MAX_PANELS panels or where
+    the generator is not finite.  No Runge-Kutta step is taken and no
+    table is built, so the result is an independent check on evolve.
     """
     if x_from == x_to:
         return TransferMatrix(_IDENTITY2.copy(), x_from, x_to)

@@ -12,15 +12,16 @@ from scipy.integrate import quad
 
 from szscatter import sz_core
 from szscatter.bounds import phi_prime_family, theta_field
-from szscatter.errors import GaugeDegenerate, TurningPoint
+from szscatter.errors import GaugeDegenerate, NonConvergence, TurningPoint
 from szscatter.gauges import (constant_field, gauge_antiphase, gauge_constant,
                               gauge_from_tables, gauge_special_delta,
                               gauge_wkb, rho_pair, with_constant_chi,
                               with_tabulated_chi)
 from szscatter.oracle import direct_integrate
-from szscatter.potentials import (EnergySpec, gaussian, poschl_teller,
-                                  square_barrier, tabulated, truncate_domain,
-                                  wavenumber_field, window_edges)
+from szscatter.potentials import (DomainGrid, EnergySpec, gaussian,
+                                  poschl_teller, square_barrier, tabulated,
+                                  truncate_domain, wavenumber_field,
+                                  window_edges)
 from szscatter.sz_core import rhs_matrix, scattering_amplitudes
 
 SQRT2 = math.sqrt(2.0)
@@ -199,6 +200,20 @@ def test_special_delta_zero_diagonal():
         m = rhs_matrix(g, r, float(x))
         assert m[0, 0] == 0.0 + 0.0j
         assert m[1, 1] == 0.0 + 0.0j
+
+
+def test_special_delta_rejects_a_degenerate_base():
+    # phi' = 2x vanishes at 0, which a panel of the Delta antiderivative
+    # samples: GaugeDegenerate.  phi' = 2(x - 0.3) vanishes between the
+    # samples, so none fails the degeneracy rule, but Delta' = rho2 /
+    # (2 phi') has a pole there that no refinement resolves.
+    xs = np.linspace(-1.0, 1.0, 81)
+    grid = DomainGrid(-1.0, 1.0, max_step=0.01)
+    w = wavenumber_field(gaussian(1.0, 1.0), EnergySpec(2.0))
+    with pytest.raises(GaugeDegenerate):
+        gauge_special_delta(gauge_from_tables((xs, xs**2)), w, grid)
+    with pytest.raises(NonConvergence):
+        gauge_special_delta(gauge_from_tables((xs, (xs - 0.3)**2)), w, grid)
 
 
 def test_special_delta_keeps_complex_chi():

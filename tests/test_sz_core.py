@@ -122,6 +122,29 @@ def test_evolve_path_rejects_bad_arguments():
         evolve_path(g, r, s0, [0.5, -0.5, grid.x_max], 1e-10, grid)
 
 
+def test_evolve_path_walks_its_edges_both_ways():
+    # wkb with chi = 0.3 over the barrier has two junctions that are not
+    # the identity and a generator with a nonzero diagonal and rho1.  The
+    # stops on the edges +-0.5 belong to the segment being left; the walk
+    # crosses junctions[j] going forward and its adjugate going backward.
+    _, _, grid, w, _, _ = _barrier_setup(2.0)
+    g = with_constant_chi(gauge_wkb(w, grid), 0.3)
+    r = rho_pair(g, w)
+    edges, junctions, _ = sz_core._segments(g, r, grid.x_min, grid.x_max)
+    assert edges[1:-1] == [-0.5, 0.5]
+    assert all(np.max(np.abs(j - np.eye(2))) > 1e-2 for j in junctions)
+    for start, stops in ((grid.x_min, [-0.5, 0.0, 0.5, grid.x_max]),
+                         (grid.x_max, [0.5, 0.2, -0.5, grid.x_min])):
+        s0 = CoefficientState(start, 1.0 + 0j, 0j)
+        states, _ = evolve_path(g, r, s0, stops, 1e-12, grid=grid)
+        assert [s.x for s in states] == stops
+        for state, stop in zip(states, stops):
+            want = transfer_matrix(g, r, s0.x, stop, tol=1e-12,
+                                   grid=grid).apply(s0)
+            assert abs(state.a - want.a) <= 1e-10, (start, stop)
+            assert abs(state.b - want.b) <= 1e-10, (start, stop)
+
+
 def test_routes_reject_a_path_outside_the_grid():
     _, _, grid, _, g, r = _barrier_setup()
     beyond = grid.x_max + 1.0
@@ -577,11 +600,10 @@ def test_representation_det_is_minus_2i(v0, energy):
 
 
 @pytest.mark.parametrize("case", ["gaussian-constant", "barrier-wkb"])
-def test_refined_product_is_the_split_and_multiply_route(monkeypatch, case):
-    # A path without junctions multiplies its maps in one tree; with
-    # junctions, the pieces' products join without identity factors.
-    # Either is bitwise the route that split the maps at every edge and
-    # started from I @ I.
+def test_refined_product_is_one_tree_over_the_joined_maps(monkeypatch, case):
+    # The kept maps, each junction projection before the first map of the
+    # piece it enters, multiply in one tree: bitwise one _tree_product
+    # over that ordered list, called once per path.
     p = gaussian(1.0, 1.0) if case == "gaussian-constant" else \
         square_barrier(1.0, 1.0)
     e = EnergySpec(2.0)
@@ -596,13 +618,19 @@ def test_refined_product_is_the_split_and_multiply_route(monkeypatch, case):
     real = sz_core.bisect
     monkeypatch.setattr(sz_core, "bisect",
                         lambda *args: kept.append(real(*args)) or kept[-1])
+    trees = []
+    monkeypatch.setattr(sz_core, "_tree_product",
+                        lambda m: trees.append(m) or _tree_product(m))
     got = sz_core._refined_product(g, r, edges, junctions, peak, 1e-12)
+    assert len(trees) == 1
     a, _, _, maps = kept[0]
-    want = np.eye(2, dtype=complex)
-    for proj, part in zip([np.eye(2, dtype=complex), *junctions],
-                          np.split(maps, np.searchsorted(a, edges[1:-1]))):
-        want = _tree_product(np.moveaxis(part, 0, -1)) @ (proj @ want)
-    assert np.array_equal(got, want)
+    path = []
+    for left, m in zip(a, maps):
+        path += [proj for proj, edge in zip(junctions, edges[1:-1])
+                 if edge == left]
+        path.append(m)
+    assert len(path) == len(maps) + len(junctions)
+    assert np.array_equal(got, _tree_product(np.stack(path, axis=-1)))
 
 
 def test_tall_barrier_product_raises_no_warning():
