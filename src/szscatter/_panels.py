@@ -31,10 +31,9 @@ integrals, the map's size for the product); it bisects the others and
 solves them again together, and raises NonConvergence past MAX_PANELS
 panels or when a half would be no wider than EDGE_NUDGE max(1, |x|).
 evaluate() reads the oracle's wavefunction and the antiderivatives back
-from the panels' Chebyshev coefficients.  The paths that most calls take
-are cut short without changing a float: subdivide() cuts a single window
-with one linspace, and evaluate() runs a scalar position's Clenshaw
-recurrence in Python floats.
+from the panels' Chebyshev coefficients, by one array recurrence for an
+array or a scalar position.  subdivide() cuts a single window, the path
+most calls take, with one linspace, which gives the general cut's floats.
 """
 
 import math
@@ -116,23 +115,25 @@ def nudged(x: np.ndarray, a: np.ndarray, b: np.ndarray,
     return xe
 
 
-def _too_many(n: int) -> None:
-    if n > MAX_PANELS:
+def _too_many(n) -> None:
+    if not n <= MAX_PANELS:
         raise NonConvergence(f"panel refinement needs more than "
                              f"{MAX_PANELS} panels")
 
 
 def subdivide(lo: np.ndarray, hi: np.ndarray, width: float) -> tuple:
-    """Cut each [lo_i, hi_i] into equal panels no wider than width."""
+    """Cut each [lo_i, hi_i] into equal panels no wider than width; raises
+    NonConvergence past MAX_PANELS panels, counted before any int cast."""
     if lo.size == 1:
         # linspace's points are lo + j (hi - lo) / n and hi, the floats
         # of the general cut below.
-        n = max(1, math.ceil((hi[0] - lo[0]) / width))
+        n = (hi[0] - lo[0]) / width
         _too_many(n)
-        x = np.linspace(lo[0], hi[0], n + 1)
+        x = np.linspace(lo[0], hi[0], max(1, math.ceil(n)) + 1)
         return x[:-1], x[1:]
-    n = np.ceil((hi - lo) / width).astype(int).clip(1)
-    _too_many(int(n.sum()))
+    n = np.ceil((hi - lo) / width)
+    _too_many(n.sum())
+    n = n.astype(int).clip(1)
     seg = np.repeat(np.arange(lo.size), n)
     j = np.arange(seg.size) - np.repeat(np.cumsum(n) - n, n)
     step = ((hi - lo) / n)[seg]
@@ -193,19 +194,6 @@ def evaluate(a: np.ndarray, h: np.ndarray, coef: np.ndarray, x):
     """The interpolants of the panels [a_i, a_i + 2 h_i], given by their
     Chebyshev coefficients coef[i], at the positions x (a position on a
     panel end belongs to the panel before; the end panels extrapolate)."""
-    if np.ndim(x) == 0:
-        # One position in Python floats: the operations of the array
-        # recurrence below, in the same order, without the cost of
-        # numpy's 0-d arithmetic.
-        x = float(x)
-        i = min(max(int(np.searchsorted(a, x)) - 1, 0), a.size - 1)
-        t = (x - float(a[i])) / float(h[i]) - 1.0
-        t2 = 2.0 * t
-        first, *rest = coef[i].tolist()
-        b1 = b2 = 0.0
-        for c in reversed(rest):
-            b1, b2 = c + t2 * b1 - b2, b1
-        return first + t * b1 - b2
     i = np.clip(np.searchsorted(a, x, side="left") - 1, 0, a.size - 1)
     t = (x - a[i]) / h[i] - 1.0
     # Clenshaw's recurrence, reading one contiguous row of coefficients

@@ -113,7 +113,11 @@ def poschl_teller(ell: int, scale: float = 1.0) -> PotentialProfile:
         raise ValueError("ell must be a positive integer")
     if scale <= 0:
         raise ValueError("scale must be > 0")
-    amp = ell * (ell + 1) / scale**2
+    with np.errstate(over="ignore", divide="ignore"):
+        amp = float(ell * (ell + 1.0) / np.float64(scale) ** 2)
+    if not 0.0 < amp < np.inf:
+        raise ValueError("ell (ell + 1) / scale^2 must be a finite positive "
+                         "float")
 
     def raw(xv):
         return -amp / np.cosh(xv / scale) ** 2

@@ -22,8 +22,11 @@ scattering_amplitudes goes through the product and, in every gauge,
 reads the amplitudes off (psi, psi') with the plane-wave matcher the
 oracle also uses (_plane_wave_pair).  The representation matrix
 (a, b) -> (psi, psi') has determinant exactly -2i, so it is inverted in
-closed form, and a path's two end states are carried in Python complex
-arithmetic.
+closed form.  It is sampled in one array call at both window ends, and
+in one call per side at all junctions; a path's two end states are
+carried in Python complex arithmetic.  Off its panels and steps a path
+samples the gauge nowhere else: the Lobatto points of the product's
+start panels give the largest |phi'| and the check for phi' = 0.
 
 Discontinuities in the potential or gauge split the domain into smooth
 segments (_segments).  Panels and steps never straddle a split; where the
@@ -158,7 +161,7 @@ def rhs_matrix(g: GaugeTriple, r: RhoPair, x: float) -> np.ndarray:
 
 def reconstruct_psi(g: GaugeTriple, s: CoefficientState) -> WavefunctionSample:
     """Exact wavefunction and derivative from the coefficient pair."""
-    psi = _times(_rep_matrix(g, s.x, 0), s.a, s.b)
+    psi = _times(_rep_matrix(g, [s.x], 0)[..., 0], s.a, s.b)
     return WavefunctionSample(s.x, *map(complex, psi))
 
 
@@ -166,7 +169,7 @@ def project_wavefunction(g: GaugeTriple, x: float, psi: complex,
                          psi_prime: complex) -> CoefficientState:
     """Inverse of reconstruct_psi: the coefficient pair representing a
     given (psi, psi') at x in this gauge."""
-    ab = _rep_solve(_rep_matrix(g, x, 0), psi, psi_prime)
+    ab = _rep_solve(_rep_matrix(g, [x], 0)[..., 0], psi, psi_prime)
     return CoefficientState(x, *map(complex, ab))
 
 
@@ -196,22 +199,22 @@ def probability_current(g: GaugeTriple, s: CoefficientState) -> float:
 # Smooth segments and junction projections.
 
 
-def _rep_matrix(g: GaugeTriple, x: float, side: int) -> tuple:
-    """Map (a, b) -> (psi, psi') at x, as rows of complex numbers, sampled
-    from the given side (side -1/+1 nudges inward across a jump; 0 samples
-    exactly at x).  Its determinant is exactly -2i, since
-    e^{i theta} e^{-i theta} = 1 and sqrt(phi')^2 = phi'.  Only phi' = 0
-    raises here; a path checks |phi'| on its whole window, in _segments."""
-    xe = x + side * EDGE_NUDGE * max(1.0, abs(x))
-    w = complex(g.phi_prime(xe))
+def _rep_matrix(g: GaugeTriple, x, side: int) -> np.ndarray:
+    """Map (a, b) -> (psi, psi') at each of the positions x, shape
+    (2, 2, len(x)), sampled from the given side (side -1/+1 nudges inward
+    across a jump; 0 samples exactly at x).  Its determinant is exactly
+    -2i, since e^{i theta} e^{-i theta} = 1 and sqrt(phi')^2 = phi'.  Only
+    phi' = 0 raises here; a path checks |phi'| on its panels' points, in
+    _refined_product."""
+    x = np.asarray(x, dtype=float)
+    xe = x + side * EDGE_NUDGE * np.maximum(1.0, np.abs(x))
+    w = np.asarray(g.phi_prime(xe), dtype=complex)
     phi_prime_max(w)
-    phase = complex(g.phi(xe)) + complex(g.delta(xe))
-    chi = complex(g.chi(xe))
-    root = cmath.sqrt(w)
-    ep = cmath.exp(1j * phase)
-    em = 1.0 / ep
-    return ((ep / root, em / root),
-            ((1j * w + chi) * ep / root, (-1j * w + chi) * em / root))
+    root = np.sqrt(w)
+    ep = np.exp(1j * (np.asarray(g.phi(xe)) + g.delta(xe)))
+    up, down = ep / root, 1.0 / ep / root
+    chi = g.chi(xe)
+    return np.array([[up, down], [(1j * w + chi) * up, (chi - 1j * w) * down]])
 
 
 def _times(rep: tuple, a: complex, b: complex) -> tuple:
@@ -233,46 +236,37 @@ def _adjugate(m: np.ndarray) -> np.ndarray:
     return np.array([[m[1, 1], -m[0, 1]], [-m[1, 0], m[0, 0]]])
 
 
-def _junction(g: GaugeTriple, x: float) -> np.ndarray:
-    """Projection keeping (psi, psi') continuous across a representation
-    jump: state_right = P @ state_left, with det P = 1, since both
-    representation matrices have det -2i."""
-    (l11, l12), (l21, l22) = _rep_matrix(g, x, -1)
+def _junction(g: GaugeTriple, x) -> np.ndarray:
+    """Projections keeping (psi, psi') continuous across a representation
+    jump at each of the positions x, shape (len(x), 2, 2): state_right =
+    P @ state_left, with det P = 1, since both representation matrices
+    have det -2i."""
     right = _rep_matrix(g, x, +1)
-    proj = np.array([_rep_solve(right, l11, l21),
-                     _rep_solve(right, l12, l22)]).T
-    if np.max(np.abs(proj - _IDENTITY2)) < 1e-12:
-        return _IDENTITY2
-    return proj
+    return np.array(_rep_solve(right, *_rep_matrix(g, x, -1))).transpose(
+        2, 0, 1)
 
 
 def _segments(g: GaugeTriple, r: RhoPair, lo: float, hi: float) -> tuple:
     """Split [lo, hi] at r's breakpoints (the gauge's and the potential's)
-    into smooth segments, and sample phi' at 513 points inside each.
-    Returns (edges, junctions, peak), with junctions[i] the projection at
-    edges[i + 1] and peak the largest |phi'| sampled; raises
-    GaugeDegenerate where the samples of the whole path fail
-    gauges.phi_prime_max."""
+    into smooth segments.  Returns (edges, junctions), with junctions[i]
+    the projection at edges[i + 1] (an empty list when there are none); the
+    gauge is sampled only on the two sides of those interior edges."""
     edges = window_edges(lo, hi, r.breakpoints)
-    eps = 1e-12 * max(1.0, abs(lo), abs(hi))
-    probe = np.linspace(np.add(edges[:-1], eps), np.subtract(edges[1:], eps),
-                        513)
-    peak = phi_prime_max(g.phi_prime(probe.ravel()))
-    return edges, [_junction(g, b) for b in edges[1:-1]], peak
+    return edges, _junction(g, edges[1:-1]) if len(edges) > 2 else []
 
 
 def _build_bundle(g: GaugeTriple, r: RhoPair, lo: float, hi: float,
                   max_step: float) -> tuple:
-    """The (edges, junctions, peak) of _segments, of which evolve_path
-    walks the edges and crosses the junctions.  max_step is unused (evolve
-    passes its step cap to the kernel) but stays, with the name, because
+    """The (edges, junctions) of _segments, of which evolve_path walks the
+    edges and crosses the junctions.  max_step is unused (evolve passes
+    its step cap to the kernel) but stays, with the name, because
     perfbench's tracer and probe reach them."""
     return _segments(g, r, lo, hi)
 
 
 def _bundle_for(g: GaugeTriple, r: RhoPair, lo: float, hi: float,
                 max_step: float) -> tuple:
-    """_build_bundle's (edges, junctions, peak) under a name of its own,
+    """_build_bundle's (edges, junctions) under a name of its own,
     because perfbench's probe calls it and its tracer counts these calls
     apart from the _build_bundle span."""
     return _build_bundle(g, r, lo, hi, max_step)
@@ -316,7 +310,7 @@ def evolve_path(g: GaugeTriple, r: RhoPair, s0: CoefficientState,
                          "direction")
     x_to = float(pts[-1])
     max_step = _resolve_window(s0.x, x_to, grid)
-    edges, junctions, _ = _bundle_for(g, r, *sorted((s0.x, x_to)), max_step)
+    edges, junctions = _bundle_for(g, r, *sorted((s0.x, x_to)), max_step)
     if x_to == s0.x and pts.size == 1:
         return [CoefficientState(s0.x, s0.a, s0.b)], EvolveStats(0, 0, 0.0)
 
@@ -432,6 +426,8 @@ def _rank_one(m: np.ndarray, h: np.ndarray, q: np.ndarray) -> np.ndarray:
     return np.stack((sigma, -q[:, :, None] * sigma), axis=1)
 
 
+# An overflowing system gets a NaN estimate, which bisect never accepts.
+@np.errstate(over="ignore", invalid="ignore")
 def _panel_maps(g: GaugeTriple, r: RhoPair, breaks: np.ndarray,
                 a: np.ndarray, b: np.ndarray) -> tuple:
     """Each panel's map Y(b_i) of Y' = M Y, Y(a_i) = I, for _panels.bisect.
@@ -472,28 +468,33 @@ def _panel_maps(g: GaugeTriple, r: RhoPair, breaks: np.ndarray,
     return err, np.maximum(np.abs(maps).max(axis=(1, 2)), noise), maps
 
 
-def _refined_product(g: GaugeTriple, r: RhoPair, edges, junctions: list,
-                     peak: float, tol: float) -> np.ndarray:
+def _refined_product(g: GaugeTriple, r: RhoPair, edges, junctions,
+                     tol: float) -> np.ndarray:
     """The map E(edges[-1], edges[0]) of a path cut into smooth pieces, to
-    tol (edges, junctions and the path's largest |phi'| peak as _segments
-    returns them).
+    tol (edges and junctions as _segments returns them).
 
-    One _panels.bisect refines the panels of all pieces (_panel_maps).
-    Each junction projection goes between the maps of the pieces it joins,
-    and this one ordered list of the path's maps is multiplied in one
+    The panels start no wider than the path over PRODUCT_START_PANELS and
+    than one period, pi / max|phi'|, of e^{-2i phi}, with max|phi'| read
+    off phi' at the Lobatto points of the wider cut; those samples are the
+    path's degeneracy check (gauges.phi_prime_max).  One _panels.bisect
+    refines the panels of all pieces (_panel_maps).  Each junction
+    projection goes between the maps of the pieces it joins, and this one
+    ordered list of the path's maps is multiplied in one
     _kernels._tree_product."""
     edges = np.asarray(edges, dtype=float)
-    # Start panels span at most one period, pi / peak, of e^{-2i phi}, and
-    # at most the path over PRODUCT_START_PANELS.
-    starts = subdivide(edges[:-1], edges[1:],
-                       min(math.pi / peak,
-                           (edges[-1] - edges[0]) / PRODUCT_START_PANELS))
     breaks = np.asarray(r.breakpoints, dtype=float)
+    width = (edges[-1] - edges[0]) / PRODUCT_START_PANELS
+    a, b = subdivide(edges[:-1], edges[1:], width)
+    peak = phi_prime_max(g.phi_prime(
+        nudged(points(a, 0.5 * (b - a)), a, b, breaks).ravel()))
+    if math.pi / peak < width:
+        a, b = subdivide(edges[:-1], edges[1:], math.pi / peak)
     a, _, _, maps = bisect(lambda p, q: _panel_maps(g, r, breaks, p, q),
-                           *starts, edges[-1] - edges[0], tol)
-    # Each junction precedes its piece's first map; the last goes in first.
-    for i, proj in zip(np.searchsorted(a, edges[-2:0:-1]), junctions[::-1]):
-        maps = np.concatenate((maps[:i], proj[None], maps[i:]))
+                           a, b, edges[-1] - edges[0], tol)
+    if len(junctions):
+        # Each junction precedes its piece's first map.
+        maps = np.insert(maps, np.searchsorted(a, edges[1:-1]), junctions,
+                         axis=0)
     return _tree_product(maps.transpose(1, 2, 0))
 
 
@@ -541,10 +542,12 @@ def scattering_amplitudes(p: PotentialProfile, e: EnergySpec,
     if grid is None:
         grid = g.grid if g.grid is not None else truncate_domain(p, e)
     u = cmath.exp(1j * w.k_left * grid.x_min) / math.sqrt(w.k_left)
-    a, b = _rep_solve(_rep_matrix(g, grid.x_min, 0), u, 1j * w.k_left * u)
+    left, right = _rep_matrix(g, [grid.x_min, grid.x_max], 0).transpose(
+        2, 0, 1).tolist()
+    a, b = _rep_solve(left, u, 1j * w.k_left * u)
     m = transfer_matrix(g, rho_pair(g, w), grid.x_min, grid.x_max, tol=tol,
                         grid=grid).entries.tolist()
-    psi = _times(_rep_matrix(g, grid.x_max, 0), *_times(m, a, b))
+    psi = _times(right, *_times(m, a, b))
     alpha, beta = _plane_wave_pair(WavefunctionSample(grid.x_max, *psi),
                                    w.k_right)
     return ScatteringAmplitudes(complex(alpha), complex(beta),

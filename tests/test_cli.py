@@ -528,7 +528,9 @@ def test_malformed_potential_file_is_a_configuration_error(tmp_path, table):
     "kind = gaussian\nv0 = 1.0\nsigma = -1\n",
     "kind = square_barrier\nv0 = 1.0\nwidth = -2\n",
     "kind = poschl_teller\nell = 1\nscale = 0\n",
-], ids=["sigma", "width", "scale"])
+    "kind = poschl_teller\nell = 1e300\n",
+    "kind = poschl_teller\nell = 1\nscale = 1e-200\n",
+], ids=["sigma", "width", "scale", "ell-overflow", "scale-overflow"])
 def test_out_of_range_potential_parameter_is_a_configuration_error(
         tmp_path, potential):
     csv = tmp_path / "out.csv"
@@ -540,6 +542,27 @@ def test_out_of_range_potential_parameter_is_a_configuration_error(
         parse_config(cfg.read_text())
     assert err.value.field == "potential"
     assert main(["--config", str(cfg)]) == 2
+    assert not csv.exists()
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("mode,potential", [
+    ("verify", "kind = poschl_teller\nell = 1e20\n"),
+    ("verify", "kind = square_barrier\nv0 = 1e300\nwidth = 1.0\n"),
+    ("scatter", "kind = square_barrier\nv0 = 1e300\nwidth = 1.0\n"),
+], ids=["oracle-sech2", "oracle-barrier", "product-barrier"])
+def test_overflowing_strength_is_a_numerical_failure(tmp_path, mode,
+                                                     potential):
+    # The oracle's start cut at 4 / k_max asks for about 1e20 and 1e150
+    # panels, which are counted before any int cast.  The product's panel
+    # systems over the 1e300 barrier overflow, so their estimates are NaN
+    # and they are bisected up to the panel cap.  Neither warns.
+    csv = tmp_path / "out.csv"
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"[run]\nmode = {mode}\n[potential]\n" + potential
+                   + "[energies]\nvalues = 2.0\n"
+                   f"[outputs]\ncsv_path = {csv}\n")
+    assert main(["--config", str(cfg)]) == 3
     assert not csv.exists()
 
 

@@ -34,6 +34,16 @@ def test_poschl_teller_depth():
     assert evaluate_potential(p2, 30.0) == pytest.approx(0.0, abs=1e-15)
 
 
+@pytest.mark.parametrize("ell,scale", [(10**300, 1.0), (1, 1e-200),
+                                       (1, 1e200)],
+                         ids=["ell", "scale-small", "scale-large"])
+def test_poschl_teller_rejects_a_strength_that_is_not_a_float(ell, scale):
+    # ell (ell + 1) / scale^2 overflows in the first two and underflows to
+    # 0 in the third.
+    with pytest.raises(ValueError, match="finite positive"):
+        poschl_teller(ell, scale)
+
+
 def test_gaussian_profile():
     p = gaussian(2.0, 1.5, center=0.5)
     assert evaluate_potential(p, 0.5) == pytest.approx(2.0)
