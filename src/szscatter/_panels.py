@@ -24,12 +24,12 @@ start on panels a fixed fraction of their window wide
 (bounds.THETA_START_PANELS, ANTIDERIVATIVE_START_PANELS), so that most
 pass at the first or second level, each level costing about as much as
 many panels.  The oracle and the product solve their own second-kind
-systems, through solve_blocks().  bisect() accepts a panel when its
-error estimate is at most max(tol (b - a) / span, ROUNDING_FLOOR scale),
-the scale being the size the panel's rounding is relative to (1 for the
-integrals, the map's size for the product); it bisects the others and
-solves them again together, and raises NonConvergence past MAX_PANELS
-panels or when a half would be no wider than EDGE_NUDGE max(1, |x|).
+systems, through solve_blocks().  bisect() refines one path's panels, or
+many paths' keyed by path, accepting a panel when its error estimate is
+at most max(tol (b - a) / span, ROUNDING_FLOOR scale) (span its path's,
+scale 1 for the integrals or the map's size for the product); it bisects
+the rest and solves them again together, and raises NonConvergence past
+MAX_PANELS on a path or at halves no wider than EDGE_NUDGE max(1, |x|).
 evaluate() reads the oracle's wavefunction and the antiderivatives back
 from the panels' Chebyshev coefficients, by one array recurrence for an
 array or a scalar position.  subdivide() cuts a single window, the path
@@ -57,8 +57,8 @@ EDGE_NUDGE = 1.0e-13
 # Error estimates below this are rounding noise of one panel.
 ROUNDING_FLOOR = 64.0 * float(np.finfo(np.float64).eps)
 # Most bytes the systems of one batched solve may hold, which bounds its
-# temporaries.
-SOLVE_BYTES = 1 << 23
+# temporaries (and a sweep's batched products' peak memory).
+SOLVE_BYTES = 1 << 19
 # Summed error estimate an antiderivative is refined to.
 ANTIDERIVATIVE_TOL = 1.0e-12
 # An antiderivative starts on panels no wider than its window over this.
@@ -141,39 +141,47 @@ def subdivide(lo: np.ndarray, hi: np.ndarray, width: float) -> tuple:
     return left, np.where(j + 1 == n[seg], hi[seg], lo[seg] + (j + 1) * step)
 
 
-def bisect(solve, a: np.ndarray, b: np.ndarray, span: float,
-           tol: float) -> list:
+def bisect(solve, a: np.ndarray, b: np.ndarray, span, tol: float,
+           key: np.ndarray = None) -> list:
     """Refine the panels [a_i, b_i] until each passes its share of tol.
 
-    solve(a, b) returns (err, scale, *results) for a batch of panels: the
-    error estimates, the sizes their rounding is relative to (a scalar,
-    or one per panel) and the results, each an array with one row per
-    panel.  Panels with err <= max(tol (b - a) / span, ROUNDING_FLOOR
-    scale) are kept; the rest are halved and solved again as one batch,
-    until a half would be no wider than the nudge.  a must be ascending;
-    returns [a, b, err, *results] of the kept panels in ascending order of
-    a."""
+    Panel i is on path key[i] (0 when None), whose span is span[key[i]] or
+    span.  solve(a, b, key) returns (err, scale, *results) for a batch:
+    the error estimates, the sizes their rounding is relative to (a
+    scalar, or one per panel) and the results, one row per panel.  Panels
+    with err <= max(tol (b - a) / span[key], ROUNDING_FLOOR scale) are
+    kept; the rest are halved and solved again as one batch, until a half
+    would be no wider than the nudge or a path would hold more than
+    MAX_PANELS.  Panels come, are solved and return ([a, b, err,
+    *results]) in (key, a) order."""
+    key = np.zeros(a.size, dtype=np.intp) if key is None else key
+    span = np.array(span, ndmin=1)
     done = []
     n_done = 0
     while a.size:
-        _too_many(n_done + a.size)
-        err, scale, *results = solve(a, b)
-        ok = err <= np.maximum(tol * (b - a) / span, ROUNDING_FLOOR * scale)
+        if n_done + a.size > MAX_PANELS:  # else no path holds too many
+            held = np.concatenate([key] + [part[0] for part in done])
+            _too_many(np.bincount(held).max())
+        err, scale, *results = solve(a, b, key)
+        ok = err <= np.maximum(tol * (b - a) / span[key],
+                               ROUNDING_FLOOR * scale)
         if not done and ok.all():
             return [a, b, err, *results]
-        done.append([a[ok], b[ok], err[ok], *(r[ok] for r in results)])
+        done.append([part[ok] for part in (key, a, b, err, *results)])
         n_done += int(np.count_nonzero(ok))
-        a, b = a[~ok], b[~ok]
+        a, b, key = a[~ok], b[~ok], key[~ok]
         mid = 0.5 * (a + b)
         # A half no wider than the nudge could not be sampled one-sided.
         if np.any(mid - a <= EDGE_NUDGE * np.maximum(1.0, np.abs(mid))):
             raise NonConvergence(f"panel refinement cannot resolve a panel "
                                  f"to tol={tol:g}")
-        a, b = np.concatenate((a, mid)), np.concatenate((mid, b))
+        # Each panel's halves side by side keep the (key, a) order.
+        a, b, key = np.repeat(a, 2), np.repeat(b, 2), np.repeat(key, 2)
+        a[1::2] = b[0::2] = mid
 
     kept = [np.concatenate(parts) for parts in zip(*done)]
-    order = np.argsort(kept[0])
-    return [part[order] for part in kept]
+    order = np.lexsort(kept[1::-1])
+    return [part[order] for part in kept[1:]]
 
 
 def solve_blocks(systems, rhs: np.ndarray) -> np.ndarray:
@@ -218,7 +226,7 @@ def integrals(fn, edges, tol: float, width: float = np.inf) -> list:
     edges = np.asarray(edges, dtype=float)
     breaks = edges[1:-1]
 
-    def solve(a, b):
+    def solve(a, b, _):
         h = 0.5 * (b - a)
         x = nudged(points(a, h), a, b, breaks)
         with np.errstate(divide="ignore", invalid="ignore"):

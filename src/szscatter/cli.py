@@ -7,10 +7,10 @@ optional plot-ready data blocks.  Every mode runs one loop over the
 row builder fills T and R, the bound cells when a report exists and the
 oracle cells when the oracle ran.  At each energy the Delta-variants
 (special_delta, antiphase) are built on the one constant gauge and share
-its theta integral.  ResultRow's fields are the CSV columns.  Energies
-share no state, so a sweep long enough to pay for it runs half of them
-in one forked helper process (_sweep).  Exit codes: 0 ok,
-2 configuration error, 3 numerical failure, 4 bound violation.
+its theta integral.  ResultRow's fields are the CSV columns.  A sweep
+solves its energies' products in one batch, and one long enough to pay
+for it runs half of them in one forked helper process (_sweep).  Exit
+codes: 0 ok, 2 configuration error, 3 numerical failure, 4 bound violation.
 """
 
 import argparse
@@ -21,6 +21,7 @@ import sys
 import threading
 import time
 from dataclasses import dataclass, fields, replace
+from itertools import zip_longest
 
 import numpy as np
 
@@ -33,7 +34,7 @@ from .errors import (AsymptoticallyClosedChannel, ParseError,
 from .gauges import (gauge_antiphase, gauge_constant, gauge_special_delta,
                      gauge_wkb)
 from .potentials import EnergySpec, truncate_domain, wavenumber_field
-from .sz_core import scattering_amplitudes
+from .sz_core import _amplitudes
 
 MODES = ("scatter", "bounds", "optimize", "verify")
 
@@ -332,61 +333,70 @@ def _gauge_reports(config: RunConfig, e: EnergySpec, w, grid):
         yield start, gauge, report
 
 
-def _rows_for_energy(config: RunConfig, energy: float) -> tuple:
-    """All result rows for one energy.  Returns (rows, n_violations)."""
-    e = EnergySpec(energy, hbar=config.hbar, mass=config.mass)
-    grid = truncate_domain(config.potential, e, config.tail_tol)
-    w = wavenumber_field(config.potential, e)
-    oracle_t = None
-    if config.mode in ("verify", "optimize"):
-        oracle_t = oracle_mod.direct_integrate(
-            config.potential, e, grid, config.ode_tol).transmission
-
-    rows = []
-    for start, gauge, report in _gauge_reports(config, e, w, grid):
-        amp = scattering_amplitudes(config.potential, e, gauge,
-                                    config.ode_tol, grid)
-        row = ResultRow(energy, gauge.label, amp.transmission, amp.reflection)
-        if report is not None:
-            row.theta_integral = report.theta_integral
-            row.t_lower = report.t_lower
-            row.r_upper = report.r_upper
-        if oracle_t is not None:
-            row.oracle_t = oracle_t
-            row.margin_t = oracle_t - report.t_lower
-        row.runtime_ms = 1e3 * (time.perf_counter() - start)
-        rows.append(row)
-    violations = sum(r.margin_t < -bounds_mod.BOUND_SLACK
-                     for r in rows if r.margin_t is not None)
-    return rows, violations
+def _rows_for_energies(config: RunConfig, energies) -> list:
+    """The rows of each energy, in order: each energy's grid, oracle,
+    gauges and bound reports, then all rows' products in one batch
+    (sz_core._amplitudes).  A row's runtime_ms is its gauge's and report's
+    time plus an equal share of the batch's."""
+    parts, cases = [], []
+    for energy in energies:
+        e = EnergySpec(energy, hbar=config.hbar, mass=config.mass)
+        grid = truncate_domain(config.potential, e, config.tail_tol)
+        w = wavenumber_field(config.potential, e)
+        oracle_t = None
+        if config.mode in ("verify", "optimize"):
+            oracle_t = oracle_mod.direct_integrate(
+                config.potential, e, grid, config.ode_tol).transmission
+        parts.append([])
+        for start, gauge, report in _gauge_reports(config, e, w, grid):
+            row = ResultRow(energy, gauge.label)
+            if report is not None:
+                row.theta_integral = report.theta_integral
+                row.t_lower = report.t_lower
+                row.r_upper = report.r_upper
+            if oracle_t is not None:
+                row.oracle_t = oracle_t
+                row.margin_t = oracle_t - report.t_lower
+            row.runtime_ms = 1e3 * (time.perf_counter() - start)
+            parts[-1].append(row)
+            cases.append((config.potential, e, gauge, grid))
+    start = time.perf_counter()
+    amps = _amplitudes(cases, config.ode_tol) if cases else []
+    share = 1e3 * (time.perf_counter() - start) / max(1, len(cases))
+    for row, amp in zip([row for part in parts for row in part], amps):
+        row.transmission, row.reflection = amp.transmission, amp.reflection
+        row.runtime_ms += share
+    return parts
 
 
 def _outcomes(config: RunConfig, energies) -> list:
-    """_rows_for_energy of each energy in order, up to the first one that
-    raises; that one's exception ends the list."""
+    """_rows_for_energies of energies as one batch or, when that raises,
+    of each alone, in order, up to the first exception, which ends it."""
+    try:
+        return _rows_for_energies(config, energies)
+    except Exception as exc:
+        if len(energies) == 1:
+            return [exc]
     out = []
     for energy in energies:
-        try:
-            out.append(_rows_for_energy(config, energy))
-        except Exception as exc:
-            out.append(exc)
+        out += _outcomes(config, [energy])
+        if isinstance(out[-1], Exception):
             break
     return out
 
 
 def _split(config: RunConfig, energies):
-    """(outcomes of energies[0::2], of energies[1::2]): the first computed
-    in one forked helper, which pickles them back through a pipe and
-    leaves with os._exit, the second here.  The first is None when the
-    helper's payload is missing or unreadable, and both are None when fork
-    fails."""
+    """_outcomes of energies, with energies[0::2] computed in one forked
+    helper, which pickles them back through a pipe and leaves with
+    os._exit, and energies[1::2] here; the helper's energies run here too
+    when its payload is missing or unreadable.  None when fork fails."""
     read_fd, write_fd = os.pipe()
     try:
         pid = os.fork()
     except OSError:
         os.close(read_fd)
         os.close(write_fd)
-        return None, None
+        return None
     if pid == 0:
         try:
             os.close(read_fd)
@@ -402,42 +412,38 @@ def _split(config: RunConfig, energies):
     finally:
         os.waitpid(pid, 0)
     try:
-        return pickle.loads(payload), mine
+        theirs = pickle.loads(payload)
     except Exception:
-        return None, mine
+        theirs = _outcomes(config, energies[0::2])
+    # A side's list ends at its first exception, before any later energy.
+    return [out for pair in zip_longest(theirs, mine) for out in pair
+            if out is not None]
 
 
-def _sweep(config: RunConfig, energies):
-    """Yield (rows, violations) per energy of the sorted `energies`, in
-    order, raising where a serial sweep would raise first.
-
-    The first energy runs here and is timed.  The rest are split across
-    one forked helper and this process when half of their estimated time
-    exceeds FORK_COST_S, at least two CPUs are usable, no other thread is
-    running (fork copies only the calling thread) and fork succeeds;
-    otherwise they run here one after another.  The helper takes the
-    even-indexed rest, so that with the first energy the two sides'
-    counts differ by at most one."""
-    if not energies:
-        return
+def _sweep(config: RunConfig, energies) -> list:
+    """The rows of the sorted `energies`, in order, raising where a serial
+    sweep would raise first.  The first energy runs here and is timed.  The
+    rest run here as one batch (_outcomes), or are split across one forked
+    helper and this process, one batch each (_split), when half of their
+    estimated time exceeds FORK_COST_S, at least two CPUs are usable, no
+    other thread is running (fork copies only the calling thread) and fork
+    succeeds.  The helper takes the even-indexed rest, so that with the
+    first energy the two sides' counts differ by at most one."""
     start = time.perf_counter()
-    first = _rows_for_energy(config, energies[0])
+    outcomes = _rows_for_energies(config, energies[:1])
     t_first = time.perf_counter() - start
-    yield first
     rest = energies[1:]
-    mine = theirs = None
+    split = None
     if (len(rest) > 1 and 0.5 * t_first * len(rest) > FORK_COST_S
             and hasattr(os, "fork") and hasattr(os, "sched_getaffinity")
             and len(os.sched_getaffinity(0)) > 1
             and threading.active_count() == 1):
-        theirs, mine = _split(config, rest)
-    for i, energy in enumerate(rest):
-        side = mine if i % 2 else theirs
-        outcome = (_rows_for_energy(config, energy) if side is None
-                   else side[i // 2])
+        split = _split(config, rest)
+    outcomes += _outcomes(config, rest) if split is None else split
+    for outcome in outcomes:
         if isinstance(outcome, Exception):
             raise outcome
-        yield outcome
+    return [row for rows in outcomes for row in rows]
 
 
 def _format_cell(column: str, value) -> str:
@@ -485,16 +491,13 @@ def run(config: RunConfig) -> int:
         if folder and not os.path.isdir(folder):
             raise ValidationError(f"outputs.{key}",
                                   f"no directory {folder!r}")
-    rows = []
-    violations = 0
-    for chunk, bad in _sweep(config, sorted(config.energies)):
-        rows.extend(chunk)
-        violations += bad
+    rows = _sweep(config, sorted(config.energies))
     with open(config.csv_path, "w", encoding="utf-8") as fh:
         fh.write(_rows_to_csv(rows))
     if config.plot_data_path is not None and rows:
         emit_plot_data(rows, config.plot_data_path)
-    if config.mode == "verify" and violations:
+    if config.mode == "verify" and any(
+            r.margin_t < -bounds_mod.BOUND_SLACK for r in rows):
         return 4
     return 0
 

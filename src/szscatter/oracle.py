@@ -97,7 +97,7 @@ def _panels(k_squared, jumps, grid: DomainGrid, width: float,
     if 4.0 < k_max * width:
         a, b = subdivide(a, b, 4.0 / k_max)
     a, b, _, maps, sigma = bisect(
-        lambda a, b: _solve_panels(k_squared, a, b, jumps), a, b, grid.span,
+        lambda a, b, _: _solve_panels(k_squared, a, b, jumps), a, b, grid.span,
         tol)
     return _Panels(a, 0.5 * (b - a), maps, sigma)
 

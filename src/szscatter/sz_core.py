@@ -9,15 +9,14 @@ its panels' Lobatto points, the Runge-Kutta route at its stage positions.
 Neither builds a table.  On each panel the product solves for Y' = M Y
 at the Lobatto points as one second-kind system (Greengard, SIAM J.
 Numer. Anal. 28 (1991) 1071): 2n x 2n for n points, or n x n where the
-generator's own samples on a batch of panels show one degree of freedom
-fewer (a diagonal that vanishes to rounding, or rho1 and Delta' both 0,
-which makes the generator rank one).  Each panel gives its map and an
-error estimate from its trailing Chebyshev coefficients; one
-_panels.bisect (the loop the oracle, the bound integral and the gauge
-antiderivatives share) refines the panels of the whole path, the maps
-and the junction projections between them are multiplied in path order
-in one tree, and a backward path is the adjugate of the forward one,
-since every panel map and junction has determinant 1.
+path's samples on its panels show one degree of freedom fewer (a
+diagonal that vanishes to rounding, or rho1 and Delta' both 0, which
+makes the generator rank one).  Each panel gives its map and an error
+estimate from its trailing Chebyshev coefficients; one _panels.bisect
+refines the panels of a CLI sweep's paths (or of transfer_matrix's one),
+keyed by path, and solves them in groups by system (_refined_products).
+A path's maps and junctions are multiplied in order in one tree, and a
+backward path is the adjugate of the forward one (every det is 1).
 scattering_amplitudes goes through the product and, in every gauge,
 reads the amplitudes off (psi, psi') with the plane-wave matcher the
 oracle also uses (_plane_wave_pair).  The representation matrix
@@ -43,9 +42,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._kernels import _tree_product, rk45_coeffs
-from ._panels import (EDGE_NUDGE, PANEL_NODES, ROUNDING_FLOOR, S, TAIL,
-                      bisect, nudged, points, solve_blocks, subdivide)
-from .errors import NonConvergence
+from ._panels import (EDGE_NUDGE, PANEL_NODES, ROUNDING_FLOOR, S,
+                      SOLVE_BYTES, TAIL, bisect, nudged, points, solve_blocks,
+                      subdivide)
+from .errors import GaugeDegenerate, NonConvergence
 from .gauges import GaugeTriple, RhoPair, phi_prime_max, rho_pair
 from .potentials import (DomainGrid, EnergySpec, PotentialProfile,
                          truncate_domain, wavenumber_field, window_edges)
@@ -382,7 +382,7 @@ def _system(hm: np.ndarray) -> np.ndarray:
                           .reshape(-1, _SIZE, _SIZE))
 
 
-def _full_system(m: np.ndarray, h: np.ndarray) -> np.ndarray:
+def _full_system(m: np.ndarray, h: np.ndarray, _phase) -> np.ndarray:
     """W of the panels, as blocks (panel, i, point, column), from the
     2n x 2n system (I - h M S) W = h M; m holds M as (i, k, panel,
     point) and h the panels' half-widths."""
@@ -399,7 +399,7 @@ def _real_times(t: np.ndarray, d: np.ndarray) -> np.ndarray:
         np.complex128)[..., 0]
 
 
-def _zero_diagonal(m: np.ndarray, h: np.ndarray) -> np.ndarray:
+def _zero_diagonal(m: np.ndarray, h: np.ndarray, _phase) -> np.ndarray:
     """_full_system's W where h M = [[0, D12], [D21, 0]], from the n x n
     Schur complement (I - D12 S D21 S) W1 = D12 (e2 + S D21 e1) and
     W2 = D21 (e1 + S W1)."""
@@ -414,10 +414,11 @@ def _zero_diagonal(m: np.ndarray, h: np.ndarray) -> np.ndarray:
     return np.stack((w1, d21[:, :, None] * sw), axis=1)
 
 
-def _rank_one(m: np.ndarray, h: np.ndarray, q: np.ndarray) -> np.ndarray:
+def _rank_one(m: np.ndarray, h: np.ndarray, phase: np.ndarray) -> np.ndarray:
     """_full_system's W where h M = c u v^T, with c = h M11, u = (1, -q),
     v = (1, 1/q) and q = e^{2i(phi + Delta)}: W = u sigma^T, where
     (I - diag(c) (S o (1 - q_j / q_l))) sigma = c v."""
+    q = np.exp(2j * phase)
     c = h[:, None] * m[0, 0]
     p = c / q
     rhs = np.stack((c, p), axis=-1)
@@ -428,74 +429,112 @@ def _rank_one(m: np.ndarray, h: np.ndarray, q: np.ndarray) -> np.ndarray:
 
 # An overflowing system gets a NaN estimate, which bisect never accepts.
 @np.errstate(over="ignore", invalid="ignore")
-def _panel_maps(g: GaugeTriple, r: RhoPair, breaks: np.ndarray,
-                a: np.ndarray, b: np.ndarray) -> tuple:
-    """Each panel's map Y(b_i) of Y' = M Y, Y(a_i) = I, for _panels.bisect.
+def _panel_maps(paths, a: np.ndarray, b: np.ndarray,
+                key: np.ndarray) -> tuple:
+    """Each panel's map Y(b_i) of Y' = M Y, Y(a_i) = I, for _panels.bisect;
+    panel i lies on paths[key[i]], a (gauge, rho pair, breakpoints).
 
     With W = h Y' at the panel's Lobatto points, Y = I + S W, so W = h M Y
     is the second-kind system (I - h M S) W = h M: one 2n x 2n system with
     two right-hand sides per panel (Greengard, SIAM J. Numer. Anal. 28
-    (1991) 1071).  Where the gauge leaves M one degree of freedom fewer,
-    the same W comes from an n x n system, chosen from the batch's own
-    samples: where M's diagonal is at every point no more than
-    _panels.ROUNDING_FLOOR (|phi'| + |Delta'|), the rounding of its two
-    terms, from the Schur complement (_zero_diagonal), and otherwise where
-    rho1 and Delta' are 0 at every point, so that M = M11 u v^T is rank
-    one, from the system for its one scalar (_rank_one).  The map is
-    I + S[-1] W and the error estimate the largest trailing Chebyshev
-    coefficient of W.  Rounding is relative to the map and to the
-    generator's own rounding, which grows with the phase phi + Delta that
-    e^{-2i(phi+Delta)} is taken of.  Panel ends on one of the breaks are
-    sampled from inside the panel (_panels.nudged).
-    """
+    (1991) 1071).  Where a path's samples on its panels show M one degree
+    of freedom fewer, the same W comes from an n x n system: the Schur
+    complement (_zero_diagonal) where M's diagonal is at every point at
+    most _panels.ROUNDING_FLOOR (|phi'| + |Delta'|), the rounding of its
+    two terms, and otherwise, where rho1 and Delta' are 0 at every point
+    (M = M11 u v^T), the system for its one scalar (_rank_one).  Each
+    system's group of panels is solved when it fills _panels.SOLVE_BYTES.
+    The map is I + S[-1] W and the error estimate the largest trailing
+    Chebyshev coefficient of W.  Rounding is relative to the map and to
+    the generator's own, which grows with the phase phi + Delta that
+    e^{-2i(phi+Delta)} is taken of.  Panel ends on a path's breaks are
+    sampled from inside the panel (_panels.nudged)."""
     h = 0.5 * (b - a)
-    x = nudged(points(a, h), a, b, breaks)
-    (g11, g12, g21), phase, ppr, r1, dprime = _entries(g, r, x.ravel())
-    m = np.reshape((g11, g12, g21, -g11), (2, 2) + x.shape)
-    if not np.isfinite(m).all():
-        raise NonConvergence("the generator is not finite on the path")
-    phase = phase.reshape(x.shape)
-    if np.all(np.abs(g11) <= ROUNDING_FLOOR * (np.abs(ppr) + np.abs(dprime))):
-        w = _zero_diagonal(m, h)
-    elif not (np.any(r1) or np.any(dprime)):
-        w = _rank_one(m, h, np.exp(2j * phase))
-    else:
-        w = _full_system(m, h)
-    read = _READ @ w
-    maps = _IDENTITY2 + read[:, :, 0]
-    err = np.abs(read[:, :, 1:]).max(axis=(1, 2, 3))
-    noise = 2.0 * np.abs(w).max(axis=(1, 2, 3)) * np.abs(phase).max(axis=1)
-    return err, np.maximum(np.abs(maps).max(axis=(1, 2)), noise), maps
+    err, scale = np.empty(a.size), np.empty(a.size)
+    maps = np.empty((a.size, 2, 2), dtype=complex)
+    groups = {}
+
+    def solve(system):
+        rows, m, phase = (np.concatenate(part, axis) for part, axis in
+                          zip(zip(*groups.pop(system)), (0, 2, 0)))
+        w = system(m, h[rows], phase)
+        read = _READ @ w
+        mine = maps[rows] = _IDENTITY2 + read[:, :, 0]
+        err[rows] = np.abs(read[:, :, 1:]).max(axis=(1, 2, 3))
+        noise = 2.0 * np.abs(w).max(axis=(1, 2, 3)) * np.abs(phase).max(axis=1)
+        scale[rows] = np.maximum(np.abs(mine).max(axis=(1, 2)), noise)
+
+    ends = np.searchsorted(key, np.arange(len(paths) + 1)).tolist()
+    for (g, r, breaks), lo, hi in zip(paths, ends, ends[1:]):
+        if lo == hi:
+            continue
+        x = nudged(points(a[lo:hi], h[lo:hi]), a[lo:hi], b[lo:hi], breaks)
+        (g11, g12, g21), phase, ppr, r1, dprime = _entries(g, r, x.ravel())
+        m = np.reshape((g11, g12, g21, -g11), (2, 2) + x.shape)
+        if not np.isfinite(m).all():
+            raise NonConvergence("the generator is not finite on the path")
+        if np.all(np.abs(g11) <= ROUNDING_FLOOR * (np.abs(ppr)
+                                                   + np.abs(dprime))):
+            system, size = _zero_diagonal, PANEL_NODES
+        elif not (np.any(r1) or np.any(dprime)):
+            system, size = _rank_one, PANEL_NODES
+        else:
+            system, size = _full_system, _SIZE
+        group = groups.setdefault(system, [])
+        group.append((np.arange(lo, hi), m, phase.reshape(x.shape)))
+        if 16 * size * size * sum(p[0].size for p in group) >= SOLVE_BYTES:
+            solve(system)
+    for system in list(groups):
+        solve(system)
+    return err, scale, maps
+
+
+def _refined_products(paths, tol: float) -> list:
+    """The maps E(edges[-1], edges[0]) of the (gauge, rho pair, edges,
+    junctions) paths (as _segments cuts them), each refined to tol.
+
+    A path starts on panels no wider than it over PRODUCT_START_PANELS and
+    than pi / max|phi'|, one period of e^{-2i phi}, read off phi' at the
+    wider cut's Lobatto points; GaugeDegenerate, before any solve, where
+    those fail gauges.phi_prime_max or real ones change sign in a panel.
+    One _panels.bisect refines all paths' panels keyed by path
+    (_panel_maps), so a path's maps are bitwise its maps alone.  Junctions
+    go before their piece's first map; a path multiplies in one tree."""
+    starts = []
+    for g, r, edges, _ in paths:
+        edges = np.asarray(edges, dtype=float)
+        breaks = np.asarray(r.breakpoints, dtype=float)
+        width = (edges[-1] - edges[0]) / PRODUCT_START_PANELS
+        a, b = subdivide(edges[:-1], edges[1:], width)
+        x = nudged(points(a, 0.5 * (b - a)), a, b, breaks)
+        ppr = np.resize(g.phi_prime(x.ravel()), x.shape)
+        peak = phi_prime_max(ppr)
+        neg = np.signbit(ppr.real)
+        if not np.any(ppr.imag) and np.any(neg != neg[:, :1]):
+            raise GaugeDegenerate("phi' changes sign on the path")
+        if math.pi / peak < width:
+            a, b = subdivide(edges[:-1], edges[1:], math.pi / peak)
+        starts.append((a, b, (g, r, breaks), edges[-1] - edges[0]))
+    a, b, sampled, spans = zip(*starts)
+    key = np.repeat(np.arange(len(paths)), [part.size for part in a])
+    a, _, _, maps, key = bisect(
+        lambda p, q, k: (*_panel_maps(sampled, p, q, k), k),
+        np.concatenate(a), np.concatenate(b), spans, tol, key)
+    ends = np.searchsorted(key, np.arange(len(paths) + 1))
+    out = []
+    for (_, _, edges, junctions), lo, hi in zip(paths, ends[:-1], ends[1:]):
+        m = maps[lo:hi]
+        if len(junctions):
+            m = np.insert(m, np.searchsorted(a[lo:hi], edges[1:-1]),
+                          junctions, axis=0)
+        out.append(_tree_product(m.transpose(1, 2, 0)))
+    return out
 
 
 def _refined_product(g: GaugeTriple, r: RhoPair, edges, junctions,
                      tol: float) -> np.ndarray:
-    """The map E(edges[-1], edges[0]) of a path cut into smooth pieces, to
-    tol (edges and junctions as _segments returns them).
-
-    The panels start no wider than the path over PRODUCT_START_PANELS and
-    than one period, pi / max|phi'|, of e^{-2i phi}, with max|phi'| read
-    off phi' at the Lobatto points of the wider cut; those samples are the
-    path's degeneracy check (gauges.phi_prime_max).  One _panels.bisect
-    refines the panels of all pieces (_panel_maps).  Each junction
-    projection goes between the maps of the pieces it joins, and this one
-    ordered list of the path's maps is multiplied in one
-    _kernels._tree_product."""
-    edges = np.asarray(edges, dtype=float)
-    breaks = np.asarray(r.breakpoints, dtype=float)
-    width = (edges[-1] - edges[0]) / PRODUCT_START_PANELS
-    a, b = subdivide(edges[:-1], edges[1:], width)
-    peak = phi_prime_max(g.phi_prime(
-        nudged(points(a, 0.5 * (b - a)), a, b, breaks).ravel()))
-    if math.pi / peak < width:
-        a, b = subdivide(edges[:-1], edges[1:], math.pi / peak)
-    a, _, _, maps = bisect(lambda p, q: _panel_maps(g, r, breaks, p, q),
-                           a, b, edges[-1] - edges[0], tol)
-    if len(junctions):
-        # Each junction precedes its piece's first map.
-        maps = np.insert(maps, np.searchsorted(a, edges[1:-1]), junctions,
-                         axis=0)
-    return _tree_product(maps.transpose(1, 2, 0))
+    """_refined_products of the one path (g, r, edges, junctions)."""
+    return _refined_products([(g, r, edges, junctions)], tol)[0]
 
 
 def transfer_matrix(g: GaugeTriple, r: RhoPair, x_from: float, x_to: float,
@@ -532,26 +571,36 @@ def scattering_amplitudes(p: PotentialProfile, e: EnergySpec,
 
     The incident plane wave e^{i k_left x}/sqrt(k_left) is projected onto
     the gauge's coefficient pair at the left edge, carried to the right
-    edge by the path-ordered exponential transfer_matrix (tol is its
-    entrywise tolerance), turned back into (psi, psi') and matched onto
-    normalized plane waves there, which gives (alpha, beta) and T and R
-    as current ratios.  Only (psi, psi') enters the read-out, so the
-    amplitudes do not depend on the gauge.
+    edge by the path-ordered exponential (tol is its entrywise tolerance;
+    this is the one-case _amplitudes), turned back into (psi, psi') and
+    matched onto normalized plane waves there, which gives (alpha, beta)
+    and T and R as current ratios.  Only (psi, psi') enters the read-out,
+    so the amplitudes do not depend on the gauge.
     """
-    w = wavenumber_field(p, e)
-    if grid is None:
-        grid = g.grid if g.grid is not None else truncate_domain(p, e)
-    u = cmath.exp(1j * w.k_left * grid.x_min) / math.sqrt(w.k_left)
-    left, right = _rep_matrix(g, [grid.x_min, grid.x_max], 0).transpose(
-        2, 0, 1).tolist()
-    a, b = _rep_solve(left, u, 1j * w.k_left * u)
-    m = transfer_matrix(g, rho_pair(g, w), grid.x_min, grid.x_max, tol=tol,
-                        grid=grid).entries.tolist()
-    psi = _times(right, *_times(m, a, b))
-    alpha, beta = _plane_wave_pair(WavefunctionSample(grid.x_max, *psi),
-                                   w.k_right)
-    return ScatteringAmplitudes(complex(alpha), complex(beta),
-                                *_probabilities(alpha, beta))
+    return _amplitudes([(p, e, g, grid)], tol)[0]
+
+
+def _amplitudes(cases, tol: float) -> list:
+    """scattering_amplitudes of each (p, e, g, grid) case, in one batch."""
+    paths, ends = [], []
+    for p, e, g, grid in cases:
+        w = wavenumber_field(p, e)
+        if grid is None:
+            grid = g.grid if g.grid is not None else truncate_domain(p, e)
+        r = rho_pair(g, w)
+        paths.append((g, r, *_segments(g, r, grid.x_min, grid.x_max)))
+        ends.append((w, grid, _rep_matrix(g, [grid.x_min, grid.x_max], 0)))
+    out = []
+    for (w, grid, rep), m in zip(ends, _refined_products(paths, tol)):
+        u = cmath.exp(1j * w.k_left * grid.x_min) / math.sqrt(w.k_left)
+        left, right = rep.transpose(2, 0, 1).tolist()
+        psi = _times(right, *_times(m.tolist(), *_rep_solve(
+            left, u, 1j * w.k_left * u)))
+        alpha, beta = _plane_wave_pair(WavefunctionSample(grid.x_max, *psi),
+                                       w.k_right)
+        out.append(ScatteringAmplitudes(complex(alpha), complex(beta),
+                                        *_probabilities(alpha, beta)))
+    return out
 
 
 def _probabilities(fwd: complex, bwd: complex) -> tuple:

@@ -12,6 +12,7 @@ import pytest
 import szscatter.bounds as bounds_mod
 import szscatter.cli as cli_mod
 import szscatter.errors as errors_mod
+import szscatter.sz_core as sz_core
 from szscatter.cli import (CSV_HEADER, ResultRow, emit_plot_data, main,
                            parse_config, run)
 from szscatter.errors import (NonConvergence, ParseError, SzScatterError,
@@ -373,24 +374,34 @@ def test_verify_integrates_theta_once_per_phi_prime(monkeypatch, tmp_path):
     # theta does not see Delta, so constant, special_delta and antiphase
     # share one J per energy, and wkb, admissible above the top V0 = 1,
     # has its own.  Each J is the one bound_report gives for its gauge.
+    # A serial sweep runs the first energy alone and the rest as one
+    # batch, which stages (and integrates theta for) one energy at a time.
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
-    energies, integrated = [], []
-    real_rows, real_theta = cli_mod._rows_for_energy, bounds_mod.theta_integral
+    batches, energies, integrated = [], [], []
+    real_batch, real_reports = (cli_mod._rows_for_energies,
+                                cli_mod._gauge_reports)
+    real_theta = bounds_mod.theta_integral
 
-    def rows(config, energy):
-        energies.append(energy)
-        return real_rows(config, energy)
+    def batch(config, values):
+        batches.append(list(values))
+        return real_batch(config, values)
+
+    def reports(config, e, *args):
+        energies.append(e.energy)
+        return real_reports(config, e, *args)
 
     def theta(*args):
         integrated.append(energies[-1])
         return real_theta(*args)
 
-    monkeypatch.setattr(cli_mod, "_rows_for_energy", rows)
+    monkeypatch.setattr(cli_mod, "_rows_for_energies", batch)
+    monkeypatch.setattr(cli_mod, "_gauge_reports", reports)
     monkeypatch.setattr(bounds_mod, "theta_integral", theta)
     csv = tmp_path / "verify.csv"
     config = parse_config(GAUSSIAN_SWEEP.replace(
         "mode = bounds", "mode = verify").format(csv=csv))
     assert run(config) == 0
+    assert batches == [[0.5], [0.8, 1.5, 2.0, 5.0]]
     assert integrated == [0.5, 0.8, 1.5, 1.5, 2.0, 2.0, 5.0, 5.0]
     rows = _csv_rows(csv)
     assert len(rows) == 3 * 5 + 3
@@ -403,6 +414,18 @@ def test_verify_integrates_theta_once_per_phi_prime(monkeypatch, tmp_path):
                                          config.quad_tol, grid)
         assert float(row["theta_integral"]) == report.theta_integral
         assert float(row["t_lower"]) == report.t_lower
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_energies_without_rows_keep_the_sweep(monkeypatch, capsys, tmp_path,
+                                              forks, cpus):
+    # wkb has a turning point below the barrier top, so 0.5 and 0.8 give
+    # no row and their batches no product; the sweep writes the row at 2.
+    text = MINIMAL.replace("v0 = 0.0", "v0 = 1.0").replace(
+        "values = 1.0", "values = 0.5 0.8 2.0\n[gauges]\nnames = wkb")
+    code, err, cells = _sweep(monkeypatch, capsys, tmp_path, text, cpus)
+    assert (code, err) == (0, "")
+    assert [row[:2] for row in cells[1:]] == [["2", "wkb"]]
 
 
 def test_run_writes_plot_data(tmp_path):
@@ -589,8 +612,8 @@ def test_csv_path_in_missing_directory_exits_before_the_sweep(
     import szscatter.cli as cli_mod
 
     calls = []
-    real = cli_mod._rows_for_energy
-    monkeypatch.setattr(cli_mod, "_rows_for_energy",
+    real = cli_mod._rows_for_energies
+    monkeypatch.setattr(cli_mod, "_rows_for_energies",
                         lambda *args: calls.append(args) or real(*args))
     cfg = tmp_path / "run.cfg"
     cfg.write_text(MINIMAL.format(csv=tmp_path / "missing" / "out.csv"))
@@ -627,11 +650,11 @@ def test_unwritable_csv_path_exits_two(tmp_path, capsys):
 def test_run_exit_four_on_violation(monkeypatch, tmp_path):
     import szscatter.cli as cli_mod
 
-    def fake_rows(config, energy):
-        return [ResultRow(energy=energy, gauge_id="fake", transmission=0.5,
-                          margin_t=-1.0)], 1
+    def fake_rows(config, energies):
+        return [[ResultRow(energy=energy, gauge_id="fake", transmission=0.5,
+                           margin_t=-1.0)] for energy in energies]
 
-    monkeypatch.setattr(cli_mod, "_rows_for_energy", fake_rows)
+    monkeypatch.setattr(cli_mod, "_rows_for_energies", fake_rows)
     csv = tmp_path / "viol.csv"
     text = BARRIER_BOUNDS.replace("mode = bounds", "mode = verify")
     assert run(parse_config(text.format(csv=csv))) == 4
@@ -816,16 +839,19 @@ def test_split_sweep_matches_serial(monkeypatch, capsys, tmp_path, forks,
     ids=["helper", "parent", "helper-first", "parent-first"])
 def test_split_sweep_fails_as_a_serial_one(monkeypatch, capsys, tmp_path,
                                            forks, failures):
-    # The helper computes 0.8 and 3.0, the parent 2.0 and 5.0; whichever
-    # side fails, the first failure in energy order is reported.
-    real = cli_mod._rows_for_energy
+    # The helper computes 0.8 and 3.0, the parent 2.0 and 5.0, each side
+    # as one batch, which fails as a whole when one of its energies
+    # fails; whichever side fails, the first failure in energy order is
+    # reported.
+    real = cli_mod._rows_for_energies
 
-    def rows(config, energy):
-        if energy in failures:
-            raise failures[energy]()
-        return real(config, energy)
+    def rows(config, energies):
+        for energy in energies:
+            if energy in failures:
+                raise failures[energy]()
+        return real(config, energies)
 
-    monkeypatch.setattr(cli_mod, "_rows_for_energy", rows)
+    monkeypatch.setattr(cli_mod, "_rows_for_energies", rows)
     text = SPLIT_SWEEP.replace("mode = bounds", "mode = scatter")
     serial = _sweep(monkeypatch, capsys, tmp_path, text, 1)
     split = _sweep(monkeypatch, capsys, tmp_path, text, 2)
@@ -837,50 +863,79 @@ def test_split_sweep_fails_as_a_serial_one(monkeypatch, capsys, tmp_path,
     assert err.endswith(f"{first}\n") and cells is None
 
 
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_a_product_failing_inside_a_batch_fails_as_a_serial_sweep(
+        monkeypatch, capsys, tmp_path, forks, cpus):
+    # The constant gauge's products at E = 2 and 5 raise inside the batch
+    # of 0.8, 2.0, 3.0 and 5.0 that follows the first energy (one CPU), or
+    # inside the parent's batch of 2.0 and 5.0 (two CPUs).  A batch raises
+    # the message of its last failing path, so only the energies solved
+    # again one at a time give the serial sweep's exit: 3, with the
+    # message of E = 2.
+    real = sz_core._panel_maps
+    failures = {"constant(k=1.41421)": "fails at 2",
+                "constant(k=2.23607)": "fails at 5"}
+
+    def panel_maps(paths, *args):
+        failing = [failures[g.label] for g, _, _ in paths
+                   if g.label in failures]
+        if failing:
+            raise NonConvergence(failing[-1])
+        return real(paths, *args)
+
+    monkeypatch.setattr(sz_core, "_panel_maps", panel_maps)
+    text = SPLIT_SWEEP.replace("mode = bounds", "mode = scatter")
+    code, err, cells = _sweep(monkeypatch, capsys, tmp_path, text, cpus)
+    assert forks == ([1] if cpus == 2 else [])
+    assert (code, err, cells) == (
+        3, "sz-scatter: numerical failure: fails at 2\n", None)
+
+
 @pytest.mark.parametrize("count", [4, 16])
 def test_split_sweep_gives_each_process_half(monkeypatch, capsys, tmp_path,
                                              forks, count):
     # With the first energy, which the parent runs alone, the parent and
     # the helper compute count / 2 energies each: the helper the
-    # even-indexed rest, the parent the first and the odd-indexed rest.
+    # even-indexed rest, the parent the first and the odd-indexed rest,
+    # each side's share of the rest as one batch.
     log = tmp_path / "pids.log"
 
-    def rows(config, energy):
+    def rows(config, energies):
         with open(log, "a", encoding="utf-8") as fh:
-            fh.write(f"{energy!r} {os.getpid()}\n")
-        return [ResultRow(energy, "stub")], 0
+            fh.write(f"{os.getpid()} {' '.join(map(repr, energies))}\n")
+        return [[ResultRow(energy, "stub")] for energy in energies]
 
-    monkeypatch.setattr(cli_mod, "_rows_for_energy", rows)
+    monkeypatch.setattr(cli_mod, "_rows_for_energies", rows)
     energies = [float(i) for i in range(1, count + 1)]
     text = MINIMAL.replace("values = 1.0", "values = " + " ".join(
         map(repr, reversed(energies))))
     code, _, cells = _sweep(monkeypatch, capsys, tmp_path, text, 2)
     assert forks == [1] and code == 0
     assert [float(row[0]) for row in cells[1:]] == energies
-    pid = {float(e): int(p) for e, p in
-           (line.split() for line in log.read_text().splitlines())}
+    batches = {}
+    for line in log.read_text().splitlines():
+        p, *batch = line.split()
+        batches.setdefault(int(p), []).append([float(e) for e in batch])
     parent = os.getpid()
-    helper = {pid[e] for e in energies[1::2]}
-    assert helper != {parent} and len(helper) == 1
-    assert [e for e in energies if pid[e] == parent] == (
-        energies[:1] + energies[2::2])
-    assert len(pid) == count
-    assert sum(p == parent for p in pid.values()) == count // 2
+    assert batches.pop(parent) == [energies[:1], energies[2::2]]
+    # One helper, in one batch; each side computes half.
+    assert list(batches.values()) == [[energies[1::2]]]
+    assert len(energies[1::2]) == count // 2
 
 
 def test_split_sweep_survives_a_dead_helper(monkeypatch, capsys, tmp_path,
                                             forks):
     # A helper that dies without a payload leaves its energies to the
     # parent.
-    real = cli_mod._rows_for_energy
+    real = cli_mod._rows_for_energies
     parent = os.getpid()
 
-    def rows(config, energy):
+    def rows(config, energies):
         if os.getpid() != parent:
             os._exit(9)
-        return real(config, energy)
+        return real(config, energies)
 
-    monkeypatch.setattr(cli_mod, "_rows_for_energy", rows)
+    monkeypatch.setattr(cli_mod, "_rows_for_energies", rows)
     serial = _sweep(monkeypatch, capsys, tmp_path, SPLIT_SWEEP, 1)
     split = _sweep(monkeypatch, capsys, tmp_path, SPLIT_SWEEP, 2)
     assert forks == [1]

@@ -392,6 +392,30 @@ def test_panel_cap_raises_nonconvergence(monkeypatch):
     direct_integrate(p, e, grid, 1e-12)
 
 
+def test_keyed_bisect_refines_each_path_to_its_own_share(monkeypatch):
+    # Two paths of one panel [0, 1] each, with spans 1 and 100, and an
+    # error estimate 0.5 tol (b - a)^2: path 0 passes at once, path 1 only
+    # on halves of width 1/64, its share tol (b - a) / 100.  The kept
+    # panels come in (path, position) order, and the cap counts each
+    # path's panels apart.
+    def solve(a, b, key):
+        return 0.5 * 1e-6 * (b - a) ** 2, 0.0, key
+
+    def run():
+        return _panels.bisect(solve, np.zeros(2), np.ones(2), [1.0, 100.0],
+                              1e-6, np.array([0, 1]))
+
+    a, b, _, key = run()
+    assert np.array_equal(key, [0] + [1] * 64)
+    assert np.array_equal(a, np.concatenate(([0.0], np.arange(64) / 64)))
+    assert np.array_equal(b[1:], np.arange(1, 65) / 64)
+    monkeypatch.setattr(_panels, "MAX_PANELS", 64)
+    assert np.array_equal(run()[3], key)
+    monkeypatch.setattr(_panels, "MAX_PANELS", 63)
+    with pytest.raises(NonConvergence):
+        run()
+
+
 def test_samples_match_rk45_wave_route():
     # Panel-interpolant samples against the Runge-Kutta route
     # stopped at the same positions.

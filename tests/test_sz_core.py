@@ -316,9 +316,10 @@ def test_reduced_panel_systems_match_the_full_system(monkeypatch, potential,
                         lambda *args: kept.append(real(*args)) or kept[-1])
     transfer_matrix(g, r, grid.x_min, grid.x_max, tol=tol, grid=grid)
     assert calls == []
-    a, b, _, maps = kept[0]
-    monkeypatch.setattr(sz_core, reduced, lambda m, h, *_: full(m, h))
-    _, _, ref = sz_core._panel_maps(g, r, np.asarray(r.breakpoints), a, b)
+    a, b, _, maps, key = kept[0]
+    monkeypatch.setattr(sz_core, reduced, full)
+    _, _, ref = sz_core._panel_maps([(g, r, np.asarray(r.breakpoints))], a,
+                                    b, key)
     size = np.maximum(np.abs(ref).max(axis=(1, 2)), 1.0)
     assert np.all(np.abs(maps - ref).max(axis=(1, 2)) <= 1e-13 * size ** 2)
 
@@ -335,7 +336,8 @@ def test_start_meshes_need_at_most_one_refinement(monkeypatch, energy):
     def counted(solve, *args):
         calls = []
         try:
-            return real(lambda a, b: calls.append(1) or solve(a, b), *args)
+            return real(lambda *panels: calls.append(1) or solve(*panels),
+                        *args)
         finally:
             levels.append(len(calls))
 
@@ -393,10 +395,10 @@ def _counting_panels(monkeypatch, cap):
     solved = [0]
     real = sz_core._panel_maps
 
-    def counted(g, r, breaks, a, b):
+    def counted(paths, a, b, key):
         solved[0] += a.size
         assert solved[0] <= cap
-        return real(g, r, breaks, a, b)
+        return real(paths, a, b, key)
 
     monkeypatch.setattr(sz_core, "_panel_maps", counted)
 
@@ -623,7 +625,7 @@ def test_refined_product_is_one_tree_over_the_joined_maps(monkeypatch, case):
                         lambda m: trees.append(m) or _tree_product(m))
     got = sz_core._refined_product(g, r, edges, junctions, 1e-12)
     assert len(trees) == 1
-    a, _, _, maps = kept[0]
+    a, _, _, maps, _ = kept[0]
     path = []
     for left, m in zip(a, maps):
         path += [proj for proj, edge in zip(junctions, edges[1:-1])
@@ -631,6 +633,69 @@ def test_refined_product_is_one_tree_over_the_joined_maps(monkeypatch, case):
         path.append(m)
     assert len(path) == len(maps) + len(junctions)
     assert np.array_equal(got, _tree_product(np.stack(path, axis=-1)))
+
+
+def _mixed_paths():
+    """(gauge, rho pair, x_from, x_to, grid) of square_barrier(1, 1) in
+    wkb + chi = 0.3 at E = 2 over the barrier alone and over its window,
+    with two junctions far from I, and of gaussian(1, 1) in the constant,
+    wkb, special_delta and antiphase gauges at E = 1.5, 2 and 5: paths of
+    all three panel systems, junctions, and spans 1 to about 20."""
+    p = square_barrier(1.0, 1.0)
+    e = EnergySpec(2.0)
+    grid = truncate_domain(p, e)
+    w = wavenumber_field(p, e)
+    g = with_constant_chi(gauge_wkb(w, grid), 0.3)
+    out = [(g, rho_pair(g, w), -0.5, 0.5, grid),
+           (g, rho_pair(g, w), grid.x_min, grid.x_max, grid)]
+    p = gaussian(1.0, 1.0)
+    for energy in (1.5, 2.0, 5.0):
+        e = EnergySpec(energy)
+        grid = truncate_domain(p, e)
+        w = wavenumber_field(p, e)
+        base = gauge_constant(w.k_left)
+        for g in (base, gauge_wkb(w, grid), gauge_special_delta(base, w, grid),
+                  gauge_antiphase(base)):
+            out.append((g, rho_pair(g, w), grid.x_min, grid.x_max, grid))
+    return out
+
+
+def test_a_batch_gives_each_path_its_own_map(monkeypatch):
+    # Each path's panels are refined, and its systems chosen, as they are
+    # when it is solved alone, and a panel's map does not depend on the
+    # other panels of its batch: every map of the batch is bitwise the
+    # path's transfer_matrix.  Every batch _panel_maps solves is in the
+    # order of (path, position).  The panel cap counts each path's panels
+    # apart, so a cap below the batch's total but at every path's own
+    # count passes, and one below a path's own count fails.
+    paths = _mixed_paths()
+    batch = [(g, r, *sz_core._segments(g, r, lo, hi))
+             for g, r, lo, hi, _ in paths]
+    assert len(batch[1][3]) == 2
+    kept, solved = [], []
+    real, real_maps = sz_core.bisect, sz_core._panel_maps
+    monkeypatch.setattr(sz_core, "bisect",
+                        lambda *args: kept.append(real(*args)) or kept[-1])
+    monkeypatch.setattr(sz_core, "_panel_maps", lambda paths, a, b, key: (
+        solved.append((key, a)) or real_maps(paths, a, b, key)))
+    maps = sz_core._refined_products(batch, 1e-12)
+    assert len(kept) == 1 and len(maps) == len(paths) and len(solved) > 1
+    for key, a in solved:
+        assert np.array_equal(np.lexsort((a, key)), np.arange(a.size))
+    for (g, r, lo, hi, grid), m in zip(paths, maps):
+        alone = transfer_matrix(g, r, lo, hi, tol=1e-12, grid=grid).entries
+        assert np.array_equal(m, alone)
+    counts = np.bincount(kept[0][-1])
+    assert counts.size == len(paths) and counts.sum() > counts.max()
+    monkeypatch.setattr(_panels, "MAX_PANELS", int(counts.max()))
+    again = sz_core._refined_products(batch, 1e-12)
+    assert all(np.array_equal(m, a) for m, a in zip(maps, again))
+    monkeypatch.setattr(_panels, "MAX_PANELS", int(counts.max()) - 1)
+    with pytest.raises(NonConvergence):
+        sz_core._refined_products(batch, 1e-12)
+    g, r, lo, hi, grid = paths[int(np.argmax(counts))]
+    with pytest.raises(NonConvergence):
+        transfer_matrix(g, r, lo, hi, tol=1e-12, grid=grid)
 
 
 def test_tall_barrier_product_raises_no_warning():
@@ -693,12 +758,13 @@ def _gauge_with_slope_zero_at(x0):
         chi_prime=constant_field(0.0))
 
 
-def test_routes_reject_a_phi_prime_through_zero():
+def test_routes_reject_a_phi_prime_through_zero(monkeypatch):
     # phi' = x is 0 in the middle of the symmetric window, on a Lobatto
-    # point of the product's start panels, so both product routes raise
-    # GaugeDegenerate there.  evolve's stage positions need not land on the
-    # zero, so it may end in StepUnderflow instead, as it does for
-    # phi' = x - 0.3.  No call warns.
+    # point of the product's start panels; phi' = x - 0.3 is 0 between two
+    # of them, where its real samples change sign within one panel.  Both
+    # product routes raise GaugeDegenerate before any panel is solved.
+    # evolve's stage positions need not land on the zero, so it may end in
+    # StepUnderflow instead.  No call warns.
     from szscatter.errors import StepUnderflow
 
     p = gaussian(1.0, 1.0)
@@ -706,14 +772,20 @@ def test_routes_reject_a_phi_prime_through_zero():
     grid = truncate_domain(p, e)
     w = wavenumber_field(p, e)
     assert grid.x_min == -grid.x_max
+    solved = []
+    real = sz_core._panel_maps
+    monkeypatch.setattr(sz_core, "_panel_maps",
+                        lambda *args: solved.append(1) or real(*args))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        g = _gauge_with_slope_zero_at(0.0)
-        with pytest.raises(GaugeDegenerate):
-            transfer_matrix(g, rho_pair(g, w), grid.x_min, grid.x_max,
-                            tol=1e-9, grid=grid)
-        with pytest.raises(GaugeDegenerate):
-            scattering_amplitudes(p, e, g, 1e-10, grid)
+        for x0 in (0.0, 0.3):
+            g = _gauge_with_slope_zero_at(x0)
+            with pytest.raises(GaugeDegenerate):
+                transfer_matrix(g, rho_pair(g, w), grid.x_min, grid.x_max,
+                                tol=1e-9, grid=grid)
+            with pytest.raises(GaugeDegenerate):
+                scattering_amplitudes(p, e, g, 1e-10, grid)
+        assert solved == []
         for x0 in (0.0, 0.3):
             g = _gauge_with_slope_zero_at(x0)
             with pytest.raises((GaugeDegenerate, StepUnderflow)):
